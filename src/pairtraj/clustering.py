@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mds
 from .errors import DataError, InvalidInputError
 from .procrustes import (
     _batched_branch_residual_sq,
@@ -199,6 +200,15 @@ def _rows_to_interaction(rows: np.ndarray, grid: np.ndarray) -> Interaction:
 # mds
 
 
+def _check_mds_inputs(data: list[Interaction], matrix: DistanceMatrix, k: int) -> None:
+    _check_shared_grid(data)
+    n = len(data)
+    if matrix.n != n:
+        raise InvalidInputError(f"matrix is {matrix.n}x{matrix.n} but n={n}")
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
+
+
 def cluster_mds(
     data: list[Interaction],
     matrix: DistanceMatrix,
@@ -218,15 +228,27 @@ def cluster_mds(
     sum_i min_j d^2(data[i], rep[j]) are taken through the supplied matrix,
     which must be unnormalized for the objective to be meaningful.
     """
-    from .mds import embed  # local import; mds depends on procrustes only
+    _check_mds_inputs(data, matrix, k)  # before paying for the embedding
+    embedding = mds.embed(matrix, beta, seed)
+    return _mds_partition(data, matrix, embedding, k, seed, n_init, max_iter)
 
-    _check_shared_grid(data)
-    n = len(data)
-    if matrix.n != n:
-        raise InvalidInputError(f"matrix is {matrix.n}x{matrix.n} but n={n}")
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
-    embedding = embed(matrix, beta, seed)
+
+def _mds_partition(
+    data: list[Interaction],
+    matrix: DistanceMatrix,
+    embedding: mds.Embedding,
+    k: int,
+    seed: int = 0,
+    n_init: int = _DEFAULT_N_INIT,
+    max_iter: int = _DEFAULT_MAX_ITER,
+) -> ClusterModel:
+    """The partition step of cluster_mds on a given embedding of `matrix`.
+
+    k-means on the embedded points, then medoids, then the objective.  The
+    embedding depends only on (matrix, beta, seed), so a parameter sweep can
+    share one embedding across every k, n_init and max_iter.
+    """
+    _check_mds_inputs(data, matrix, k)
     labels, _, history = _kmeans(embedding.points, k, seed, n_init, max_iter)
     d2 = matrix.entries**2
     medoids = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clustering
+from . import clustering, mds
 from .clustering import ClusterModel
 from .errors import DataError, InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
@@ -230,14 +230,17 @@ _RUNNERS = {
 }
 
 
-def _sweep_cell(method, data, matrix, mu, seed, kwargs):
-    runner = _RUNNERS[method]
+def _sweep_cell(method, data, matrix, mu, seed, kwargs, embeddings):
     if method == "mds":
-        model = runner(data, matrix, seed=seed, **kwargs)
+        kwargs = dict(kwargs)
+        embedding = embeddings[kwargs.pop("beta")]
+        if embedding is None:
+            return None
+        model = clustering._mds_partition(data, matrix, embedding, seed=seed, **kwargs)
     elif method == "spline-coef":
-        model = runner(data, seed=seed, **kwargs)
+        model = _RUNNERS[method](data, seed=seed, **kwargs)
     else:
-        model = runner(data, mu, seed=seed, **kwargs)
+        model = _RUNNERS[method](data, mu, seed=seed, **kwargs)
     return stability_statistic(matrix, model.assignments)
 
 
@@ -258,7 +261,9 @@ def stability_sweep(
 
     Every cell uses the same seed; the statistic is always evaluated on the
     supplied true distance matrix.  Cells that raise a package error are
-    reported as missing, not fatal.
+    reported as missing, not fatal.  For mds the embedding depends only on
+    (matrix, beta, seed), so it is computed once per distinct beta before the
+    cells run, and each cell only partitions its shared embedding.
     """
     if method not in _RUNNERS:
         raise InvalidInputError(f"unknown method {method!r}")
@@ -283,19 +288,33 @@ def stability_sweep(
     values = np.full((len(axis1_values), len(axis2_values)), np.nan)
     missing = np.ones_like(values, dtype=bool)
 
+    def each(fn, items):
+        if workers is not None and workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, items))
+        return [fn(item) for item in items]
+
+    def embed_one(beta):
+        try:
+            return mds.embed(matrix, beta, seed)
+        except PairtrajError:
+            return None  # every cell with this beta is reported missing
+
+    embeddings = {}
+    if method == "mds":
+        if "beta" not in cells[0][2]:
+            raise InvalidInputError("an mds sweep needs beta on an axis or in base")
+        betas = list(dict.fromkeys(kwargs["beta"] for _, _, kwargs in cells))
+        embeddings = dict(zip(betas, each(embed_one, betas)))
+
     def run(cell):
         i, j, kwargs = cell
         try:
-            return i, j, _sweep_cell(method, data, matrix, mu, seed, kwargs)
+            return i, j, _sweep_cell(method, data, matrix, mu, seed, kwargs, embeddings)
         except PairtrajError:
             return i, j, None
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(cell) for cell in cells]
-    for i, j, value in results:
+    for i, j, value in each(run, cells):
         if value is not None:
             values[i, j] = value
             missing[i, j] = False

@@ -12,7 +12,7 @@ so the reported value is monotone over iterations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,10 +26,19 @@ _MAX_ITER = 500
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Embedded coordinates (n, beta) plus the realized raw stress."""
+    """Embedded coordinates (n, beta) plus the realized raw stress.
+
+    `iterations` holds the accepted majorization steps of each run, the
+    spectral run first and then the random restarts; a count equal to
+    `max_iter` means the run reached the iteration cap.  `best_run` indexes
+    the run whose result was kept.  Neither is serialized, so an embedding
+    read back from disk has no iterations and best_run 0.
+    """
 
     points: np.ndarray
     stress: float
+    iterations: tuple[int, ...] = field(default=())
+    best_run: int = 0
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -42,6 +51,8 @@ class Embedding:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "stress", float(self.stress))
+        object.__setattr__(self, "iterations", tuple(int(i) for i in self.iterations))
+        object.__setattr__(self, "best_run", int(self.best_run))
 
     @property
     def n(self) -> int:
@@ -53,12 +64,19 @@ class Embedding:
 
 
 def _pairwise(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    # one contiguous (n, n) difference per coordinate, squares summed in
+    # coordinate order; the Gram form |a|^2 + |b|^2 - 2ab would cancel for
+    # near-coincident points and blow up deltas / dist in the Guttman step
+    sq = np.zeros((points.shape[0], points.shape[0]))
+    for coord in points.T:
+        diff = np.subtract.outer(coord, coord)
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
-def _raw_stress(points: np.ndarray, deltas: np.ndarray) -> float:
-    gap = _pairwise(points) - deltas
+def _stress(dist: np.ndarray, deltas: np.ndarray) -> float:
+    gap = dist - deltas
     return float(np.sum(gap * gap))
 
 
@@ -75,26 +93,33 @@ def _classical_start(deltas: np.ndarray, beta: int) -> np.ndarray:
     return vecs[:, order] * np.sqrt(lam)
 
 
-def _smacof(points: np.ndarray, deltas: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
+def _smacof(
+    points: np.ndarray, deltas: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, float, int]:
+    """Majorize from `points`; returns the points, their stress and the steps taken."""
     n = points.shape[0]
-    stress = _raw_stress(points, deltas)
+    dist = _pairwise(points)
+    stress = _stress(dist, deltas)
+    steps = 0
     for _ in range(max_iter):
         if stress == 0.0:
             break
-        dist = _pairwise(points)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dist > 0, deltas / np.where(dist > 0, dist, 1.0), 0.0)
-        B = -ratio
-        B[np.arange(n), np.arange(n)] = ratio.sum(axis=1)
+        # the distances of the accepted points carry over from the last step
+        B = np.divide(deltas, dist, out=np.zeros_like(dist), where=dist > 0)
+        row_sums = B.sum(axis=1)
+        np.negative(B, out=B)
+        np.fill_diagonal(B, row_sums)
         candidate = (B @ points) / n
-        new_stress = _raw_stress(candidate, deltas)
+        cand_dist = _pairwise(candidate)
+        new_stress = _stress(cand_dist, deltas)
         if new_stress > stress:
             # majorization guarantees non-increase; float noise at convergence
             break
-        points, prev, stress = candidate, stress, new_stress
+        points, dist, prev, stress = candidate, cand_dist, stress, new_stress
+        steps += 1
         if (prev - stress) <= _REL_TOL * prev:
             break
-    return points, stress
+    return points, stress, steps
 
 
 def embed(
@@ -110,7 +135,9 @@ def embed(
     is recovered exactly); n_restarts additional majorization runs from seeded
     random configurations guard against symmetric saddles of the stress, and
     the lowest-stress result wins (ties keep the spectral run).  Deterministic
-    given seed.  max_iter=0 returns the raw spectral coordinates.
+    given seed.  max_iter=0 returns the raw spectral coordinates.  Each run
+    stops at the relative stress tolerance or after max_iter steps, whichever
+    comes first; `Embedding.iterations` says which.
     """
     n = matrix.n
     if not 1 <= beta <= n - 1:
@@ -118,20 +145,19 @@ def embed(
     if max_iter < 0 or n_restarts < 0:
         raise InvalidInputError("max_iter and n_restarts must be nonnegative")
     deltas = matrix.entries
-    points = _classical_start(deltas, beta)
-    if max_iter == 0:
-        return Embedding(points, _raw_stress(points, deltas))
-    points, stress = _smacof(points, deltas, max_iter)
+    points, stress, steps = _smacof(_classical_start(deltas, beta), deltas, max_iter)
+    iterations, best_run = [steps], 0
     positive = deltas[deltas > 0]
-    if stress > 0.0 and positive.size:
+    if max_iter > 0 and stress > 0.0 and positive.size:
         rng = np.random.default_rng(seed)
         scale = float(positive.mean())
-        for _ in range(n_restarts):
+        for run in range(1, n_restarts + 1):
             start = rng.normal(size=(n, beta)) * scale
-            cand_points, cand_stress = _smacof(start, deltas, max_iter)
+            cand_points, cand_stress, steps = _smacof(start, deltas, max_iter)
+            iterations.append(steps)
             if cand_stress < stress:
-                points, stress = cand_points, cand_stress
-    return Embedding(points, stress)
+                points, stress, best_run = cand_points, cand_stress, run
+    return Embedding(points, stress, tuple(iterations), best_run)
 
 
 def write_embedding(csv_path, json_path, embedding: Embedding, meta: dict | None = None) -> None:

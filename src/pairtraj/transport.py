@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .clustering import ClusterModel
 from .errors import DataError, InvalidInputError, NumericalError
@@ -81,6 +80,10 @@ def ground_cost(
     return cross_distance_matrix(list(F.atoms), list(G.atoms), mu) ** r
 
 
+def _uniform(weights: np.ndarray) -> bool:
+    return bool(np.all(weights == weights[0]))
+
+
 def wasserstein(
     F: DiscreteMeasure,
     G: DiscreteMeasure,
@@ -90,12 +93,21 @@ def wasserstein(
     """Order-r Wasserstein distance under the quotient Procrustes ground metric.
 
     Solves the transportation LP exactly; the optimal coupling exists because
-    both marginals are finite probability vectors.
+    both marginals are finite probability vectors.  Two uniform measures of
+    equal size have a permutation among their optimal couplings (Birkhoff), so
+    that case is solved exactly as an assignment problem instead.
     """
+    # scipy.optimize is imported here, not at module level: it costs about
+    # half a second, which every other subcommand would pay at start-up
+    from scipy.optimize import linear_sum_assignment, linprog
+
     if not r >= 1.0:
         raise InvalidInputError(f"order r must be >= 1, got {r}")
     cost = ground_cost(F, G, r, mu)
     m, n = cost.shape
+    if m == n and _uniform(F.weights) and _uniform(G.weights):
+        rows, cols = linear_sum_assignment(cost)
+        return float((cost[rows, cols].sum() / m) ** (1.0 / r))
     A = np.zeros((m + n, m * n))
     for i in range(m):
         A[i, i * n : (i + 1) * n] = 1.0

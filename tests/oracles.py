@@ -3,7 +3,8 @@
 Everything here avoids the package's closed forms on purpose: rotations are
 brute-forced on a theta grid (with the optimal translation for each theta),
 transport plans are enumerated, and cubic fits go through explicit normal
-equations.
+equations.  `reference_embed` is the original two-pass SMACOF, frozen as the
+reference the package's faster kernel must reproduce.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ def theta_grid_residual_sq(
     """min over a theta grid of rho^2(a, O(theta) b + c(theta)).
 
     For each theta the translation is the exact optimum c = mean_a - O mean_b
-    (the quadratic in c separates), so only the rotation is gridded.
+    (the quadratic in c separates), so only the rotation is gridded: the
+    residual is a_c - O(theta) b_c for the centred curves, and the rotated
+    curve O(theta) b_c = cos(theta) b_c + sin(theta) b_c^perp, with b_c^perp
+    the centred curve turned by a quarter turn.
     """
     A = stack_rows(a)
     B = stack_rows(b)
@@ -44,18 +48,19 @@ def theta_grid_residual_sq(
         half = len(a)
         B = np.concatenate([B[half:], B[:half]])
     w = np.concatenate([w_t, w_t])
-    mean_a = 0.5 * (w @ A)
-    mean_b = 0.5 * (w @ B)
+    A_c = A - 0.5 * (w @ A)
+    B_c = B - 0.5 * (w @ B)
+    B_perp = np.column_stack([-B_c[:, 1], B_c[:, 0]])
+    target, base, perp = A_c.ravel(), B_c.ravel(), B_perp.ravel()
+    w_flat = np.repeat(w, 2)  # one weight per (row, coordinate) entry
     best = np.inf
     thetas = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     for chunk in np.array_split(thetas, max(1, n_grid // 4000)):
-        c, s = np.cos(chunk), np.sin(chunk)
-        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-        moved = np.einsum("mij,tj->mti", rot, B)
-        shift = mean_a - np.einsum("mij,j->mi", rot, mean_b)
-        diff = A[None] - (moved + shift[:, None, :])
-        vals = np.einsum("t,mti,mti->m", w, diff, diff)
-        best = min(best, float(vals.min()))
+        diff = np.outer(np.cos(chunk), base)
+        diff += np.outer(np.sin(chunk), perp)
+        np.subtract(target, diff, out=diff)
+        diff *= diff
+        best = min(best, float((diff @ w_flat).min()))
     return best
 
 
@@ -107,6 +112,67 @@ def enumerate_uniform_wasserstein(cost: np.ndarray, r: float) -> float:
         val = sum(cost[i, perm[i]] ** r for i in range(m)) / m
         best = min(best, val)
     return best ** (1.0 / r)
+
+
+def _reference_pairwise(points: np.ndarray) -> np.ndarray:
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _reference_stress(points: np.ndarray, deltas: np.ndarray) -> float:
+    gap = _reference_pairwise(points) - deltas
+    return float(np.sum(gap * gap))
+
+
+def _reference_smacof(
+    points: np.ndarray, deltas: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, float]:
+    n = points.shape[0]
+    stress = _reference_stress(points, deltas)
+    for _ in range(max_iter):
+        if stress == 0.0:
+            break
+        dist = _reference_pairwise(points)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(dist > 0, deltas / np.where(dist > 0, dist, 1.0), 0.0)
+        B = -ratio
+        B[np.arange(n), np.arange(n)] = ratio.sum(axis=1)
+        candidate = (B @ points) / n
+        new_stress = _reference_stress(candidate, deltas)
+        if new_stress > stress:
+            break
+        points, prev, stress = candidate, stress, new_stress
+        if (prev - stress) <= 1e-8 * prev:
+            break
+    return points, stress
+
+
+def reference_embed(
+    deltas: np.ndarray, beta: int, seed: int = 0, max_iter: int = 500, n_restarts: int = 8
+) -> tuple[np.ndarray, float]:
+    """Classical start, then SMACOF recomputing the distances for every stress.
+
+    Same starts, restart draws and stopping rules as `pairtraj.mds.embed`;
+    returns the winning points and their raw stress.
+    """
+    n = deltas.shape[0]
+    sq = deltas * deltas
+    row = sq.mean(axis=1, keepdims=True)
+    col = sq.mean(axis=0, keepdims=True)
+    vals, vecs = np.linalg.eigh(-0.5 * (sq - row - col + sq.mean()))
+    order = np.argsort(vals)[::-1][:beta]
+    points = vecs[:, order] * np.sqrt(np.clip(vals[order], 0.0, None))
+    points, stress = _reference_smacof(points, deltas, max_iter)
+    positive = deltas[deltas > 0]
+    if stress > 0.0 and positive.size:
+        rng = np.random.default_rng(seed)
+        scale = float(positive.mean())
+        for _ in range(n_restarts):
+            start = rng.normal(size=(n, beta)) * scale
+            cand_points, cand_stress = _reference_smacof(start, deltas, max_iter)
+            if cand_stress < stress:
+                points, stress = cand_points, cand_stress
+    return points, stress
 
 
 def normal_equation_cubic(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pairtraj import mds
 from pairtraj.clustering import ClusterModel, cluster_geo2, cluster_mds
 from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.evaluation import (
@@ -263,6 +264,38 @@ class TestStabilitySweep:
         assert np.array_equal(serial.values, threaded.values, equal_nan=True)
         assert np.array_equal(serial.missing, threaded.missing)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mds_embeds_once_per_beta(self, monkeypatch, workers):
+        data, _ = planted(np.random.default_rng(20), per_family=4)
+        D = distance_matrix(data)
+        betas = []
+        real_embed = mds.embed
+
+        def counting_embed(matrix, beta, *args, **kwargs):
+            betas.append(beta)
+            return real_embed(matrix, beta, *args, **kwargs)
+
+        monkeypatch.setattr(mds, "embed", counting_embed)
+        ks = (2, 3, 4)
+        stability_sweep(data, D, "mds", "k", ks, "beta", (2,), seed=0, workers=workers)
+        assert betas == [2]
+        betas.clear()
+        grid = stability_sweep(
+            data, D, "mds", "k", ks, "beta", (2, 3), seed=0, workers=workers
+        )
+        assert sorted(betas) == [2, 3]
+        for i, k in enumerate(ks):
+            for j, beta in enumerate((2, 3)):
+                model = cluster_mds(data, D, beta=beta, k=k, seed=0)
+                assert grid.values[i, j] == stability_statistic(D, model.assignments)
+        assert not grid.missing.any()
+
+    def test_failed_beta_marks_its_cells_missing(self):
+        data, _ = planted(np.random.default_rng(16), per_family=4)
+        D = distance_matrix(data)
+        grid = stability_sweep(data, D, "mds", "k", [2, 3], "beta", [2, 12], seed=0)
+        assert not grid.missing[:, 0].any() and grid.missing[:, 1].all()
+
     def test_geo_methods_sweepable(self):
         data, _ = planted(np.random.default_rng(18), per_family=3)
         D = distance_matrix(data)
@@ -276,6 +309,8 @@ class TestStabilitySweep:
             stability_sweep(data, D, "mds", "gamma", [1], "k", [2], seed=0)
         with pytest.raises(InvalidInputError, match="different"):
             stability_sweep(data, D, "mds", "k", [2], "k", [3], seed=0)
+        with pytest.raises(InvalidInputError, match="beta"):
+            stability_sweep(data, D, "mds", "k", [2], "n_init", [1], seed=0)
 
 
 class TestTransferPrimitives:

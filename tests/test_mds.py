@@ -5,7 +5,7 @@ from pairtraj.errors import InvalidInputError
 from pairtraj.mds import Embedding, embed, read_embedding, write_embedding
 from pairtraj.procrustes import DistanceMatrix, distance_matrix
 
-from oracles import random_interaction
+from oracles import planted, random_interaction, reference_embed
 
 # frozen unit-square oracle: direct BFGS minimization of the raw stress over
 # R^4, 200 random restarts (see test_matches_direct_minimization, which
@@ -114,6 +114,37 @@ class TestEmbed:
         assert a.points.tobytes() == b.points.tobytes()
         assert a.stress == b.stress
 
+    def test_iterations_report_the_cap(self):
+        emb = embed(frozen_non_euclidean(), 2, seed=0, max_iter=5)
+        assert emb.iterations == (5,) * 9  # spectral run, then 8 restarts
+        assert 0 <= emb.best_run < 9
+
+
+def planted_sixty():
+    data, _ = planted(np.random.default_rng(21), per_family=20)
+    return distance_matrix(data)
+
+
+class TestMatchesFrozenReference:
+    @pytest.mark.parametrize("make", [frozen_non_euclidean, planted_sixty])
+    def test_beta2_byte_identical(self, make):
+        dm = make()
+        emb = embed(dm, 2, seed=0)
+        points, stress = reference_embed(dm.entries, 2, seed=0)
+        assert emb.points.tobytes() == points.tobytes()
+        assert emb.stress == stress
+
+    @pytest.mark.parametrize("make", [frozen_non_euclidean, planted_sixty])
+    def test_beta3_agrees_to_rounding(self, make):
+        # with three coordinates the squares may be summed in another order
+        dm = make()
+        emb = embed(dm, 3, seed=0)
+        points, stress = reference_embed(dm.entries, 3, seed=0)
+        assert emb.stress == pytest.approx(stress, rel=1e-12)
+        realized = euclidean_matrix(emb.points).entries
+        reference = euclidean_matrix(points).entries
+        assert np.max(np.abs(realized - reference)) <= 1e-10
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -123,6 +154,8 @@ class TestSerialization:
         back = read_embedding(csv_path, json_path)
         assert np.array_equal(back.points, emb.points)
         assert back.stress == emb.stress
+        written = csv_path.read_text() + json_path.read_text()
+        assert "iterations" not in written and "best_run" not in written
 
     def test_rejects_negative_stress(self):
         with pytest.raises(InvalidInputError):

@@ -110,6 +110,16 @@ class TestWasserstein:
                 oracle = enumerate_uniform_wasserstein(dists, r)
                 assert wasserstein(F, G, r) == pytest.approx(oracle, abs=1e-9)
 
+    def test_uniform_equal_size_assignment_matches_enumeration(self):
+        # uniform measures of equal size are solved as an assignment problem
+        for seed in (22, 23):
+            F = empirical_measure(list(atoms(seed, 6)))
+            G = empirical_measure(list(atoms(seed + 50, 6)))
+            dists = np.array([[distance(a, b) for b in G.atoms] for a in F.atoms])
+            for r in (1.0, 2.0, 3.0):
+                oracle = enumerate_uniform_wasserstein(dists, r)
+                assert wasserstein(F, G, r) == pytest.approx(oracle, rel=1e-12)
+
     def test_symmetry_and_triangle(self):
         F = random_measure(14, 2)
         G = random_measure(15, 3)
