@@ -1,6 +1,6 @@
 """Paired-trajectory interactions: quotient metric, clustering, evaluation."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ConfigError,

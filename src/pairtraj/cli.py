@@ -95,18 +95,30 @@ def _load_interactions(config: RunConfig, path=None):
 
 
 def _matrix_for(config: RunConfig, data, normalize: bool):
-    """Distance matrix, cached in binary form keyed by the input file hash."""
+    """Distance matrix, cached in binary form.
+
+    The key covers the input bytes, T, `normalize` and the tool version, so a
+    matrix from another kernel is never served.  The file is written under a
+    temporary name and moved into place; an unreadable one is rebuilt.
+    """
     digest = hashlib.sha256()
     with open(config.input, "rb") as handle:
         digest.update(handle.read())
-    digest.update(f";T={config.num_samples};normalize={int(normalize)}".encode())
+    digest.update(
+        f";T={config.num_samples};normalize={int(normalize)};version={__version__}".encode()
+    )
     cache_dir = os.path.join(config.output_dir, "cache")
     os.makedirs(cache_dir, exist_ok=True)
     cache = os.path.join(cache_dir, f"distances-{digest.hexdigest()[:16]}.bin")
     if os.path.exists(cache):
-        return read_matrix_binary(cache)
-    matrix = distance_matrix(data, normalize=normalize, workers=_resolve_workers(config))
-    write_matrix_binary(cache, matrix)
+        try:
+            return read_matrix_binary(cache)
+        except DataError:
+            pass  # truncated or foreign: rebuild it below
+    matrix = distance_matrix(data, normalize=normalize)
+    partial = f"{cache}.{os.getpid()}.tmp"
+    write_matrix_binary(partial, matrix)
+    os.replace(partial, cache)
     return matrix
 
 
@@ -349,7 +361,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="encounter CSV")
     sub.add_argument("--output-dir", help="artifact directory")
     sub.add_argument("--seed", type=int, help="seed for all randomness")
-    sub.add_argument("--workers", type=int, help="worker threads (0 = all cores)")
+    sub.add_argument("--workers", type=int,
+                     help="threads for the stability cells (0 = all cores)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -26,9 +26,8 @@ import numpy as np
 from . import mds
 from .errors import DataError, InvalidInputError
 from .procrustes import (
-    _batched_branch_residual_sq,
-    _branch_residual_sq,
-    _Packed,
+    _pack,
+    _residual_sq,
     _resolve_measure,
     _row_weights,
     DistanceMatrix,
@@ -345,14 +344,13 @@ def cluster_geo1(
 
 def _geo2_run(
     data: list[Interaction],
-    packed: list[_Packed],
-    stacks: tuple[np.ndarray, np.ndarray],
+    packed: tuple[np.ndarray, np.ndarray, np.ndarray],
     w_row: np.ndarray,
     k: int,
     rng: np.random.Generator,
     max_iter: int,
 ) -> tuple[np.ndarray, list[Interaction], list[float]]:
-    centered_stack, weighted_stack = stacks
+    z, mean, norm = packed
     n = len(data)
     labels = rng.integers(0, k, size=n)
     history: list[float] = []
@@ -364,28 +362,18 @@ def _geo2_run(
         elif len(np.unique(labels)) < k:
             # first pass has no distances yet: seed missing clusters with the
             # points farthest from the joint mean of everything
-            spread = (centered_stack**2).sum(axis=(1, 2))
-            _repair_empty(labels, spread, k)
+            _repair_empty(labels, (z.real**2 + z.imag**2).sum(axis=1), k)
         centroids = []
         for j in range(k):
             members = np.flatnonzero(labels == j)
-            ref = packed[int(members[0])]
-            acc = np.zeros_like(ref.centered)
-            for i in members:
-                _, rot = _branch_residual_sq(packed[int(i)], ref, w_row, swap=False)
-                acc += packed[int(i)].centered @ rot.T
-            rows = acc / members.size + ref.mean
-            centroids.append(_rows_to_interaction(rows, data[int(members[0])].grid))
-        cpacked = [_Packed(c, w_row) for c in centroids]
-        dist2 = np.stack(
-            [
-                _batched_branch_residual_sq(
-                    centered_stack, weighted_stack, cp.centered, w_row
-                )
-                for cp in cpacked
-            ],
-            axis=1,
-        )
+            ref = members[:1]
+            _, phase = _residual_sq(z[members], norm[members], z[ref], norm[ref], w_row)
+            rows = (phase * z[members]).sum(axis=0) / members.size + mean[ref[0]]
+            centroids.append(
+                _rows_to_interaction(np.column_stack([rows.real, rows.imag]), data[ref[0]].grid)
+            )
+        zc, _, nc = _pack(centroids, w_row)
+        dist2, _ = _residual_sq(z, norm, zc, nc, w_row)
         new_labels = dist2.argmin(axis=1)
         obj = float(dist2[np.arange(n), new_labels].sum())
         history.append(obj)
@@ -423,16 +411,10 @@ def cluster_geo2(
         raise InvalidInputError("n_init and max_iter must be positive")
     mu = _resolve_measure(mu, T)
     w_row = _row_weights(mu)
-    packed = [_Packed(inter, w_row) for inter in data]
-    stacks = (
-        np.stack([p.centered for p in packed]),
-        np.stack([p.weighted for p in packed]),
-    )
+    packed = _pack(data, w_row)
     best = None
     for child in np.random.default_rng(seed).spawn(n_init):
-        labels, centroids, history = _geo2_run(
-            data, packed, stacks, w_row, k, child, max_iter
-        )
+        labels, centroids, history = _geo2_run(data, packed, w_row, k, child, max_iter)
         if best is None or history[-1] < best[2][-1]:
             best = (labels, centroids, history)
     labels, centroids, history = best

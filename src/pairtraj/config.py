@@ -145,12 +145,13 @@ class RunConfig:
     def render(self) -> str:
         """Canonical text form: one sorted key=value line per parameter.
 
-        Paths (input, output_dir) are locations rather than parameters and are
-        left out, so the hash identifies the computation, not where it ran.
+        Paths (input, output_dir) are locations and `workers` is a thread
+        count; none of them can change a result, so they are left out and the
+        hash identifies the computation, not where or how it ran.
         """
         lines = []
         for field in sorted(f.name for f in fields(self)):
-            if field in ("input", "output_dir"):
+            if field in ("input", "output_dir", "workers"):
                 continue
             value = getattr(self, field)
             if isinstance(value, tuple):

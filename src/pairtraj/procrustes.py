@@ -6,17 +6,32 @@ second interaction, of the weighted mismatch
 
     rho^2 = sum_i integral ||f_1i - (O f_2i + c)||^2 dmu .
 
-Both curves of a pair move under one shared rigid motion.  The optimal motion
-has a closed form through the SVD of the 2x2 cross-covariance of jointly
-centered curves; the swap branch is the same computation with the source
-curves exchanged, and the reported distance is the smaller branch.
+Both curves of a pair move under one shared rigid motion.  In the plane a
+point is a complex number and a rotation is a unit complex number, so each
+interaction is packed once as its jointly centred curves z in C^{2T} (first
+curve, then second) with weighted norm N = sum w |z|^2.  Moving a source s
+onto a target t, the optimal rotation is the phase e^{i phi} of
+G = sum w conj(z_s) z_t, the optimal translation is mean_t - e^{i phi} mean_s,
+and the residual is N_s + N_t - 2|G|.  Every alignment in the package goes
+through one kernel, `_residual_sq`, which takes a stack of sources against a
+stack of targets and forms all the G at once as one complex matrix product.
+That product runs in numpy's own einsum loop rather than BLAS, because
+OpenBLAS rounds differently with one thread than with several.
+When G = 0 every rotation ties and the identity is used.  The swap branch is
+the same call with the two halves of each source exchanged; the distance is
+the smaller branch, and ties keep the unswapped order.
+
+The subtraction N_s + N_t - 2|G| cancels for near-identical pairs.  Wherever
+it is at most _RECOMPUTE_REL * (N_s + N_t), the residual is recomputed
+directly as sum w |z_t - e^{i phi} z_s|^2 with the same phase.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
+# not used here; bench/layers.py patches this name when it traces a run
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -24,6 +39,10 @@ from .errors import DataError, InvalidInputError
 from .trajectory import Interaction, TimeMeasure, Trajectory, _fmt, uniform_measure
 
 _MAGIC = b"PTDM"
+# Residuals at most this fraction of N_s + N_t are summed directly instead
+_RECOMPUTE_REL = 1e-3
+# Near pairs are recomputed this many at a time, bounding the temporaries
+_RECOMPUTE_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,34 +108,6 @@ class DistanceMatrix:
         return int(self.entries.shape[0])
 
 
-class _Packed:
-    """Per-interaction cache for the closed-form alignment.
-
-    rows stacks first over second (2T, 2); the mean is the joint mean over
-    both curves; `weighted` carries the per-row measure weights so the 2x2
-    cross-covariance of any pair is a single (2T,2)^T (2T,2) product.
-    """
-
-    __slots__ = ("centered", "weighted", "mean", "half")
-
-    def __init__(self, interaction: Interaction, row_weights: np.ndarray):
-        rows = np.concatenate([interaction.first.samples, interaction.second.samples])
-        mean = 0.5 * (row_weights @ rows)
-        centered = rows - mean
-        self.centered = centered
-        self.weighted = centered * row_weights[:, None]
-        self.mean = mean
-        self.half = rows.shape[0] // 2
-
-    def centered_swapped(self) -> np.ndarray:
-        h = self.half
-        return np.concatenate([self.centered[h:], self.centered[:h]])
-
-    def weighted_swapped(self) -> np.ndarray:
-        h = self.half
-        return np.concatenate([self.weighted[h:], self.weighted[:h]])
-
-
 def _resolve_measure(mu: TimeMeasure | None, num_samples: int) -> TimeMeasure:
     if mu is None:
         return uniform_measure(num_samples)
@@ -131,34 +122,50 @@ def _row_weights(mu: TimeMeasure) -> np.ndarray:
     return np.concatenate([mu.weights, mu.weights])
 
 
-def _cross_covariance(source: _Packed, target: _Packed, swap: bool) -> np.ndarray:
-    src = source.weighted_swapped() if swap else source.weighted
-    return src.T @ target.centered
+def _pack(data: list[Interaction], w_row: np.ndarray):
+    """Jointly centred complex curves (n, 2T), their means (n,) and norms (n,)."""
+    rows = np.stack([np.concatenate([i.first.samples, i.second.samples]) for i in data])
+    raw = rows[..., 0] + 1j * rows[..., 1]
+    # Row-wise sums rather than a BLAS matrix-vector product, so an interaction
+    # packs to the same bits in any batch and a coincident-point blob centres to 0.
+    # The row weights sum to 2 over both curves: the joint mean carries 1/2.
+    mean = 0.5 * (raw * w_row).sum(axis=1)
+    z = raw - mean[:, None]
+    return z, mean, ((z.real**2 + z.imag**2) * w_row).sum(axis=1)
 
 
-def _optimal_rotation(cross: np.ndarray) -> np.ndarray:
-    """The rotation in SO(2) maximizing trace(cross @ O)."""
-    u, sv, vh = np.linalg.svd(cross)
-    if sv[0] == 0.0:
-        # all mass coincident after centering: any rotation ties, pick identity
-        return np.eye(2)
-    sign = np.sign(np.linalg.det(u) * np.linalg.det(vh))
-    return vh.T @ np.diag([1.0, sign]) @ u.T
+def _swap_halves(z: np.ndarray) -> np.ndarray:
+    half = z.shape[-1] // 2
+    return np.concatenate([z[:, half:], z[:, :half]], axis=1)
 
 
-def _branch_residual_sq(
-    source: _Packed, target: _Packed, w_row: np.ndarray, swap: bool
-) -> tuple[float, np.ndarray]:
-    """Optimal rotation for one ordering plus the realized weighted mismatch.
+def _residual_sq(
+    zs: np.ndarray, ns: np.ndarray, zt: np.ndarray, nt: np.ndarray, w_row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The alignment kernel: every source (rows of zs) onto every target (rows of zt).
 
-    The residual is evaluated as the mismatch of the actually rotated curves
-    (a plain sum of squares) rather than total_norm2 - 2*trace: the subtraction
-    form cancels catastrophically for near-identical pairs.
+    Returns (m, p) arrays: the squared residual of source i optimally rotated
+    and translated onto target j (no swap), and the rotation e^{i phi} doing it.
     """
-    src = source.centered_swapped() if swap else source.centered
-    rot = _optimal_rotation(_cross_covariance(source, target, swap))
-    diff = target.centered - src @ rot.T
-    return float(np.sum(w_row[:, None] * diff * diff)), rot
+    # not BLAS: results must not depend on the BLAS thread count
+    phase = np.einsum("ik,jk->ij", zs.conj() * w_row, zt)
+    size = np.abs(phase)
+    np.divide(phase, size, out=phase, where=size > 0)
+    phase[size == 0] = 1.0
+    total = ns[:, None] + nt[None, :]
+    resid = total - 2.0 * size
+    near_i, near_j = np.nonzero(resid <= _RECOMPUTE_REL * total)
+    for lo in range(0, near_i.size, _RECOMPUTE_CHUNK):
+        i, j = near_i[lo : lo + _RECOMPUTE_CHUNK], near_j[lo : lo + _RECOMPUTE_CHUNK]
+        diff = zt[j] - phase[i, j, None] * zs[i]
+        resid[i, j] = ((diff.real**2 + diff.imag**2) * w_row).sum(axis=1)
+    return resid, phase
+
+
+def _alignment(phase: complex, mean_s: complex, mean_t: complex, swapped: bool) -> Alignment:
+    c, s = phase.real, phase.imag
+    trans = mean_t - phase * mean_s
+    return Alignment(np.array([[c, -s], [s, c]]), np.array([trans.real, trans.imag]), swapped)
 
 
 def _check_pair(target: Interaction, source: Interaction) -> None:
@@ -166,6 +173,26 @@ def _check_pair(target: Interaction, source: Interaction) -> None:
         raise InvalidInputError(
             f"interactions have different grid lengths ({len(target)} vs {len(source)})"
         )
+
+
+def _shared_length(data: list[Interaction]) -> int:
+    T = len(data[0])
+    for idx, inter in enumerate(data):
+        if len(inter) != T:
+            raise InvalidInputError(
+                f"interaction {idx} has grid length {len(inter)}, expected {T}"
+            )
+    return T
+
+
+def _quotient_sq(source: list[Interaction], target: list[Interaction], mu) -> np.ndarray:
+    """Squared quotient distances (both orderings) of every source to every target."""
+    w = _row_weights(_resolve_measure(mu, _shared_length(list(source) + list(target))))
+    zs, _, ns = _pack(source, w)
+    zt, _, nt = _pack(target, w)
+    keep, _ = _residual_sq(zs, ns, zt, nt, w)
+    swap, _ = _residual_sq(_swap_halves(zs), ns, zt, nt, w)
+    return np.minimum(keep, swap)
 
 
 def align(
@@ -177,87 +204,35 @@ def align(
     swapped=False.  Minimizes rho^2 over SO(2) x R^2 in closed form.
     """
     _check_pair(target, source)
-    mu = _resolve_measure(mu, len(target))
-    w = _row_weights(mu)
-    tgt, src = _Packed(target, w), _Packed(source, w)
-    rot = _optimal_rotation(_cross_covariance(src, tgt, swap=False))
-    trans = tgt.mean - rot @ src.mean
-    fit = Alignment(rot, trans, swapped=False)
+    w = _row_weights(_resolve_measure(mu, len(target)))
+    z, mean, norm = _pack([source, target], w)
+    _, phase = _residual_sq(z[:1], norm[:1], z[1:], norm[1:], w)
+    fit = _alignment(phase[0, 0], mean[0], mean[1], swapped=False)
     return fit, fit.apply(source)
 
 
 def distance(a: Interaction, b: Interaction, mu: TimeMeasure | None = None) -> float:
     """Quotient distance: rho minimized over rigid motions and the pair-order swap."""
     _check_pair(a, b)
-    mu = _resolve_measure(mu, len(a))
-    w = _row_weights(mu)
-    tgt, src = _Packed(a, w), _Packed(b, w)
-    r_keep, _ = _branch_residual_sq(src, tgt, w, swap=False)
-    r_swap, _ = _branch_residual_sq(src, tgt, w, swap=True)
-    return float(np.sqrt(min(r_keep, r_swap)))
+    return float(np.sqrt(_quotient_sq([b], [a], mu)[0, 0]))
 
 
 def distance_with_alignment(
     a: Interaction, b: Interaction, mu: TimeMeasure | None = None
 ) -> tuple[float, Alignment]:
-    """Like distance(), also reporting the realized rigid motion and swap flag.
+    """Like distance(), also reporting the realized rigid motion of b onto a.
 
     Ties between the two orderings keep swapped=False.
     """
     _check_pair(a, b)
-    mu = _resolve_measure(mu, len(a))
-    w = _row_weights(mu)
-    tgt, src = _Packed(a, w), _Packed(b, w)
-    r_keep, rot_keep = _branch_residual_sq(src, tgt, w, swap=False)
-    r_swap, rot_swap = _branch_residual_sq(src, tgt, w, swap=True)
-    swapped = bool(r_swap < r_keep)
-    rot = rot_swap if swapped else rot_keep
-    trans = tgt.mean - rot @ src.mean
-    dist = float(np.sqrt(min(r_keep, r_swap)))
-    return dist, Alignment(rot, trans, swapped=swapped)
-
-
-def _batched_branch_residual_sq(
-    src_centered: np.ndarray,
-    src_weighted: np.ndarray,
-    tgt_centered: np.ndarray,
-    w_row: np.ndarray,
-) -> np.ndarray:
-    """Vectorized _branch_residual_sq for one target against a stack of sources."""
-    cross = np.einsum("jta,tb->jab", src_weighted, tgt_centered)
-    u, sv, vh = np.linalg.svd(cross)
-    sign = np.sign(np.linalg.det(u) * np.linalg.det(vh))
-    diagd = np.stack([np.ones_like(sign), sign], axis=-1)
-    rot = np.einsum("jba,jb,jcb->jac", vh, diagd, u)
-    degen = sv[:, 0] == 0.0
-    if np.any(degen):
-        rot[degen] = np.eye(2)
-    diff = tgt_centered[None, :, :] - np.einsum("jac,jtc->jta", rot, src_centered)
-    return np.einsum("t,jta,jta->j", w_row, diff, diff)
-
-
-def _matrix_rows(
-    start: int,
-    stop: int,
-    centered: np.ndarray,
-    centered_swap: np.ndarray,
-    weighted: np.ndarray,
-    weighted_swap: np.ndarray,
-    w_row: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    n = out.shape[0]
-    for i in range(start, stop):
-        if i + 1 >= n:
-            continue
-        tail = slice(i + 1, n)
-        r_keep = _batched_branch_residual_sq(
-            centered[tail], weighted[tail], centered[i], w_row
-        )
-        r_swap = _batched_branch_residual_sq(
-            centered_swap[tail], weighted_swap[tail], centered[i], w_row
-        )
-        out[i, tail] = np.sqrt(np.minimum(r_keep, r_swap))
+    w = _row_weights(_resolve_measure(mu, len(a)))
+    z, mean, norm = _pack([b, a], w)
+    r_keep, ph_keep = _residual_sq(z[:1], norm[:1], z[1:], norm[1:], w)
+    r_swap, ph_swap = _residual_sq(_swap_halves(z[:1]), norm[:1], z[1:], norm[1:], w)
+    swapped = bool(r_swap[0, 0] < r_keep[0, 0])
+    phase = ph_swap[0, 0] if swapped else ph_keep[0, 0]
+    dist = float(np.sqrt(min(r_keep[0, 0], r_swap[0, 0])))
+    return dist, _alignment(phase, mean[0], mean[1], swapped)
 
 
 def distance_matrix(
@@ -269,43 +244,14 @@ def distance_matrix(
     """All pairwise quotient distances.
 
     With normalize=True the matrix is rescaled so its largest entry is 1
-    (no-op on an all-zero matrix).  `workers` splits rows across threads;
-    entries are written to disjoint slices, so the result does not depend
-    on the worker count.
+    (no-op on an all-zero matrix).  The strict upper triangle is mirrored and
+    the diagonal is exactly 0.  `workers` is accepted for compatibility and
+    changes nothing: the matrix is two complex matrix products.
     """
     if len(data) < 1:
         raise InvalidInputError("need at least one interaction")
-    T = len(data[0])
-    for idx, inter in enumerate(data):
-        if len(inter) != T:
-            raise InvalidInputError(
-                f"interaction {idx} has grid length {len(inter)}, expected {T}"
-            )
-    mu = _resolve_measure(mu, T)
-    w = _row_weights(mu)
-    packed = [_Packed(inter, w) for inter in data]
-    centered = np.stack([p.centered for p in packed])
-    centered_swap = np.stack([p.centered_swapped() for p in packed])
-    weighted = np.stack([p.weighted for p in packed])
-    weighted_swap = np.stack([p.weighted_swapped() for p in packed])
-
-    n = len(data)
-    out = np.zeros((n, n))
-    if workers is not None and workers > 1 and n > 2:
-        bounds = np.linspace(0, n - 1, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _matrix_rows, bounds[t], bounds[t + 1],
-                    centered, centered_swap, weighted, weighted_swap, w, out,
-                )
-                for t in range(workers)
-            ]
-            for fut in futures:
-                fut.result()
-    else:
-        _matrix_rows(0, n - 1, centered, centered_swap, weighted, weighted_swap, w, out)
-    out += out.T
+    upper = np.triu(np.sqrt(_quotient_sq(data, data, mu)), 1)
+    out = upper + upper.T
     if normalize:
         top = out.max()
         if top > 0:
@@ -321,28 +267,7 @@ def cross_distance_matrix(
     """Rectangular matrix of quotient distances d(left[i], right[j])."""
     if not left or not right:
         raise InvalidInputError("need at least one interaction on each side")
-    T = len(left[0])
-    for idx, inter in enumerate(list(left) + list(right)):
-        if len(inter) != T:
-            raise InvalidInputError(
-                f"interaction {idx} has grid length {len(inter)}, expected {T}"
-            )
-    mu = _resolve_measure(mu, T)
-    w = _row_weights(mu)
-    packed = [_Packed(inter, w) for inter in left]
-    centered = np.stack([p.centered for p in packed])
-    centered_swap = np.stack([p.centered_swapped() for p in packed])
-    weighted = np.stack([p.weighted for p in packed])
-    weighted_swap = np.stack([p.weighted_swapped() for p in packed])
-    out = np.empty((len(left), len(right)))
-    for j, inter in enumerate(right):
-        tgt = _Packed(inter, w)
-        r_keep = _batched_branch_residual_sq(centered, weighted, tgt.centered, w)
-        r_swap = _batched_branch_residual_sq(
-            centered_swap, weighted_swap, tgt.centered, w
-        )
-        out[:, j] = np.sqrt(np.minimum(r_keep, r_swap))
-    return out
+    return np.sqrt(_quotient_sq(left, right, mu))
 
 
 def write_matrix_csv(path, matrix: DistanceMatrix, meta: dict | None = None) -> None:

@@ -4,7 +4,9 @@ Everything here avoids the package's closed forms on purpose: rotations are
 brute-forced on a theta grid (with the optimal translation for each theta),
 transport plans are enumerated, and cubic fits go through explicit normal
 equations.  `reference_embed` is the original two-pass SMACOF, frozen as the
-reference the package's faster kernel must reproduce.
+reference the package's faster kernel must reproduce, and `reference_distance`
+is the original per-pair 2x2 SVD alignment, frozen the same way for the
+complex-number distance kernel.
 """
 
 from __future__ import annotations
@@ -71,6 +73,40 @@ def theta_grid_distance(
     keep = theta_grid_residual_sq(a, b, w_t, swap=False, n_grid=n_grid)
     swap = theta_grid_residual_sq(a, b, w_t, swap=True, n_grid=n_grid)
     return float(np.sqrt(max(min(keep, swap), 0.0)))
+
+
+def reference_residual_sq(
+    target: Interaction, source: Interaction, w_t: np.ndarray, swap: bool
+) -> float:
+    """The original per-pair alignment residual, frozen as a reference.
+
+    The optimal rotation comes from the SVD of the 2x2 weighted cross-covariance
+    of the jointly centred curves, with the det-sign repair that keeps it
+    proper; the residual is summed directly over the rotated curves.
+    """
+    w = np.concatenate([w_t, w_t])
+    A = stack_rows(target)
+    B = stack_rows(source)
+    if swap:
+        half = len(source)
+        B = np.concatenate([B[half:], B[:half]])
+    A_c = A - 0.5 * (w @ A)
+    B_c = B - 0.5 * (w @ B)
+    u, sv, vh = np.linalg.svd((B_c * w[:, None]).T @ A_c)
+    if sv[0] == 0.0:
+        rot = np.eye(2)
+    else:
+        sign = np.sign(np.linalg.det(u) * np.linalg.det(vh))
+        rot = vh.T @ np.diag([1.0, sign]) @ u.T
+    diff = A_c - B_c @ rot.T
+    return float(np.sum(w[:, None] * diff * diff))
+
+
+def reference_distance(a: Interaction, b: Interaction, w_t: np.ndarray) -> float:
+    """Quotient distance through the frozen per-pair residual, both orderings."""
+    keep = reference_residual_sq(a, b, w_t, swap=False)
+    swap = reference_residual_sq(a, b, w_t, swap=True)
+    return float(np.sqrt(min(keep, swap)))
 
 
 def random_interaction(rng: np.random.Generator, T: int, scale: float = 1.0) -> Interaction:

@@ -134,6 +134,26 @@ class TestDistances:
         assert body_lines(path) == first
         assert os.listdir(os.path.join(out, "cache")) == cache
 
+    def test_truncated_cache_is_rebuilt(self, workdir, tmp_path):
+        dataset = os.path.join(workdir, "dataset.csv")
+        out = str(tmp_path / "d")
+        args = (
+            "distances", "--input", dataset, "--output-dir", out,
+            "--set", "num_samples=31", "--seed", "3",
+        )
+        assert run(*args) == 0
+        path = os.path.join(out, "distances.csv")
+        first = body_lines(path)
+        (cache,) = os.listdir(os.path.join(out, "cache"))
+        cache_path = os.path.join(out, "cache", cache)
+        size = os.path.getsize(cache_path)
+        with open(cache_path, "r+b") as handle:
+            handle.truncate(size // 2)
+        assert run(*args) == 0
+        assert body_lines(path) == first
+        assert os.listdir(os.path.join(out, "cache")) == [cache]
+        assert os.path.getsize(cache_path) == size
+
     def test_normalize_changes_values(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")
         raw, unit = str(tmp_path / "raw"), str(tmp_path / "unit")

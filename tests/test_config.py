@@ -103,6 +103,7 @@ class TestHash:
         a, b = RunConfig(), RunConfig()
         b.set("input", "elsewhere.csv")
         b.set("output_dir", "another-place")
+        b.set("workers", "2")
         assert a.sha256() == b.sha256()
 
     def test_render_lists_every_parameter(self):

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pairtraj
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import (
     Alignment,
     DistanceMatrix,
     align,
+    cross_distance_matrix,
     distance,
     distance_matrix,
     distance_with_alignment,
@@ -19,6 +25,7 @@ from pairtraj.trajectory import Interaction, Trajectory, uniform_measure
 from oracles import (
     random_interaction,
     random_rotation,
+    reference_distance,
     rho_sq,
     rigid_copy,
     theta_grid_distance,
@@ -233,11 +240,25 @@ class TestDistanceMatrix:
         mat = distance_matrix([x, x, x])
         assert mat.entries.max() <= 1e-10
 
-    def test_worker_count_does_not_change_output(self):
-        data = self.build(n=10)
-        serial = distance_matrix(data)
-        threaded = distance_matrix(data, workers=4)
-        assert np.array_equal(serial.entries, threaded.entries)
+    def test_blas_thread_count_does_not_change_output(self):
+        script = (
+            "import sys\n"
+            "from pairtraj.procrustes import distance_matrix\n"
+            "from pairtraj.synthetic import make_family_dataset\n"
+            "data, _ = make_family_dataset(0, per_family=50, num_samples=101, families=("
+            "'parallel', 'opposing', 'crossing', 'parallel'))\n"
+            "sys.stdout.buffer.write(distance_matrix(data).entries.tobytes())\n"
+        )
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, check=True
+            )
+            outputs.append(done.stdout)
+        assert len(outputs[0]) == 8 * 200 * 200
+        assert outputs[0] == outputs[1]
 
     def test_single_interaction(self):
         mat = distance_matrix(self.build(n=1))
@@ -267,3 +288,69 @@ class TestDistanceMatrix:
         write_matrix_binary(path, mat)
         back = read_matrix_binary(path)
         assert back.entries.tobytes() == mat.entries.tobytes()
+
+
+class TestFrozenReference:
+    """The complex kernel against the original per-pair SVD alignment."""
+
+    T = 17
+
+    def build(self):
+        rng = np.random.default_rng(40)
+        base = [random_interaction(rng, self.T) for _ in range(30)]
+        swapped = [inter.swapped() for inter in base[:5]]
+        moved = [
+            rigid_copy(inter, random_rotation(rng), rng.uniform(-3, 3, 2)).swapped()
+            for inter in base[5:9]
+        ]
+        point = np.tile([0.5, -1.5], (self.T, 1))
+        grid = base[0].grid
+        blob = Interaction(Trajectory(point, grid), Trajectory(point, grid))
+        return base + swapped + moved + [blob]
+
+    def reference(self, left, right):
+        w = uniform_measure(self.T).weights
+        return np.array([[reference_distance(a, b, w) for b in right] for a in left])
+
+    # Copies sit at distance 0, where only an absolute floor is meaningful; it
+    # is far below every nonzero entry, which must agree to rel 1e-12.
+    def check(self, got, ref):
+        assert np.min(ref[ref > 1e-10]) > 1e-3
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
+
+    def test_matrix(self):
+        data = self.build()
+        assert len(data) == 40
+        self.check(distance_matrix(data).entries, self.reference(data, data))
+
+    def test_cross_matrix(self):
+        data = self.build()
+        left, right = data[::2], data[1::2]
+        self.check(cross_distance_matrix(left, right), self.reference(left, right))
+
+    def test_distance_with_alignment(self):
+        data = self.build()
+        ref = self.reference(data[:1] + data[30:], data)
+        got = [
+            [distance_with_alignment(a, b)[0] for b in data] for a in data[:1] + data[30:]
+        ]
+        self.check(np.array(got), ref)
+
+    def test_near_identical_pair_keeps_its_distance(self):
+        rng = np.random.default_rng(41)
+        a = random_interaction(rng, 21)
+        grid = a.grid
+        noisy = Interaction(
+            Trajectory(a.first.samples + 1e-9 * rng.normal(size=(21, 2)), grid),
+            Trajectory(a.second.samples + 1e-9 * rng.normal(size=(21, 2)), grid),
+        )
+        b = rigid_copy(noisy, random_rotation(rng), rng.uniform(-2, 2, 2))
+        ref = reference_distance(a, b, uniform_measure(21).weights)
+        assert 1e-10 < ref < 1e-8
+        for got in (
+            distance(a, b),
+            distance_with_alignment(a, b)[0],
+            distance_matrix([a, b]).entries[0, 1],
+            cross_distance_matrix([a], [b])[0, 0],
+        ):
+            assert got == pytest.approx(ref, rel=1e-6)
