@@ -94,6 +94,20 @@ def _load_interactions(config: RunConfig, path=None):
     return ids, data
 
 
+def _write_atomically(path: str, write) -> None:
+    """Run `write(name)` on a temporary name beside `path`, then move it into place.
+
+    A writer that raises leaves an earlier `path` intact and no temporary file.
+    """
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        write(partial)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
 def _matrix_for(config: RunConfig, data, normalize: bool):
     """Distance matrix, cached in binary form.
 
@@ -116,9 +130,7 @@ def _matrix_for(config: RunConfig, data, normalize: bool):
         except DataError:
             pass  # truncated or foreign: rebuild it below
     matrix = distance_matrix(data, normalize=normalize)
-    partial = f"{cache}.{os.getpid()}.tmp"
-    write_matrix_binary(partial, matrix)
-    os.replace(partial, cache)
+    _write_atomically(cache, lambda name: write_matrix_binary(name, matrix))
     return matrix
 
 
@@ -173,9 +185,13 @@ def cmd_segment(config: RunConfig, args) -> None:
         segmented.append((enc_id, segments))
         knot_entries.append((enc_id, knots))
     seg_path = _out_path(config, "segments.csv")
-    write_segments_csv(seg_path, segmented, meta=_meta(config))
+    _write_atomically(
+        seg_path, lambda name: write_segments_csv(name, segmented, meta=_meta(config))
+    )
     knots_path = _out_path(config, "knots.json")
-    write_knots_json(knots_path, knot_entries, meta=_meta(config))
+    _write_atomically(
+        knots_path, lambda name: write_knots_json(name, knot_entries, meta=_meta(config))
+    )
     _emit(seg_path)
     _emit(knots_path)
 

@@ -15,12 +15,17 @@ is picked from a candidate grid by minimizing
 with L the number of surviving change points (penalty applied once, not per
 series) and each observation counted in the unique segment containing it
 (left-closed, right-open; the final point belongs to the last segment).
+
+Each span is fitted once per encounter: the encounter keeps a private memo of
+every (series, lo, hi) fit, shared by the candidate search, the pruning pass
+at every tolerance of the grid and the criterion, and dropped with the
+encounter.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +43,7 @@ class Encounter:
 
     id: str
     interaction: Interaction
+    _fits: _SpanFits | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
@@ -54,6 +60,14 @@ class Encounter:
             [self.interaction.first.samples, self.interaction.second.samples]
         )
 
+    def _span_fits(self) -> _SpanFits:
+        """This encounter's fit memo over series x1, y1, x2, y2, built on first use."""
+        if self._fits is None:
+            series = self.series()
+            columns = tuple(series[:, s] for s in range(4))
+            object.__setattr__(self, "_fits", _SpanFits(self.interaction.grid, columns))
+        return self._fits
+
 
 @dataclass(frozen=True, eq=False)
 class ChangePointSet:
@@ -65,9 +79,13 @@ class ChangePointSet:
     def __post_init__(self) -> None:
         pts = []
         for p in self.points:
-            if int(p) != p:
+            try:
+                index = int(p)
+            except (TypeError, ValueError, OverflowError):  # None, NaN, ±inf, ...
+                index = None
+            if index is None or index != p:
                 raise InvalidInputError(f"change point {p!r} is not an index")
-            pts.append(int(p))
+            pts.append(index)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise InvalidInputError("change points must be strictly increasing")
         if pts and pts[0] < 1:
@@ -116,17 +134,35 @@ def _span_residuals(t: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarra
     return ys - design @ coef
 
 
-def _span_sse(t: np.ndarray, y: np.ndarray, lo: int, hi: int) -> float:
-    resid = _span_residuals(t, y, lo, hi)
-    return float(resid @ resid)
+class _SpanFits:
+    """One cubic fit per (series index, lo, hi) span, memoised as SSE pairs.
+
+    Each entry holds the SSE of the whole span and the SSE without its last
+    sample (the boundary sample that the criterion counts in the next segment),
+    both from one `_span_residuals` call.
+    """
+
+    def __init__(self, t: np.ndarray, columns: tuple[np.ndarray, ...]) -> None:
+        self.t = t
+        self.columns = columns
+        self._sse: dict[tuple[int, int, int], tuple[float, float]] = {}
+
+    def sse(self, s: int, lo: int, hi: int) -> tuple[float, float]:
+        key = (s, lo, hi)
+        hit = self._sse.get(key)
+        if hit is None:
+            resid = _span_residuals(self.t, self.columns[s], lo, hi)
+            head = resid[:-1]
+            hit = self._sse[key] = (float(resid @ resid), float(head @ head))
+        return hit
 
 
-def _find_split(t: np.ndarray, y: np.ndarray, lo: int, hi: int) -> int | None:
+def _find_split(fits: _SpanFits, s: int, lo: int, hi: int) -> int | None:
     """Binary search of Appendix-style step 1 on one segment of one series."""
     if hi - lo + 1 < 2 * _MIN_SIDE - 1:  # both sides need >= 4 samples
         return None
-    base = _span_sse(t, y, lo, hi)
-    ys = y[lo : hi + 1]
+    base = fits.sse(s, lo, hi)[0]
+    ys = fits.columns[s][lo : hi + 1]
     slack = _SPLIT_SLACK * float(ys @ ys)
     a, b = lo, hi
     last = -1
@@ -135,8 +171,8 @@ def _find_split(t: np.ndarray, y: np.ndarray, lo: int, hi: int) -> int | None:
         if c == last or c - lo < _MIN_SIDE - 1 or hi - c < _MIN_SIDE - 1:
             return None  # no further candidates in the valid interval
         last = c
-        left = _span_sse(t, y, lo, c)
-        right = _span_sse(t, y, c, hi)
+        left = fits.sse(s, lo, c)[0]
+        right = fits.sse(s, c, hi)[0]
         if left + right < base - slack:
             return c
         # rule out the smaller-error half; keep searching the other
@@ -146,33 +182,31 @@ def _find_split(t: np.ndarray, y: np.ndarray, lo: int, hi: int) -> int | None:
             a = c
 
 
-def _series_change_points(t: np.ndarray, y: np.ndarray) -> set[int]:
+def _series_change_points(fits: _SpanFits, s: int) -> set[int]:
     out: set[int] = set()
 
     def visit(lo: int, hi: int) -> None:
-        c = _find_split(t, y, lo, hi)
+        c = _find_split(fits, s, lo, hi)
         if c is not None:
             out.add(c)
             visit(lo, c)
             visit(c, hi)
 
-    visit(0, len(y) - 1)
+    visit(0, len(fits.columns[s]) - 1)
     return out
 
 
 def add_change_points(traj: Trajectory) -> ChangePointSet:
     """Candidate change points for one trajectory (union over x and y series)."""
-    found: set[int] = set()
-    for series in (traj.samples[:, 0], traj.samples[:, 1]):
-        found |= _series_change_points(traj.grid, series)
+    fits = _SpanFits(traj.grid, (traj.samples[:, 0], traj.samples[:, 1]))
+    found = _series_change_points(fits, 0) | _series_change_points(fits, 1)
     return ChangePointSet(tuple(sorted(found)))
 
 
 def combined_candidates(encounter: Encounter) -> ChangePointSet:
     """Union of candidates over all four coordinate series of both vehicles."""
-    inter = encounter.interaction
-    pts = set(add_change_points(inter.first).points)
-    pts |= set(add_change_points(inter.second).points)
+    fits = encounter._span_fits()
+    pts = set().union(*(_series_change_points(fits, s) for s in range(4)))
     return ChangePointSet(tuple(sorted(pts)))
 
 
@@ -191,8 +225,7 @@ def prune_change_points(
     T = len(encounter.interaction)
     if any(not 0 < p < T - 1 for p in candidates.points):
         raise InvalidInputError("candidates must be interior to the grid")
-    t = encounter.interaction.grid
-    series = encounter.series()
+    fits = encounter._span_fits()
     bounds = [0, *candidates.points, T - 1]
     i = 0
     while i + 2 < len(bounds):
@@ -200,7 +233,7 @@ def prune_change_points(
         if hi - lo + 1 <= 4:
             del bounds[i + 1]
             continue
-        total = sum(_span_sse(t, series[:, s], lo, hi) for s in range(4))
+        total = sum(fits.sse(s, lo, hi)[0] for s in range(4))
         if total < epsilon:
             del bounds[i + 1]
         else:
@@ -209,16 +242,15 @@ def prune_change_points(
 
 
 def _criterion(encounter: Encounter, knots: ChangePointSet) -> float:
-    t = encounter.interaction.grid
-    series = encounter.series()
+    fits = encounter._span_fits()
     bounds = [0, *knots.points, len(encounter.interaction) - 1]
+    last = len(bounds) - 2
     total = 0.0
     for s in range(4):
         for idx in range(len(bounds) - 1):
-            resid = _span_residuals(t, series[:, s], bounds[idx], bounds[idx + 1])
-            if idx < len(bounds) - 2:
-                resid = resid[:-1]  # boundary sample belongs to the next segment
-            total += float(resid @ resid)
+            whole, head = fits.sse(s, bounds[idx], bounds[idx + 1])
+            # the boundary sample belongs to the next segment
+            total += whole if idx == last else head
     return total + len(knots) + 2
 
 

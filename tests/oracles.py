@@ -6,7 +6,9 @@ transport plans are enumerated, and cubic fits go through explicit normal
 equations.  `reference_embed` is the original two-pass SMACOF, frozen as the
 reference the package's faster kernel must reproduce, and `reference_distance`
 is the original per-pair 2x2 SVD alignment, frozen the same way for the
-complex-number distance kernel.
+complex-number distance kernel.  `reference_segment_with_knots` is the
+original segmentation, which refits every span on every call, frozen as the
+reference the memoised fits must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from pairtraj.trajectory import Interaction, Trajectory
+from pairtraj.trajectory import Interaction, Trajectory, resample
 
 
 def stack_rows(interaction: Interaction) -> np.ndarray:
@@ -217,6 +219,132 @@ def normal_equation_cubic(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, flo
     coef = np.linalg.solve(X.T @ X, X.T @ y)
     resid = y - X @ coef
     return coef, float(resid @ resid)
+
+
+def _reference_span_residuals(t, y, lo, hi):
+    ts = t[lo : hi + 1] - t[lo]
+    ys = y[lo : hi + 1]
+    design = np.vander(ts, 4, increasing=True)
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    return ys - design @ coef
+
+
+def _reference_span_sse(t, y, lo, hi):
+    resid = _reference_span_residuals(t, y, lo, hi)
+    return float(resid @ resid)
+
+
+def _reference_find_split(t, y, lo, hi):
+    if hi - lo + 1 < 7:
+        return None
+    base = _reference_span_sse(t, y, lo, hi)
+    ys = y[lo : hi + 1]
+    slack = 1e-12 * float(ys @ ys)
+    a, b = lo, hi
+    last = -1
+    while True:
+        c = (a + b) // 2
+        if c == last or c - lo < 3 or hi - c < 3:
+            return None
+        last = c
+        left = _reference_span_sse(t, y, lo, c)
+        right = _reference_span_sse(t, y, c, hi)
+        if left + right < base - slack:
+            return c
+        if left >= right:
+            b = c
+        else:
+            a = c
+
+
+def _reference_series_change_points(t, y):
+    out = set()
+
+    def visit(lo, hi):
+        c = _reference_find_split(t, y, lo, hi)
+        if c is not None:
+            out.add(c)
+            visit(lo, c)
+            visit(c, hi)
+
+    visit(0, len(y) - 1)
+    return out
+
+
+def _reference_prune(t, series, candidates, epsilon):
+    bounds = [0, *candidates, len(t) - 1]
+    i = 0
+    while i + 2 < len(bounds):
+        lo, hi = bounds[i], bounds[i + 2]
+        if hi - lo + 1 <= 4:
+            del bounds[i + 1]
+            continue
+        total = sum(_reference_span_sse(t, series[:, s], lo, hi) for s in range(4))
+        if total < epsilon:
+            del bounds[i + 1]
+        else:
+            i += 1
+    return bounds[1:-1]
+
+
+def _reference_criterion(t, series, points):
+    bounds = [0, *points, len(t) - 1]
+    total = 0.0
+    for s in range(4):
+        for idx in range(len(bounds) - 1):
+            resid = _reference_span_residuals(t, series[:, s], bounds[idx], bounds[idx + 1])
+            if idx < len(bounds) - 2:
+                resid = resid[:-1]
+            total += float(resid @ resid)
+    return total + len(points) + 2
+
+
+def reference_segment_with_knots(
+    interaction: Interaction, candidate_epsilons=None, num_samples: int = 101
+) -> tuple[list[Interaction], tuple[int, ...], float]:
+    """Segments, knot indices and selected epsilon, every span refit per call."""
+    t = interaction.grid
+
+    def series():
+        return np.column_stack([interaction.first.samples, interaction.second.samples])
+
+    if candidate_epsilons is None:
+        scale = float(series().var(axis=0).mean())
+        candidate_epsilons = (scale if scale > 0 else 1.0) * np.logspace(-4.0, 2.0, 10)
+    found = set()
+    for traj in (interaction.first, interaction.second):
+        for d in range(2):
+            found |= _reference_series_change_points(traj.grid, traj.samples[:, d])
+    candidates = sorted(found)
+    best_eps, best_crit = None, None
+    for eps in sorted(float(e) for e in candidate_epsilons):
+        crit = _reference_criterion(
+            t, series(), _reference_prune(t, series(), candidates, eps)
+        )
+        if best_crit is None or crit < best_crit:
+            best_eps, best_crit = eps, crit
+    pruned = _reference_prune(t, series(), candidates, best_eps)
+    bounds = [0, *pruned, len(t) - 1]
+    spans = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if spans and hi - lo + 1 < 5:
+            spans[-1] = (spans[-1][0], hi)
+        else:
+            spans.append((lo, hi))
+    if len(spans) >= 2 and spans[0][1] - spans[0][0] + 1 < 5:
+        spans[1] = (spans[0][0], spans[1][1])
+        spans.pop(0)
+    segments = [
+        resample(
+            Interaction(
+                Trajectory(interaction.first.samples[lo : hi + 1], t[lo : hi + 1]),
+                Trajectory(interaction.second.samples[lo : hi + 1], t[lo : hi + 1]),
+            ),
+            num_samples,
+        )
+        for lo, hi in spans
+    ]
+    return segments, tuple(hi for _, hi in spans[:-1]), best_eps
 
 
 def family_curves(family: int, T: int) -> tuple[np.ndarray, np.ndarray]:

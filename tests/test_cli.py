@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from pairtraj import cli
 from pairtraj.cli import _build_parser, _resolve_config, main, read_transfer_csv
 from pairtraj.clustering import read_model_json
 from pairtraj.procrustes import read_matrix_csv
@@ -253,6 +254,30 @@ class TestSegmentCommand:
             for got, planted in zip(entry["knots"], (40, 80)):
                 assert abs(got - planted) <= 2
         assert os.path.exists(os.path.join(out, "segments.csv"))
+
+    def test_failed_write_keeps_earlier_artifact(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "seg")
+        assert run(
+            "generate", "--set", "kind=encounters", "--set", "count=1",
+            "--set", "num_samples=121", "--seed", "4", "--output-dir", out,
+        ) == 0
+        argv = ("segment", "--input", os.path.join(out, "dataset.csv"),
+                "--output-dir", out, "--seed", "4")
+        assert run(*argv) == 0
+        knots_path = os.path.join(out, "knots.json")
+        with open(knots_path, "rb") as handle:
+            before = handle.read()
+
+        def half_then_fail(path, entries, meta=None):
+            with open(path, "w") as handle:
+                handle.write('{"encounters": {')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_knots_json", half_then_fail)
+        assert run(*argv) == 3
+        with open(knots_path, "rb") as handle:
+            assert handle.read() == before
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
 
 class TestResolution:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pairtraj import segmentation
 from pairtraj.errors import DataError, DegenerateFitError, InvalidInputError
 from pairtraj.segmentation import (
     ChangePointSet,
@@ -22,10 +23,10 @@ from pairtraj.segmentation import (
     write_knots_json,
     write_segments_csv,
 )
-from pairtraj.synthetic import knotted_interaction
+from pairtraj.synthetic import knotted_interaction, make_encounter_dataset
 from pairtraj.trajectory import Interaction, Trajectory
 
-from oracles import normal_equation_cubic
+from oracles import normal_equation_cubic, reference_segment_with_knots
 
 
 def cubic_series(t, coef):
@@ -112,6 +113,11 @@ class TestChangePointSet:
             ChangePointSet((5,), tolerance=-1.0)
         with pytest.raises(InvalidInputError):
             ChangePointSet((5,), tolerance=float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), None, "7"])
+    def test_rejects_non_index_values(self, bad):
+        with pytest.raises(InvalidInputError):
+            ChangePointSet((bad,))
 
 
 class TestFitCubic:
@@ -345,6 +351,55 @@ class TestSegment:
             assert np.array_equal(sa.second.samples, sb.second.samples)
 
 
+class TestSpanFitMemo:
+    """Each span is fitted once per encounter, with the refitting code's bits."""
+
+    @pytest.mark.parametrize(
+        "seed, count, knots, T, grid",
+        [
+            (0, 4, (40, 80), 121, None),
+            (5, 2, (120, 260, 380), 501, None),
+            (3, 3, (40, 80), 121, [1e-3, 0.5, 0.02, 10.0, 3.0, 1e-6]),
+        ],
+    )
+    def test_matches_frozen_reference_bytes(self, seed, count, knots, T, grid):
+        encounters, _ = make_encounter_dataset(seed, count, knots, T)
+        for enc_id, inter in encounters:
+            segments, cuts = segment_with_knots(Encounter(enc_id, inter), grid, 57)
+            ref_segments, ref_points, ref_eps = reference_segment_with_knots(inter, grid, 57)
+            assert cuts.points == ref_points
+            assert cuts.tolerance == ref_eps
+            assert len(segments) == len(ref_segments)
+            for seg, ref in zip(segments, ref_segments):
+                assert seg.grid.tobytes() == ref.grid.tobytes()
+                assert seg.first.samples.tobytes() == ref.first.samples.tobytes()
+                assert seg.second.samples.tobytes() == ref.second.samples.tobytes()
+
+    def test_each_span_fitted_once(self, monkeypatch):
+        fitted: dict = {}
+        original = segmentation._span_residuals
+
+        def counting(t, y, lo, hi):
+            key = (y.__array_interface__["data"][0], lo, hi)
+            fitted[key] = fitted.get(key, 0) + 1
+            return original(t, y, lo, hi)
+
+        monkeypatch.setattr(segmentation, "_span_residuals", counting)
+        encounters, _ = make_encounter_dataset(2, 1, (40, 80), 121)
+        inter = encounters[0][1]
+        enc = Encounter("a", inter)
+        segment_with_knots(enc)
+        assert fitted and max(fitted.values()) == 1
+        assert len(enc._fits._sse) == len(fitted)
+
+        again = Encounter("a", inter)
+        assert again._fits is None
+        calls = sum(fitted.values())
+        fitted.clear()
+        segment_with_knots(again)
+        assert sum(fitted.values()) == calls
+
+
 class TestArtifacts:
     def test_segments_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -383,5 +438,12 @@ class TestArtifacts:
     def test_knots_json_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"something": []}\n')
+        with pytest.raises(DataError):
+            read_knots_json(path)
+
+    @pytest.mark.parametrize("knot", ["Infinity", "-Infinity", "NaN"])
+    def test_knots_json_rejects_non_finite_knot(self, tmp_path, knot):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"encounters": {{"a": {{"knots": [{knot}], "epsilon": 1.0}}}}}}\n')
         with pytest.raises(DataError):
             read_knots_json(path)
