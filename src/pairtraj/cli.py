@@ -5,8 +5,17 @@ wasserstein, transfer.  Configuration comes from a flat key=value file
 (--config) overridden by repeated --set key=value flags and the dedicated
 flags; all randomness flows from the single seed.  Every artifact carries a
 metadata header (tool version, seed, config hash, creation time) and lands in
-the configured output directory.  Exit codes: 0 success, 2 configuration or
-parameter error, 3 data error, 4 numerical failure.
+the configured output directory, written under a temporary name and moved
+into place, so a failed write leaves the earlier file intact.
+
+The output directory's `cache/` holds distance matrices, keyed by the input
+bytes, T, `normalize` and the tool version, and MDS embeddings, keyed by the
+matrix entries, beta, seed, the SMACOF constants and the tool version, so
+`cluster` and `stability` share one embedding per (matrix, beta, seed).
+Cache files are written atomically and rebuilt when unreadable.
+
+Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import __version__
+from . import __version__, mds
 from .clustering import (
     METHODS,
     cluster_geo1,
@@ -46,6 +55,7 @@ from .evaluation import (
     write_silhouette_csv,
     write_stability_csv,
 )
+from .mds import read_embedding_binary, write_embedding_binary
 from .procrustes import (
     distance_matrix,
     read_matrix_binary,
@@ -76,11 +86,6 @@ def _resolve_workers(config: RunConfig) -> int:
     return config.workers if config.workers > 0 else (os.cpu_count() or 1)
 
 
-def _out_path(config: RunConfig, name: str) -> str:
-    os.makedirs(config.output_dir, exist_ok=True)
-    return os.path.join(config.output_dir, name)
-
-
 def _require_input(config: RunConfig) -> None:
     if not config.input:
         raise ConfigError("no input file; set input= in the config or pass --input")
@@ -108,30 +113,72 @@ def _write_atomically(path: str, write) -> None:
             os.remove(partial)
 
 
-def _matrix_for(config: RunConfig, data, normalize: bool):
-    """Distance matrix, cached in binary form.
+def _save(config: RunConfig, name: str, write) -> str:
+    """Write the artifact `name` into the output directory atomically; its path."""
+    os.makedirs(config.output_dir, exist_ok=True)
+    path = os.path.join(config.output_dir, name)
+    _write_atomically(path, write)
+    return path
 
-    The key covers the input bytes, T, `normalize` and the tool version, so a
-    matrix from another kernel is never served.  The file is written under a
-    temporary name and moved into place; an unreadable one is rebuilt.
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
+def _cached(config: RunConfig, kind: str, digest, read, build, write):
+    """`read` the file `cache/<kind>-<digest>.bin`, or `build()` and store it.
+
+    A missing file, or one that `read` rejects with DataError (truncated or
+    foreign), is rebuilt and written atomically; a `build` that raises writes
+    nothing.
     """
+    cache_dir = os.path.join(config.output_dir, "cache")
+    os.makedirs(cache_dir, exist_ok=True)
+    path = os.path.join(cache_dir, f"{kind}-{digest.hexdigest()[:16]}.bin")
+    if os.path.exists(path):
+        try:
+            return read(path)
+        except DataError:
+            pass  # rebuild and overwrite it below
+    value = build()
+    _write_atomically(path, lambda name: write(name, value))
+    return value
+
+
+def _matrix_for(config: RunConfig, data, normalize: bool):
+    """Distance matrix, cached; the key covers the input bytes, T, `normalize`
+    and the tool version, so a matrix from another kernel is never served."""
     digest = hashlib.sha256()
     with open(config.input, "rb") as handle:
         digest.update(handle.read())
     digest.update(
         f";T={config.num_samples};normalize={int(normalize)};version={__version__}".encode()
     )
-    cache_dir = os.path.join(config.output_dir, "cache")
-    os.makedirs(cache_dir, exist_ok=True)
-    cache = os.path.join(cache_dir, f"distances-{digest.hexdigest()[:16]}.bin")
-    if os.path.exists(cache):
-        try:
-            return read_matrix_binary(cache)
-        except DataError:
-            pass  # truncated or foreign: rebuild it below
-    matrix = distance_matrix(data, normalize=normalize)
-    _write_atomically(cache, lambda name: write_matrix_binary(name, matrix))
-    return matrix
+    return _cached(
+        config, "distances", digest, read_matrix_binary,
+        lambda: distance_matrix(data, normalize=normalize), write_matrix_binary,
+    )
+
+
+def _embedder(config: RunConfig):
+    """`mds.embed` behind the cache, keyed by the matrix entries, beta, seed,
+    the SMACOF constants and the tool version, so `cluster` and `stability`
+    share one embedding per (matrix, beta, seed)."""
+
+    def embed(matrix, beta, seed):
+        digest = hashlib.sha256(matrix.entries.astype("<f8").tobytes())
+        digest.update(
+            f";beta={beta};seed={seed};max_iter={mds._MAX_ITER}"
+            f";restarts={mds._N_RESTARTS};version={__version__}".encode()
+        )
+        return _cached(
+            config, "embedding", digest, read_embedding_binary,
+            lambda: mds.embed(matrix, beta, seed), write_embedding_binary,
+        )
+
+    return embed
 
 
 def _emit(path: str) -> None:
@@ -162,12 +209,14 @@ def cmd_generate(config: RunConfig, args) -> None:
         encounters, manifest = make_encounter_dataset(
             config.seed, config.count, config.knots, config.num_samples, config.box
         )
-    csv_path = _out_path(config, "dataset.csv")
-    write_encounters_csv(csv_path, encounters, meta=_meta(config))
-    manifest_path = _out_path(config, "manifest.json")
-    with open(manifest_path, "w") as handle:
-        json.dump({"meta": _meta(config), **manifest}, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    csv_path = _save(
+        config, "dataset.csv",
+        lambda name: write_encounters_csv(name, encounters, meta=_meta(config)),
+    )
+    manifest_path = _save(
+        config, "manifest.json",
+        lambda name: _write_json(name, {"meta": _meta(config), **manifest}),
+    )
     _emit(csv_path)
     _emit(manifest_path)
 
@@ -184,13 +233,13 @@ def cmd_segment(config: RunConfig, args) -> None:
         )
         segmented.append((enc_id, segments))
         knot_entries.append((enc_id, knots))
-    seg_path = _out_path(config, "segments.csv")
-    _write_atomically(
-        seg_path, lambda name: write_segments_csv(name, segmented, meta=_meta(config))
+    seg_path = _save(
+        config, "segments.csv",
+        lambda name: write_segments_csv(name, segmented, meta=_meta(config)),
     )
-    knots_path = _out_path(config, "knots.json")
-    _write_atomically(
-        knots_path, lambda name: write_knots_json(name, knot_entries, meta=_meta(config))
+    knots_path = _save(
+        config, "knots.json",
+        lambda name: write_knots_json(name, knot_entries, meta=_meta(config)),
     )
     _emit(seg_path)
     _emit(knots_path)
@@ -200,8 +249,10 @@ def cmd_distances(config: RunConfig, args) -> None:
     _require_input(config)
     ids, data = _load_interactions(config)
     matrix = _matrix_for(config, data, config.normalize)
-    path = _out_path(config, "distances.csv")
-    write_matrix_csv(path, matrix, meta={**_meta(config), "ids": ids})
+    path = _save(
+        config, "distances.csv",
+        lambda name: write_matrix_csv(name, matrix, meta={**_meta(config), "ids": ids}),
+    )
     _emit(path)
 
 
@@ -209,7 +260,7 @@ def _fit_model(config: RunConfig, data, matrix):
     if config.method == "mds":
         return cluster_mds(
             data, matrix, config.beta, config.k, config.seed,
-            config.n_init, config.max_iter,
+            config.n_init, config.max_iter, embed=_embedder(config),
         )
     if config.method == "geo1":
         return cluster_geo1(
@@ -233,8 +284,10 @@ def cmd_cluster(config: RunConfig, args) -> None:
     # always unnormalized regardless of the distances-artifact flag
     matrix = _matrix_for(config, data, False) if config.method == "mds" else None
     model = _fit_model(config, data, matrix)
-    path = _out_path(config, "model.json")
-    write_model_json(path, model, meta={**_meta(config), "ids": ids})
+    path = _save(
+        config, "model.json",
+        lambda name: write_model_json(name, model, meta={**_meta(config), "ids": ids}),
+    )
     _emit(path)
 
 
@@ -244,11 +297,15 @@ def cmd_evaluate(config: RunConfig, args) -> None:
     ids, data = _load_interactions(config)
     matrix = _matrix_for(config, data, False)
     report = quality(data, model, matrix)
-    quality_path = _out_path(config, "quality.json")
-    write_quality_json(quality_path, report, meta=_meta(config))
+    quality_path = _save(
+        config, "quality.json",
+        lambda name: write_quality_json(name, report, meta=_meta(config)),
+    )
     sil = silhouette(matrix, model.assignments)
-    sil_path = _out_path(config, "silhouette.csv")
-    write_silhouette_csv(sil_path, ids, model.assignments, sil, meta=_meta(config))
+    sil_path = _save(
+        config, "silhouette.csv",
+        lambda name: write_silhouette_csv(name, ids, model.assignments, sil, _meta(config)),
+    )
     _emit(quality_path)
     _emit(sil_path)
 
@@ -291,9 +348,10 @@ def cmd_stability(config: RunConfig, args) -> None:
         seed=config.seed,
         base=base,
         workers=_resolve_workers(config),
+        embed=_embedder(config),
     )
-    path = _out_path(config, "stability.csv")
-    write_stability_csv(path, grid, meta={**_meta(config), "method": config.method})
+    meta = {**_meta(config), "method": config.method}
+    path = _save(config, "stability.csv", lambda name: write_stability_csv(name, grid, meta))
     _emit(path)
 
 
@@ -308,7 +366,6 @@ def cmd_wasserstein(config: RunConfig, args) -> None:
     first = _measure_from(args.a, config)
     second = _measure_from(args.b, config)
     value = wasserstein(first, second, config.r)
-    path = _out_path(config, "wasserstein.json")
     payload = {
         "meta": _meta(config),
         "a": str(args.a),
@@ -316,9 +373,7 @@ def cmd_wasserstein(config: RunConfig, args) -> None:
         "r": config.r,
         "value": value,
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    path = _save(config, "wasserstein.json", lambda name: _write_json(name, payload))
     _emit(path)
 
 
@@ -330,13 +385,19 @@ def cmd_transfer(config: RunConfig, args) -> None:
     model = read_model_json(args.primitives)
     ids, data = _load_interactions(config)
     assignments = transfer_primitives(data, list(model.representatives))
-    path = _out_path(config, "transfer.csv")
+    path = _save(
+        config, "transfer.csv",
+        lambda name: write_transfer_csv(name, ids, assignments, meta=_meta(config)),
+    )
+    _emit(path)
+
+
+def write_transfer_csv(path, ids, assignments, meta: dict) -> None:
     with open(path, "w", newline="") as handle:
-        handle.write("# " + json.dumps(_meta(config), sort_keys=True) + "\n")
+        handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         handle.write(",".join(TRANSFER_HEADER) + "\n")
         for enc_id, label in zip(ids, assignments):
             handle.write(f"{enc_id},{int(label)}\n")
-    _emit(path)
 
 
 def read_transfer_csv(path) -> list[tuple[str, int]]:

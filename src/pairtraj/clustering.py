@@ -216,6 +216,7 @@ def cluster_mds(
     seed: int = 0,
     n_init: int = _DEFAULT_N_INIT,
     max_iter: int = _DEFAULT_MAX_ITER,
+    embed=None,
 ) -> ClusterModel:
     """Embed, k-means in R^beta, then take each cluster's medoid as its rep.
 
@@ -226,9 +227,10 @@ def cluster_mds(
     off the best medoid choice.  Assignments and the objective
     sum_i min_j d^2(data[i], rep[j]) are taken through the supplied matrix,
     which must be unnormalized for the objective to be meaningful.
+    `embed(matrix, beta, seed)` supplies the embedding; `mds.embed` when None.
     """
     _check_mds_inputs(data, matrix, k)  # before paying for the embedding
-    embedding = mds.embed(matrix, beta, seed)
+    embedding = (embed or mds.embed)(matrix, beta, seed)
     return _mds_partition(data, matrix, embedding, k, seed, n_init, max_iter)
 
 

@@ -256,6 +256,7 @@ def stability_sweep(
     mu: TimeMeasure | None = None,
     base: dict | None = None,
     workers: int | None = None,
+    embed=None,
 ) -> StabilityGrid:
     """Rerun one clustering method across a 2-axis grid of tuning parameters.
 
@@ -264,6 +265,7 @@ def stability_sweep(
     reported as missing, not fatal.  For mds the embedding depends only on
     (matrix, beta, seed), so it is computed once per distinct beta before the
     cells run, and each cell only partitions its shared embedding.
+    `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
     """
     if method not in _RUNNERS:
         raise InvalidInputError(f"unknown method {method!r}")
@@ -274,7 +276,7 @@ def stability_sweep(
         raise InvalidInputError("axes must sweep different parameters")
     params = set(inspect.signature(_RUNNERS[method]).parameters)
     for name in (axis1_name, axis2_name):
-        if name not in params or name in ("data", "matrix", "mu", "seed"):
+        if name not in params or name in ("data", "matrix", "mu", "seed", "embed"):
             raise InvalidInputError(
                 f"{name!r} is not a sweepable parameter of method {method!r}"
             )
@@ -296,7 +298,7 @@ def stability_sweep(
 
     def embed_one(beta):
         try:
-            return mds.embed(matrix, beta, seed)
+            return (embed or mds.embed)(matrix, beta, seed)
         except PairtrajError:
             return None  # every cell with this beta is reported missing
 

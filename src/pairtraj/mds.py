@@ -11,17 +11,19 @@ so the reported value is monotone over iterations.
 
 from __future__ import annotations
 
-import json
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, InvalidInputError
 from .procrustes import DistanceMatrix
-from .trajectory import _fmt
 
 _REL_TOL = 1e-8
 _MAX_ITER = 500
+_N_RESTARTS = 8
+_MAGIC = b"PTEM"
+_HEADER = struct.Struct("<qqdqq")  # n, beta, stress, best_run, number of runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +33,8 @@ class Embedding:
     `iterations` holds the accepted majorization steps of each run, the
     spectral run first and then the random restarts; a count equal to
     `max_iter` means the run reached the iteration cap.  `best_run` indexes
-    the run whose result was kept.  Neither is serialized, so an embedding
-    read back from disk has no iterations and best_run 0.
+    the run whose result was kept.  Both survive a round trip through
+    `write_embedding_binary` and `read_embedding_binary`.
     """
 
     points: np.ndarray
@@ -127,9 +129,9 @@ def embed(
     beta: int,
     seed: int = 0,
     max_iter: int = _MAX_ITER,
-    n_restarts: int = 8,
+    n_restarts: int = _N_RESTARTS,
 ) -> Embedding:
-    """Embed a distance matrix into R^beta; 1 <= beta <= n-1.
+    """Embed a distance matrix into R^beta; beta is an integer in [1, n-1].
 
     The spectral start is always refined first (so Euclidean-realizable input
     is recovered exactly); n_restarts additional majorization runs from seeded
@@ -140,8 +142,8 @@ def embed(
     comes first; `Embedding.iterations` says which.
     """
     n = matrix.n
-    if not 1 <= beta <= n - 1:
-        raise InvalidInputError(f"beta must lie in [1, {n - 1}], got {beta}")
+    if not isinstance(beta, (int, np.integer)) or not 1 <= beta <= n - 1:
+        raise InvalidInputError(f"beta must be an integer in [1, {n - 1}], got {beta!r}")
     if max_iter < 0 or n_restarts < 0:
         raise InvalidInputError("max_iter and n_restarts must be nonnegative")
     deltas = matrix.entries
@@ -160,46 +162,33 @@ def embed(
     return Embedding(points, stress, tuple(iterations), best_run)
 
 
-def write_embedding(csv_path, json_path, embedding: Embedding, meta: dict | None = None) -> None:
-    """CSV of coordinates (id,coord_1..coord_beta) plus a JSON stress sidecar."""
-    with open(csv_path, "w", newline="") as handle:
-        if meta is not None:
-            handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        cols = ",".join(f"coord_{d + 1}" for d in range(embedding.beta))
-        handle.write(f"id,{cols}\n")
-        for idx, row in enumerate(embedding.points):
-            handle.write(f"{idx}," + ",".join(_fmt(v) for v in row) + "\n")
-    payload: dict = {
-        "n": embedding.n,
-        "beta": embedding.beta,
-        "stress": embedding.stress,
-    }
-    if meta is not None:
-        payload["meta"] = meta
-    with open(json_path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+def write_embedding_binary(path, embedding: Embedding) -> None:
+    """Magic, then little-endian int64 n and beta, float64 stress, int64
+    best_run and the run count, int64 iterations per run, and the row-major
+    float64 points."""
+    with open(path, "wb") as handle:
+        handle.write(_MAGIC)
+        handle.write(_HEADER.pack(embedding.n, embedding.beta, embedding.stress,
+                                  embedding.best_run, len(embedding.iterations)))
+        handle.write(np.array(embedding.iterations, dtype="<i8").tobytes())
+        handle.write(np.ascontiguousarray(embedding.points, dtype="<f8").tobytes())
 
 
-def read_embedding(csv_path, json_path) -> Embedding:
+def read_embedding_binary(path) -> Embedding:
     try:
-        with open(csv_path) as handle:
-            lines = [ln.strip() for ln in handle if not ln.startswith("#") and ln.strip()]
-        with open(json_path) as handle:
-            sidecar = json.load(handle)
+        with open(path, "rb") as handle:
+            blob = handle.read()
     except OSError as exc:
-        raise DataError(f"cannot read embedding: {exc}") from exc
-    if not lines or not lines[0].startswith("id,"):
-        raise DataError(f"{csv_path}: missing id,coord_* header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        try:
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError:
-            raise DataError(f"{csv_path}: non-numeric coordinate") from None
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    head = len(_MAGIC) + _HEADER.size
+    if len(blob) < head or blob[: len(_MAGIC)] != _MAGIC:
+        raise DataError(f"{path}: not an embedding binary file")
+    n, beta, stress, best_run, runs = _HEADER.unpack_from(blob, len(_MAGIC))
+    if n < 1 or beta < 1 or runs < 0 or len(blob) != head + 8 * (runs + n * beta):
+        raise DataError(f"{path}: truncated or oversized payload")
+    iterations = np.frombuffer(blob, dtype="<i8", count=runs, offset=head)
+    points = np.frombuffer(blob, dtype="<f8", offset=head + 8 * runs).reshape(n, beta)
     try:
-        stress = float(sidecar["stress"])
-    except (KeyError, TypeError, ValueError):
-        raise DataError(f"{json_path}: missing stress value") from None
-    return Embedding(np.array(rows), stress)
+        return Embedding(points, stress, tuple(iterations), best_run)
+    except InvalidInputError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -2,11 +2,12 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from pairtraj import cli
+from pairtraj import cli, mds
 from pairtraj.cli import _build_parser, _resolve_config, main, read_transfer_csv
 from pairtraj.clustering import read_model_json
 from pairtraj.procrustes import read_matrix_csv
@@ -45,6 +46,12 @@ def body_lines(path):
     """File content with the created timestamp stripped, for byte comparisons."""
     with open(path) as handle:
         return [ln for ln in handle if "created" not in ln]
+
+
+def sans_created(path):
+    """File bytes with only the created timestamp's value blanked out."""
+    with open(path, "rb") as handle:
+        return re.sub(rb'"created": "[^"]*"', b'"created": "-"', handle.read())
 
 
 class TestGenerate:
@@ -185,6 +192,18 @@ class TestStability:
         for row in lines[2:]:
             assert float(row.split(",")[2]) >= 0.0
 
+    def test_non_integer_beta_cells_missing(self, workdir, tmp_path):
+        dataset = os.path.join(workdir, "dataset.csv")
+        out = str(tmp_path / "s")
+        assert run(
+            "stability", "--method", "mds", "--input", dataset, "--output-dir", out,
+            "--grid", "k=2,3;beta=2.5", "--set", "num_samples=31", "--seed", "3",
+        ) == 0
+        lines = [ln.strip() for ln in open(os.path.join(out, "stability.csv")) if ln.strip()]
+        assert [row.split(",")[:3] for row in lines[2:]] == [
+            ["2", "2.5", "nan"], ["3", "2.5", "nan"]
+        ]
+
     def test_malformed_grid_exit_2(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")
         code = run(
@@ -192,6 +211,135 @@ class TestStability:
             "--output-dir", str(tmp_path / "s"), "--grid", "k=2,3",
         )
         assert code == 2
+
+
+class TestEmbeddingCache:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Every `mds.embed` call, as (beta, seed)."""
+        calls = []
+        real = mds.embed
+
+        def counting(matrix, beta, seed=0, *args, **kwargs):
+            calls.append((beta, seed))
+            return real(matrix, beta, seed, *args, **kwargs)
+
+        monkeypatch.setattr(mds, "embed", counting)
+        return calls
+
+    @staticmethod
+    def common(workdir, out, *extra):
+        return (
+            "--input", os.path.join(workdir, "dataset.csv"), "--output-dir", out,
+            "--set", "num_samples=31", "--set", "n_init=2", "--seed", "3", *extra,
+        )
+
+    def cluster(self, workdir, out, *extra):
+        return run("cluster", "--method", "mds", "--set", "k=3", *self.common(workdir, out, *extra))
+
+    def stability(self, workdir, out, *extra):
+        return run(
+            "stability", "--method", "mds", "--grid", "k=2,3;beta=2",
+            *self.common(workdir, out, *extra),
+        )
+
+    @staticmethod
+    def embeddings(out):
+        cache = os.path.join(out, "cache")
+        return sorted(name for name in os.listdir(cache) if name.startswith("embedding-"))
+
+    def test_cluster_and_stability_share_one_embedding(self, workdir, tmp_path, counted):
+        shared = str(tmp_path / "shared")
+        assert self.cluster(workdir, shared, "--workers", "1") == 0
+        assert self.stability(workdir, shared, "--workers", "2") == 0
+        assert len(counted) == 1
+        (name,) = self.embeddings(shared)
+        model = sans_created(os.path.join(shared, "model.json"))
+        assert self.cluster(workdir, shared, "--workers", "2") == 0  # a cache hit
+        assert len(counted) == 1
+        assert sans_created(os.path.join(shared, "model.json")) == model
+
+        cold_fit, cold_sweep = str(tmp_path / "cold-fit"), str(tmp_path / "cold-sweep")
+        assert self.cluster(workdir, cold_fit, "--workers", "2") == 0
+        assert self.stability(workdir, cold_sweep, "--workers", "1") == 0
+        assert len(counted) == 3
+        assert sans_created(os.path.join(cold_fit, "model.json")) == model
+        assert sans_created(os.path.join(cold_sweep, "stability.csv")) == sans_created(
+            os.path.join(shared, "stability.csv")
+        )
+        blob = (tmp_path / "shared" / "cache" / name).read_bytes()
+        for cold in (cold_fit, cold_sweep):
+            assert self.embeddings(cold) == [name]
+            assert open(os.path.join(cold, "cache", name), "rb").read() == blob
+
+    def test_key_covers_seed_and_beta(self, workdir, tmp_path, counted):
+        out = str(tmp_path / "k")
+        assert self.cluster(workdir, out) == 0
+        assert self.cluster(workdir, out, "--seed", "4") == 0
+        assert self.cluster(workdir, out, "--set", "beta=3") == 0
+        assert counted == [(2, 3), (2, 4), (3, 3)]
+        assert len(self.embeddings(out)) == 3
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage"])
+    def test_bad_cache_is_rebuilt(self, workdir, tmp_path, counted, damage):
+        out = str(tmp_path / "b")
+        assert self.cluster(workdir, out) == 0
+        model = sans_created(os.path.join(out, "model.json"))
+        (name,) = self.embeddings(out)
+        path = os.path.join(out, "cache", name)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(blob[: len(blob) // 2] if damage == "truncate" else b"\x00garbage" * 9)
+        assert self.cluster(workdir, out) == 0
+        assert len(counted) == 2
+        assert sans_created(os.path.join(out, "model.json")) == model
+        assert self.embeddings(out) == [name]
+        with open(path, "rb") as handle:
+            assert handle.read() == blob
+
+    def test_failed_beta_is_not_cached(self, workdir, tmp_path):
+        out = str(tmp_path / "f")
+        assert self.cluster(workdir, out, "--set", "beta=12") == 2  # n = 12
+        assert self.cluster(workdir, out, "--set", "beta=12") == 2
+        assert self.embeddings(out) == []
+        assert run(
+            "stability", "--method", "mds", "--grid", "k=2,3;beta=12,13",
+            *self.common(workdir, out),
+        ) == 0
+        assert self.embeddings(out) == []
+
+
+class TestAtomicArtifacts:
+    @pytest.mark.parametrize(
+        "writer, command, artifact",
+        [
+            ("write_model_json", ("cluster", "--method", "mds", "--set", "k=3"), "model.json"),
+            ("write_stability_csv", ("stability", "--method", "mds", "--grid", "k=2,3;beta=2"),
+             "stability.csv"),
+        ],
+    )
+    def test_failed_write_keeps_earlier_artifact(
+        self, workdir, tmp_path, monkeypatch, writer, command, artifact
+    ):
+        out = str(tmp_path / "a")
+        argv = (*command, "--input", os.path.join(workdir, "dataset.csv"),
+                "--output-dir", out, "--set", "num_samples=31", "--seed", "3")
+        assert run(*argv) == 0
+        path = os.path.join(out, artifact)
+        with open(path, "rb") as handle:
+            before = handle.read()
+
+        def half_then_fail(path, *args, **kwargs):
+            with open(path, "w") as handle:
+                handle.write("# {")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, writer, half_then_fail)
+        assert run(*argv) == 3
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
 
 class TestWassersteinTransfer:

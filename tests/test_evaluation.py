@@ -293,8 +293,8 @@ class TestStabilitySweep:
     def test_failed_beta_marks_its_cells_missing(self):
         data, _ = planted(np.random.default_rng(16), per_family=4)
         D = distance_matrix(data)
-        grid = stability_sweep(data, D, "mds", "k", [2, 3], "beta", [2, 12], seed=0)
-        assert not grid.missing[:, 0].any() and grid.missing[:, 1].all()
+        grid = stability_sweep(data, D, "mds", "k", [2, 3], "beta", [2, 12, 2.5], seed=0)
+        assert not grid.missing[:, 0].any() and grid.missing[:, 1:].all()
 
     def test_geo_methods_sweepable(self):
         data, _ = planted(np.random.default_rng(18), per_family=3)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pairtraj.errors import InvalidInputError
-from pairtraj.mds import Embedding, embed, read_embedding, write_embedding
+from pairtraj.errors import DataError, InvalidInputError
+from pairtraj.mds import Embedding, embed, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import DistanceMatrix, distance_matrix
 
 from oracles import planted, random_interaction, reference_embed
@@ -72,6 +72,16 @@ class TestEmbed:
             embed(dm, beta=4)
         emb = embed(dm, beta=3, seed=0)
         assert emb.beta == 3
+
+    @pytest.mark.parametrize("beta", [2.5, 2.0, float("nan"), "2", None])
+    def test_non_integer_beta_rejected(self, beta):
+        with pytest.raises(InvalidInputError):
+            embed(square_matrix(), beta=beta)
+
+    def test_numpy_integer_beta_accepted(self):
+        dm = square_matrix()
+        emb = embed(dm, beta=np.int64(2), seed=0)
+        assert np.array_equal(emb.points, embed(dm, beta=2, seed=0).points)
 
     def test_stress_non_increasing_in_beta(self):
         dm = frozen_non_euclidean()
@@ -148,14 +158,25 @@ class TestMatchesFrozenReference:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        emb = embed(square_matrix(), beta=2, seed=0)
-        csv_path, json_path = tmp_path / "emb.csv", tmp_path / "emb.json"
-        write_embedding(csv_path, json_path, emb, meta={"seed": 0})
-        back = read_embedding(csv_path, json_path)
-        assert np.array_equal(back.points, emb.points)
+        data, _ = planted(np.random.default_rng(3), per_family=4)
+        emb = embed(distance_matrix(data), beta=3, seed=0)
+        assert emb.best_run > 0 and len(set(emb.iterations)) > 1  # fields worth checking
+        path = tmp_path / "emb.bin"
+        write_embedding_binary(path, emb)
+        back = read_embedding_binary(path)
+        assert back.points.tobytes() == emb.points.tobytes()
         assert back.stress == emb.stress
-        written = csv_path.read_text() + json_path.read_text()
-        assert "iterations" not in written and "best_run" not in written
+        assert back.iterations == emb.iterations
+        assert back.best_run == emb.best_run
+
+    @pytest.mark.parametrize("cut", [0, 3, 20, -8, -1])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "emb.bin"
+        write_embedding_binary(path, embed(square_matrix(), beta=2, seed=0))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut] if cut else b"garbage" * 10)
+        with pytest.raises(DataError):
+            read_embedding_binary(path)
 
     def test_rejects_negative_stress(self):
         with pytest.raises(InvalidInputError):
