@@ -1,0 +1,114 @@
+"""The three on-disk layouts of every artifact and cache file.
+
+- JSON: one object, keys sorted, indented by two, metadata under "meta".
+- Rows: an optional `# <json>` metadata line, a header line, then
+  comma-separated rows.
+- Binary: a 4-byte magic, then a little-endian payload the caller packs.
+
+The schema readers elsewhere are thin layers over these pairs; `malformed`
+turns their parse and validation errors into a DataError naming the path and,
+for a row, the line.
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+
+from .errors import DataError
+
+
+def fmt(value: float) -> str:
+    # 17 significant digits round-trip every double
+    return format(float(value), ".17g")
+
+
+@contextmanager
+def malformed(where):
+    """Re-raise a parse or validation error in the block as DataError at `where`,
+    a path or `path:line`.  KeyError, IndexError, TypeError and ValueError are
+    converted, the type constructors' InvalidInputError included."""
+    try:
+        yield
+    except DataError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"{where}: malformed: {exc}") from exc
+
+
+def _read(path, mode: str = "r"):
+    try:
+        with open(path, mode) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def write_json(path, payload: dict, meta: dict | None = None) -> None:
+    if meta is not None:
+        payload = {**payload, "meta": meta}
+    with open(path, "w") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
+def read_json(path) -> dict:
+    """The object in a JSON artifact, its "meta" included."""
+    with malformed(path):
+        payload = json.loads(_read(path))
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return payload
+
+
+def write_rows(path, header, rows, meta: dict | None = None) -> None:
+    """Write the rows layout; `header` and each of `rows` are sequences of text fields."""
+    with open(path, "w", newline="") as handle:
+        if meta is not None:
+            handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(fields) + "\n" for fields in rows)
+
+
+def read_rows(path, header) -> tuple[dict | None, list[tuple[int, list[str]]]]:
+    """The metadata (None without a `#` line) and the rows after the header.
+
+    Each row is its line number in the file and its comma-separated fields;
+    blank lines are skipped.  With `header` a tuple of names, the header line
+    must hold exactly those and every row as many fields; with None the
+    header line is returned as the first row.
+    """
+    with malformed(path):
+        numbered = enumerate(_read(path).split("\n"), start=1)
+    lines = [(no, line) for no, line in numbered if line.strip()]
+    meta = None
+    if lines and lines[0][1].startswith("#"):
+        no, line = lines.pop(0)
+        with malformed(f"{path}:{no}"):
+            meta = json.loads(line[1:])
+        if not isinstance(meta, dict):
+            raise DataError(f"{path}:{no}: metadata is not a JSON object")
+    rows = [(no, line.split(",")) for no, line in lines]
+    if not rows:
+        raise DataError(f"{path}: no header line")
+    if header is None:
+        return meta, rows
+    if tuple(rows[0][1]) != tuple(header):
+        raise DataError(f"{path}:{rows[0][0]}: expected header {','.join(header)}")
+    for no, fields in rows[1:]:
+        if len(fields) != len(header):
+            raise DataError(f"{path}:{no}: expected {len(header)} fields, got {len(fields)}")
+    return meta, rows[1:]
+
+
+def write_binary(path, magic: bytes, *chunks: bytes) -> None:
+    with open(path, "wb") as handle:
+        handle.writelines((magic, *chunks))
+
+
+def read_binary(path, magic: bytes) -> memoryview:
+    """The bytes after `magic`; DataError unless the file starts with it."""
+    blob = _read(path, "rb")
+    if blob[: len(magic)] != magic:
+        raise DataError(f"{path}: does not start with {magic!r}")
+    return memoryview(blob)[len(magic) :]

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from datetime import datetime, timezone
 
 from . import __version__, mds
+from .artifacts import malformed, read_rows, write_json, write_rows
 from .clustering import (
     METHODS,
     cluster_geo1,
@@ -121,12 +121,6 @@ def _save(config: RunConfig, name: str, write) -> str:
     return path
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
 def _cached(config: RunConfig, kind: str, digest, read, build, write):
     """`read` the file `cache/<kind>-<digest>.bin`, or `build()` and store it.
 
@@ -215,7 +209,7 @@ def cmd_generate(config: RunConfig, args) -> None:
     )
     manifest_path = _save(
         config, "manifest.json",
-        lambda name: _write_json(name, {"meta": _meta(config), **manifest}),
+        lambda name: write_json(name, manifest, _meta(config)),
     )
     _emit(csv_path)
     _emit(manifest_path)
@@ -366,14 +360,10 @@ def cmd_wasserstein(config: RunConfig, args) -> None:
     first = _measure_from(args.a, config)
     second = _measure_from(args.b, config)
     value = wasserstein(first, second, config.r)
-    payload = {
-        "meta": _meta(config),
-        "a": str(args.a),
-        "b": str(args.b),
-        "r": config.r,
-        "value": value,
-    }
-    path = _save(config, "wasserstein.json", lambda name: _write_json(name, payload))
+    payload = {"a": str(args.a), "b": str(args.b), "r": config.r, "value": value}
+    path = _save(
+        config, "wasserstein.json", lambda name: write_json(name, payload, _meta(config))
+    )
     _emit(path)
 
 
@@ -393,29 +383,16 @@ def cmd_transfer(config: RunConfig, args) -> None:
 
 
 def write_transfer_csv(path, ids, assignments, meta: dict) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        handle.write(",".join(TRANSFER_HEADER) + "\n")
-        for enc_id, label in zip(ids, assignments):
-            handle.write(f"{enc_id},{int(label)}\n")
+    rows = ([str(enc_id), str(int(label))] for enc_id, label in zip(ids, assignments))
+    write_rows(path, TRANSFER_HEADER, rows, meta)
 
 
 def read_transfer_csv(path) -> list[tuple[str, int]]:
-    try:
-        handle = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        lines = [ln.rstrip("\n") for ln in handle if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != ",".join(TRANSFER_HEADER):
-        raise DataError(f"{path}: bad transfer header")
+    _, rows = read_rows(path, TRANSFER_HEADER)
     out = []
-    for line in lines[1:]:
-        enc_id, _, label = line.partition(",")
-        try:
+    for no, (enc_id, label) in rows:
+        with malformed(f"{path}:{no}"):
             out.append((enc_id, int(label)))
-        except ValueError as exc:
-            raise DataError(f"{path}: bad row {line!r}") from exc
     return out
 
 

@@ -18,13 +18,13 @@ deterministic given its seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mds
-from .errors import DataError, InvalidInputError
+from .artifacts import malformed, read_json, write_json
+from .errors import InvalidInputError
 from .procrustes import (
     _pack,
     _residual_sq,
@@ -481,7 +481,7 @@ def cluster_spline_coef(
 
 
 def write_model_json(path, model: ClusterModel, meta: dict | None = None) -> None:
-    payload: dict = {
+    payload = {
         "method": model.method,
         "k": model.k,
         "seed": model.seed,
@@ -489,22 +489,12 @@ def write_model_json(path, model: ClusterModel, meta: dict | None = None) -> Non
         "assignments": [int(z) for z in model.assignments],
         "representatives": [interaction_to_dict(r) for r in model.representatives],
     }
-    if meta is not None:
-        payload["meta"] = meta
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(path, payload, meta)
 
 
 def read_model_json(path) -> ClusterModel:
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    try:
+    payload = read_json(path)
+    with malformed(path):
         return ClusterModel(
             method=payload["method"],
             k=int(payload["k"]),
@@ -515,5 +505,3 @@ def read_model_json(path) -> ClusterModel:
             ),
             objective=float(payload["objective"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed cluster model: {exc}") from exc

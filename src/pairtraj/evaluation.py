@@ -14,17 +14,17 @@ differences.
 from __future__ import annotations
 
 import inspect
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import clustering, mds
+from .artifacts import fmt, malformed, read_json, read_rows, write_json, write_rows
 from .clustering import ClusterModel
 from .errors import DataError, InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
-from .trajectory import Interaction, TimeMeasure, _fmt, resample
+from .trajectory import Interaction, TimeMeasure, resample
 
 
 def silhouette(matrix: DistanceMatrix, assignments) -> np.ndarray:
@@ -349,43 +349,19 @@ _VARIANCE_CONVENTION = "sample (ddof=1)"
 
 
 def write_quality_json(path, report: QualityReport, meta: dict | None = None) -> None:
-    payload: dict = {
-        "total_within": report.total_within,
-        "per_cluster_within": report.per_cluster_within.tolist(),
-        "per_cluster_between": report.per_cluster_between.tolist(),
-        "within_variance": report.within_variance.tolist(),
-        "between_variance": report.between_variance.tolist(),
-        "silhouettes": report.silhouettes.tolist(),
-        "cluster_sizes": report.cluster_sizes.tolist(),
-        "variance_convention": _VARIANCE_CONVENTION,
-    }
-    if meta is not None:
-        payload["meta"] = meta
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    """Every QualityReport field under its own name, plus the variance convention."""
+    payload = {f.name: np.asarray(getattr(report, f.name)).tolist() for f in fields(report)}
+    payload["variance_convention"] = _VARIANCE_CONVENTION
+    write_json(path, payload, meta)
 
 
 def read_quality_json(path) -> QualityReport:
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return QualityReport(
-            total_within=payload["total_within"],
-            per_cluster_within=payload["per_cluster_within"],
-            per_cluster_between=payload["per_cluster_between"],
-            within_variance=payload["within_variance"],
-            between_variance=payload["between_variance"],
-            silhouettes=payload["silhouettes"],
-            cluster_sizes=payload["cluster_sizes"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed quality report: {exc}") from exc
+    payload = read_json(path)
+    with malformed(path):
+        return QualityReport(**{f.name: payload[f.name] for f in fields(QualityReport)})
+
+
+SILHOUETTE_HEADER = ("id", "cluster", "silhouette")
 
 
 def write_silhouette_csv(
@@ -398,84 +374,49 @@ def write_silhouette_csv(
     if not (len(ids) == z.size == sil.size):
         raise InvalidInputError("ids, assignments, silhouettes must align")
     order = sorted(range(len(ids)), key=lambda i: (z[i], -sil[i], str(ids[i])))
-    with open(path, "w", newline="") as handle:
-        if meta is not None:
-            handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        handle.write("id,cluster,silhouette\n")
-        for i in order:
-            handle.write(f"{ids[i]},{z[i]},{_fmt(sil[i])}\n")
+    rows = ([str(ids[i]), str(z[i]), fmt(sil[i])] for i in order)
+    write_rows(path, SILHOUETTE_HEADER, rows, meta)
 
 
 def read_silhouette_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    try:
-        handle = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        lines = [ln.rstrip("\n") for ln in handle if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "id,cluster,silhouette":
-        raise DataError(f"{path}: bad silhouette header")
+    _, rows = read_rows(path, SILHOUETTE_HEADER)
     ids, clusters, scores = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 fields")
-        try:
-            ids.append(parts[0])
-            clusters.append(int(parts[1]))
-            scores.append(float(parts[2]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad field: {exc}") from exc
+    for no, (enc_id, cluster, score) in rows:
+        with malformed(f"{path}:{no}"):
+            clusters.append(int(cluster))
+            scores.append(float(score))
+        ids.append(enc_id)
     return ids, np.array(clusters), np.array(scores)
+
+
+STABILITY_HEADER = ("axis1", "axis2", "value", "delta1", "delta2")
 
 
 def write_stability_csv(path, grid: StabilityGrid, meta: dict | None = None) -> None:
     """Long form `axis1,axis2,value,delta1,delta2`; axis names ride in metadata."""
-    header = dict(meta or {})
-    header["axis1_name"] = grid.axis1_name
-    header["axis2_name"] = grid.axis2_name
+    meta = {**(meta or {}), "axis1_name": grid.axis1_name, "axis2_name": grid.axis2_name}
     d1, d2 = grid.delta1, grid.delta2
-    with open(path, "w", newline="") as handle:
-        handle.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        handle.write("axis1,axis2,value,delta1,delta2\n")
-        for i, v1 in enumerate(grid.axis1_values):
-            for j, v2 in enumerate(grid.axis2_values):
-                handle.write(
-                    f"{v1},{v2},{_fmt(grid.values[i, j])},"
-                    f"{_fmt(d1[i, j])},{_fmt(d2[i, j])}\n"
-                )
+    rows = (
+        [str(v1), str(v2), fmt(grid.values[i, j]), fmt(d1[i, j]), fmt(d2[i, j])]
+        for i, v1 in enumerate(grid.axis1_values)
+        for j, v2 in enumerate(grid.axis2_values)
+    )
+    write_rows(path, STABILITY_HEADER, rows, meta)
 
 
 def read_stability_csv(path) -> StabilityGrid:
-    try:
-        handle = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    meta, rows = read_rows(path, STABILITY_HEADER)
+    if meta is None:
         raise DataError(f"{path}: missing metadata line")
-    try:
-        header = json.loads(lines[0][1:])
-        axis1_name, axis2_name = header["axis1_name"], header["axis2_name"]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise DataError(f"{path}: bad metadata line: {exc}") from exc
-    if len(lines) < 2 or lines[1] != "axis1,axis2,value,delta1,delta2":
-        raise DataError(f"{path}: bad stability header")
-    rows = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise DataError(f"{path}:{lineno}: expected 5 fields")
-        try:
-            rows.append((parts[0], parts[1], float(parts[2])))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad value: {exc}") from exc
-    axis1 = list(dict.fromkeys(r[0] for r in rows))
-    axis2 = list(dict.fromkeys(r[1] for r in rows))
-    if len(rows) != len(axis1) * len(axis2):
-        raise DataError(f"{path}: incomplete grid")
-    values = np.array([r[2] for r in rows]).reshape(len(axis1), len(axis2))
-    return StabilityGrid(
-        axis1_name, axis2_name, tuple(axis1), tuple(axis2), values, np.isnan(values)
-    )
+    cells = []
+    for no, (v1, v2, value, _, _) in rows:
+        with malformed(f"{path}:{no}"):
+            cells.append((v1, v2, float(value)))
+    axis1 = list(dict.fromkeys(c[0] for c in cells))
+    axis2 = list(dict.fromkeys(c[1] for c in cells))
+    with malformed(path):  # an incomplete grid fails the reshape
+        values = np.array([c[2] for c in cells]).reshape(len(axis1), len(axis2))
+        return StabilityGrid(
+            meta["axis1_name"], meta["axis2_name"], tuple(axis1), tuple(axis2),
+            values, np.isnan(values),
+        )

@@ -11,11 +11,11 @@ so the reported value is monotone over iterations.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import malformed, read_binary, write_binary
 from .errors import DataError, InvalidInputError
 from .procrustes import DistanceMatrix
 
@@ -23,7 +23,9 @@ _REL_TOL = 1e-8
 _MAX_ITER = 500
 _N_RESTARTS = 8
 _MAGIC = b"PTEM"
-_HEADER = struct.Struct("<qqdqq")  # n, beta, stress, best_run, number of runs
+_HEADER = np.dtype(
+    [("n", "<i8"), ("beta", "<i8"), ("stress", "<f8"), ("best_run", "<i8"), ("runs", "<i8")]
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,29 +168,22 @@ def write_embedding_binary(path, embedding: Embedding) -> None:
     """Magic, then little-endian int64 n and beta, float64 stress, int64
     best_run and the run count, int64 iterations per run, and the row-major
     float64 points."""
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(_HEADER.pack(embedding.n, embedding.beta, embedding.stress,
-                                  embedding.best_run, len(embedding.iterations)))
-        handle.write(np.array(embedding.iterations, dtype="<i8").tobytes())
-        handle.write(np.ascontiguousarray(embedding.points, dtype="<f8").tobytes())
+    header = (embedding.n, embedding.beta, embedding.stress, embedding.best_run,
+              len(embedding.iterations))
+    write_binary(
+        path, _MAGIC, np.array([header], dtype=_HEADER).tobytes(),
+        np.array(embedding.iterations, dtype="<i8").tobytes(),
+        np.ascontiguousarray(embedding.points, dtype="<f8").tobytes(),
+    )
 
 
 def read_embedding_binary(path) -> Embedding:
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    head = len(_MAGIC) + _HEADER.size
-    if len(blob) < head or blob[: len(_MAGIC)] != _MAGIC:
-        raise DataError(f"{path}: not an embedding binary file")
-    n, beta, stress, best_run, runs = _HEADER.unpack_from(blob, len(_MAGIC))
-    if n < 1 or beta < 1 or runs < 0 or len(blob) != head + 8 * (runs + n * beta):
-        raise DataError(f"{path}: truncated or oversized payload")
-    iterations = np.frombuffer(blob, dtype="<i8", count=runs, offset=head)
-    points = np.frombuffer(blob, dtype="<f8", offset=head + 8 * runs).reshape(n, beta)
-    try:
-        return Embedding(points, stress, tuple(iterations), best_run)
-    except InvalidInputError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    payload = read_binary(path, _MAGIC)
+    with malformed(path):
+        n, beta, stress, best_run, runs = np.frombuffer(payload, _HEADER, count=1)[0].tolist()
+        head = _HEADER.itemsize
+        if n < 1 or beta < 1 or runs < 0 or len(payload) != head + 8 * (runs + n * beta):
+            raise DataError(f"{path}: truncated or oversized payload")
+        iterations = np.frombuffer(payload, dtype="<i8", count=runs, offset=head)
+        points = np.frombuffer(payload, dtype="<f8", offset=head + 8 * runs)
+        return Embedding(points.reshape(n, beta), stress, tuple(iterations), best_run)

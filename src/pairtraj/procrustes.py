@@ -28,15 +28,15 @@ directly as sum w |z_t - e^{i phi} z_s|^2 with the same phase.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 # not used here; bench/layers.py patches this name when it traces a run
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
+from .artifacts import fmt, malformed, read_binary, read_rows, write_binary, write_rows
 from .errors import DataError, InvalidInputError
-from .trajectory import Interaction, TimeMeasure, Trajectory, _fmt, uniform_measure
+from .trajectory import Interaction, TimeMeasure, Trajectory, uniform_measure
 
 _MAGIC = b"PTDM"
 # Residuals at most this fraction of N_s + N_t are summed directly instead
@@ -272,60 +272,37 @@ def cross_distance_matrix(
 
 def write_matrix_csv(path, matrix: DistanceMatrix, meta: dict | None = None) -> None:
     """Text form: optional `#` metadata line, a header line holding n, then n rows."""
-    import json
-
-    with open(path, "w", newline="") as handle:
-        if meta is not None:
-            handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        handle.write(f"{matrix.n}\n")
-        for row in matrix.entries:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+    rows = ([fmt(v) for v in row] for row in matrix.entries.tolist())
+    write_rows(path, [str(matrix.n)], rows, meta)
 
 
 def read_matrix_csv(path) -> DistanceMatrix:
-    try:
-        handle = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        lines = [ln.strip() for ln in handle if not ln.startswith("#") and ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty distance matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise DataError(f"{path}: first line must hold the matrix size") from None
-    if len(lines) != n + 1:
-        raise DataError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    try:
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    except ValueError:
-        raise DataError(f"{path}: non-numeric matrix entry") from None
-    if any(len(r) != n for r in rows):
-        raise DataError(f"{path}: ragged rows, expected {n} entries per row")
-    return DistanceMatrix(np.array(rows))
+    _, rows = read_rows(path, None)
+    (no, size), body = rows[0], rows[1:]
+    with malformed(f"{path}:{no}"):
+        (n,) = map(int, size)  # the header holds the size alone
+    entries = []
+    for no, fields in body:
+        if len(fields) != n:
+            raise DataError(f"{path}:{no}: expected {n} entries, got {len(fields)}")
+        with malformed(f"{path}:{no}"):
+            entries.append([float(v) for v in fields])
+    with malformed(path):
+        return DistanceMatrix(np.array(entries))
 
 
 def write_matrix_binary(path, matrix: DistanceMatrix) -> None:
     """Compact layout: magic, little-endian int64 n, row-major float64 entries."""
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<q", matrix.n))
-        handle.write(np.ascontiguousarray(matrix.entries, dtype="<f8").tobytes())
+    write_binary(
+        path, _MAGIC, np.array([matrix.n], dtype="<i8").tobytes(),
+        np.ascontiguousarray(matrix.entries, dtype="<f8").tobytes(),
+    )
 
 
 def read_matrix_binary(path) -> DistanceMatrix:
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    head = len(_MAGIC) + 8
-    if len(blob) < head or blob[: len(_MAGIC)] != _MAGIC:
-        raise DataError(f"{path}: not a distance-matrix binary file")
-    (n,) = struct.unpack("<q", blob[len(_MAGIC) : head])
-    expected = head + 8 * n * n
-    if n < 1 or len(blob) != expected:
-        raise DataError(f"{path}: truncated or oversized payload for n={n}")
-    entries = np.frombuffer(blob[head:], dtype="<f8").reshape(n, n)
-    return DistanceMatrix(entries)
+    payload = read_binary(path, _MAGIC)
+    with malformed(path):
+        n = int(np.frombuffer(payload, dtype="<i8", count=1)[0])
+        if n < 1 or len(payload) != 8 * (1 + n * n):
+            raise DataError(f"{path}: truncated or oversized payload for n={n}")
+        return DistanceMatrix(np.frombuffer(payload, dtype="<f8", offset=8).reshape(n, n))

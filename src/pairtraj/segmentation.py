@@ -24,13 +24,13 @@ encounter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateFitError, InvalidInputError
-from .trajectory import Interaction, Trajectory, _fmt, resample
+from .artifacts import fmt, malformed, read_json, read_rows, write_json, write_rows
+from .errors import DegenerateFitError, InvalidInputError
+from .trajectory import Interaction, Trajectory, resample
 
 _MIN_SEGMENT = 5  # raw samples; enough for one cubic fit plus a residual
 _MIN_SIDE = 4  # samples on each side of a split, shared endpoint included
@@ -342,59 +342,31 @@ SEGMENT_HEADER = ("encounter_id", "segment_index", "t", "x1", "y1", "x2", "y2")
 
 def write_segments_csv(path, segmented, meta: dict | None = None) -> None:
     """Rows of every segment of every encounter; segmented is (id, segments) pairs."""
-    with open(path, "w", newline="") as handle:
-        if meta is not None:
-            handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        handle.write(",".join(SEGMENT_HEADER) + "\n")
+
+    def rows():
         for enc_id, segments in segmented:
             for index, inter in enumerate(segments):
-                for row in range(len(inter)):
-                    fields = (
-                        enc_id,
-                        str(index),
-                        _fmt(inter.grid[row]),
-                        _fmt(inter.first.samples[row, 0]),
-                        _fmt(inter.first.samples[row, 1]),
-                        _fmt(inter.second.samples[row, 0]),
-                        _fmt(inter.second.samples[row, 1]),
-                    )
-                    handle.write(",".join(fields) + "\n")
+                table = np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
+                for row in table.tolist():
+                    yield [enc_id, str(index), *map(fmt, row)]
+
+    write_rows(path, SEGMENT_HEADER, rows(), meta)
 
 
 def read_segments_csv(path) -> list[tuple[str, list[Interaction]]]:
-    try:
-        handle = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        lines = [
-            (no, ln.rstrip("\n"))
-            for no, ln in enumerate(handle, start=1)
-            if ln.strip() and not ln.startswith("#")
-        ]
-    if not lines or lines[0][1] != ",".join(SEGMENT_HEADER):
-        raise DataError(f"{path}: bad segment header")
-    groups: dict[tuple[str, int], list[list[float]]] = {}
-    order: list[tuple[str, int]] = []
-    for no, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise DataError(f"{path}:{no}: expected 7 fields")
-        try:
-            key = (parts[0], int(parts[1]))
-            values = [float(v) for v in parts[2:]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{no}: bad field: {exc}") from exc
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(values)
+    _, rows = read_rows(path, SEGMENT_HEADER)
+    # (encounter id, segment index) -> line of its first row, and its rows
+    groups: dict[tuple[str, int], tuple[int, list[list[float]]]] = {}
+    for no, fields in rows:
+        with malformed(f"{path}:{no}"):
+            key = (fields[0], int(fields[1]))
+            groups.setdefault(key, (no, []))[1].append([float(v) for v in fields[2:]])
     out: list[tuple[str, list[Interaction]]] = []
-    for key in order:
-        rows = np.array(groups[key])
-        inter = Interaction(
-            Trajectory(rows[:, 1:3], rows[:, 0]), Trajectory(rows[:, 3:5], rows[:, 0])
-        )
+    for key, (first, values) in groups.items():
+        table = np.array(values)
+        grid = table[:, 0]
+        with malformed(f"{path}:{first}"):
+            inter = Interaction(Trajectory(table[:, 1:3], grid), Trajectory(table[:, 3:5], grid))
         if out and out[-1][0] == key[0]:
             out[-1][1].append(inter)
         else:
@@ -404,31 +376,19 @@ def read_segments_csv(path) -> list[tuple[str, list[Interaction]]]:
 
 def write_knots_json(path, entries, meta: dict | None = None) -> None:
     """entries: (encounter_id, ChangePointSet) pairs with the selected ε each."""
-    payload: dict = {
+    payload = {
         "encounters": {
             enc_id: {"knots": list(knots.points), "epsilon": knots.tolerance}
             for enc_id, knots in entries
         }
     }
-    if meta is not None:
-        payload["meta"] = meta
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(path, payload, meta)
 
 
 def read_knots_json(path) -> list[tuple[str, ChangePointSet]]:
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    try:
+    payload = read_json(path)
+    with malformed(path):
         return [
             (enc_id, ChangePointSet(tuple(entry["knots"]), entry["epsilon"]))
             for enc_id, entry in sorted(payload["encounters"].items())
         ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed knot manifest: {exc}") from exc

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import fmt, malformed, write_rows
 from .errors import DataError, InvalidInputError
 
 CSV_HEADER = ("encounter_id", "t", "x1", "y1", "x2", "y2")
@@ -17,11 +17,6 @@ def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
-
-
-def _fmt(value: float) -> str:
-    # shortest text that round-trips a double
-    return format(float(value), ".17g")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,20 +126,16 @@ def interaction_to_dict(interaction: Interaction) -> dict:
 
 
 def interaction_from_dict(payload: dict) -> Interaction:
-    try:
-        grid = payload["grid"]
-        first = payload["first"]
-        second = payload["second"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"interaction record is missing field {exc}") from None
-    return Interaction(Trajectory(first, grid), Trajectory(second, grid))
+    """Inverse of interaction_to_dict; readers call it inside artifacts.malformed."""
+    grid = payload["grid"]
+    return Interaction(Trajectory(payload["first"], grid), Trajectory(payload["second"], grid))
 
 
 def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
     """Read `encounter_id,t,x1,y1,x2,y2` rows grouped by encounter, sorted by t.
 
     Leading `#` lines (metadata) are skipped.  Malformed rows raise DataError
-    with the offending line number.
+    with the offending line number, and non-finite values one naming the encounter.
     """
     order: list[str] = []
     rows: dict[str, list[tuple[float, float, float, float, float]]] = {}
@@ -152,7 +143,7 @@ def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
         handle = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
+    with handle, malformed(path):  # bytes that are not UTF-8 fail as ValueError
         lineno = 0
         header_seen = False
         last_id = None
@@ -198,26 +189,22 @@ def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
         if arr.shape[0] < 2:
             raise DataError(f"{path}: encounter {enc_id!r} has fewer than 2 samples")
         grid = arr[:, 0]
-        inter = Interaction(
-            Trajectory(arr[:, 1:3], grid), Trajectory(arr[:, 3:5], grid)
-        )
+        with malformed(f"{path}: encounter {enc_id!r}"):
+            inter = Interaction(
+                Trajectory(arr[:, 1:3], grid), Trajectory(arr[:, 3:5], grid)
+            )
         encounters.append((enc_id, inter))
     return encounters
 
 
 def write_encounters_csv(path, encounters, meta: dict | None = None) -> None:
     """Write encounters in the ingest format, with an optional metadata line."""
-    with open(path, "w", newline="") as handle:
-        if meta is not None:
-            handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        handle.write(",".join(CSV_HEADER) + "\n")
+
+    def rows():
         for enc_id, inter in encounters:
-            f, s, grid = inter.first.samples, inter.second.samples, inter.grid
-            for i in range(len(grid)):
-                handle.write(
-                    ",".join(
-                        [str(enc_id)]
-                        + [_fmt(v) for v in (grid[i], f[i, 0], f[i, 1], s[i, 0], s[i, 1])]
-                    )
-                    + "\n"
-                )
+            enc_id = str(enc_id)
+            table = np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
+            for row in table.tolist():
+                yield [enc_id, *map(fmt, row)]
+
+    write_rows(path, CSV_HEADER, rows(), meta)

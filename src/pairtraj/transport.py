@@ -9,20 +9,14 @@ empirical measure of a data sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import ClusterModel
-from .errors import DataError, InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError
 from .procrustes import cross_distance_matrix
-from .trajectory import (
-    Interaction,
-    TimeMeasure,
-    interaction_from_dict,
-    interaction_to_dict,
-)
+from .trajectory import Interaction, TimeMeasure
 
 _WEIGHT_TOL = 1e-12
 
@@ -100,6 +94,7 @@ def wasserstein(
     # scipy.optimize is imported here, not at module level: it costs about
     # half a second, which every other subcommand would pay at start-up
     from scipy.optimize import linear_sum_assignment, linprog
+    from scipy.sparse import eye, kron, vstack
 
     if not r >= 1.0:
         raise InvalidInputError(f"order r must be >= 1, got {r}")
@@ -108,11 +103,8 @@ def wasserstein(
     if m == n and _uniform(F.weights) and _uniform(G.weights):
         rows, cols = linear_sum_assignment(cost)
         return float((cost[rows, cols].sum() / m) ** (1.0 / r))
-    A = np.zeros((m + n, m * n))
-    for i in range(m):
-        A[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        A[m + j, j::n] = 1.0
+    # row i sums the plan's row i, row m + j its column j: 2mn nonzeros
+    A = vstack([kron(eye(m), np.ones((1, n))), kron(np.ones((1, m)), eye(n))], format="csr")
     b = np.concatenate([F.weights, G.weights])
     # the last column constraint is implied by the others; dropping it keeps
     # the system consistent when the two weight sums differ by rounding
@@ -120,30 +112,3 @@ def wasserstein(
     if not res.success:
         raise NumericalError(f"transport LP failed: {res.message}")
     return float(max(res.fun, 0.0) ** (1.0 / r))
-
-
-def write_measure_json(path, measure: DiscreteMeasure, meta: dict | None = None) -> None:
-    payload: dict = {
-        "weights": [float(w) for w in measure.weights],
-        "atoms": [interaction_to_dict(a) for a in measure.atoms],
-    }
-    if meta is not None:
-        payload["meta"] = meta
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
-def read_measure_json(path) -> DiscreteMeasure:
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        atoms = tuple(interaction_from_dict(a) for a in payload["atoms"])
-        return DiscreteMeasure(atoms, np.array(payload["weights"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed measure: {exc}") from exc

@@ -8,7 +8,9 @@ reference the package's faster kernel must reproduce, and `reference_distance`
 is the original per-pair 2x2 SVD alignment, frozen the same way for the
 complex-number distance kernel.  `reference_segment_with_knots` is the
 original segmentation, which refits every span on every call, frozen as the
-reference the memoised fits must reproduce byte for byte.
+reference the memoised fits must reproduce byte for byte.  `dense_transport_lp`
+is the original dense transport LP, frozen as the reference for the sparse
+constraint matrix.
 """
 
 from __future__ import annotations
@@ -150,6 +152,27 @@ def enumerate_uniform_wasserstein(cost: np.ndarray, r: float) -> float:
         val = sum(cost[i, perm[i]] ** r for i in range(m)) / m
         best = min(best, val)
     return best ** (1.0 / r)
+
+
+def dense_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Optimal transport cost from the original dense equality matrix.
+
+    Frozen as the reference for the sparse constraint matrix of `wasserstein`:
+    row i of A sums the plan's row i, row m + j its column j, and the last
+    (implied) constraint is dropped.
+    """
+    from scipy.optimize import linprog
+
+    m, n = cost.shape
+    A = np.zeros((m + n, m * n))
+    for i in range(m):
+        A[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n):
+        A[m + j, j::n] = 1.0
+    rhs = np.concatenate([a, b])
+    res = linprog(cost.ravel(), A_eq=A[:-1], b_eq=rhs[:-1], method="highs")
+    assert res.success, res.message
+    return float(max(res.fun, 0.0))
 
 
 def _reference_pairwise(points: np.ndarray) -> np.ndarray:

@@ -1,0 +1,173 @@
+"""Every public artifact reader fails the same way: a DataError naming the path.
+
+Each reader is run on a missing file, on bytes that are no artifact at all,
+and on well-formed content that its type constructor or schema rejects; a
+fault in one row is reported with that row's line number in the file.
+"""
+
+import functools
+import re
+
+import numpy as np
+import pytest
+
+from pairtraj import artifacts
+from pairtraj.cli import read_transfer_csv
+from pairtraj.clustering import read_model_json
+from pairtraj.errors import DataError
+from pairtraj.evaluation import read_quality_json, read_silhouette_csv, read_stability_csv
+from pairtraj.mds import Embedding, read_embedding_binary, write_embedding_binary
+from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
+from pairtraj.segmentation import read_knots_json, read_segments_csv
+from pairtraj.trajectory import read_encounters_csv
+
+READERS = {
+    "read_json": artifacts.read_json,
+    "read_rows": functools.partial(artifacts.read_rows, header=("a", "b")),
+    "read_binary": functools.partial(artifacts.read_binary, magic=b"PTXX"),
+    "read_model_json": read_model_json,
+    "read_quality_json": read_quality_json,
+    "read_silhouette_csv": read_silhouette_csv,
+    "read_stability_csv": read_stability_csv,
+    "read_matrix_csv": read_matrix_csv,
+    "read_matrix_binary": read_matrix_binary,
+    "read_embedding_binary": read_embedding_binary,
+    "read_segments_csv": read_segments_csv,
+    "read_knots_json": read_knots_json,
+    "read_transfer_csv": read_transfer_csv,
+    "read_encounters_csv": read_encounters_csv,
+}
+
+# not UTF-8, no magic of ours, no JSON
+GARBAGE = b"\x89PNG\r\n\x1a\n\xff\xfe\x00garbage\xc3\x28" * 8
+
+
+def _matrix_blob(entries) -> bytes:
+    entries = np.asarray(entries, dtype="<f8")
+    return b"PTDM" + np.array([entries.shape[0]], dtype="<i8").tobytes() + entries.tobytes()
+
+
+def _nan_embedding(tmp_path) -> bytes:
+    path = tmp_path / "valid.bin"
+    write_embedding_binary(path, Embedding(np.zeros((2, 1)), 0.0, (3,), 0))
+    return path.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+
+
+# reader, file content, and the `:line` the error must name ("" for none)
+REJECTED = [
+    ("read_json", "[1]\n", ""),
+    ("read_rows", "a,b\n1,2\n1,2,3\n", ":3:"),
+    ("read_rows", "# [1]\na,b\n1,2\n", ":1:"),
+    ("read_rows", "a,c\n1,2\n", ":1:"),
+    (
+        "read_model_json",
+        '{"method": "nope", "k": 1, "seed": 0, "objective": 0.0,'
+        ' "assignments": [0], "representatives": []}\n',
+        "",
+    ),
+    ("read_model_json", '{"method": "mds", "k": 2}\n', ""),
+    (
+        "read_quality_json",
+        '{"total_within": 0, "per_cluster_within": [0], "per_cluster_between": [0],'
+        ' "within_variance": [0], "between_variance": [0], "silhouettes": [2.0],'
+        ' "cluster_sizes": [1]}\n',
+        "",
+    ),
+    ("read_silhouette_csv", '# {"seed": 1}\nid,cluster,silhouette\na,0,0.5\nb,0,oops\n', ":4:"),
+    ("read_silhouette_csv", "id,cluster,silhouette\na,0\n", ":2:"),
+    ("read_stability_csv", "# [1]\naxis1,axis2,value,delta1,delta2\n2,2,1.0,nan,nan\n", ":1:"),
+    ("read_stability_csv", "axis1,axis2,value,delta1,delta2\n2,2,1.0,nan,nan\n", ""),
+    (
+        "read_stability_csv",
+        '# {"axis1_name": "k", "axis2_name": "beta"}\naxis1,axis2,value,delta1,delta2\n'
+        "2,2,-1.0,nan,nan\n",
+        "",
+    ),
+    (
+        "read_stability_csv",
+        '# {"axis1_name": "k", "axis2_name": "beta"}\naxis1,axis2,value,delta1,delta2\n'
+        "2,2,1.0,nan,nan\n3,3,x,nan,nan\n",
+        ":4:",
+    ),
+    ("read_matrix_csv", "2\n0,1\n2,0\n", ""),
+    ("read_matrix_csv", '# {"seed": 1}\n2\n0,1\n1,x\n', ":4:"),
+    ("read_matrix_csv", "2\n0,1\n1\n", ":3:"),
+    ("read_matrix_csv", "two\n0,1\n1,0\n", ":1:"),
+    ("read_matrix_binary", _matrix_blob([[0.0, np.nan], [np.nan, 0.0]]), ""),
+    ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [2.0, 0.0]]), ""),
+    ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [1.0, 0.0]])[:-8], ""),
+    ("read_embedding_binary", _nan_embedding, ""),
+    (
+        "read_segments_csv",
+        "encounter_id,segment_index,t,x1,y1,x2,y2\n"
+        "a,0,0,0,0,0,0\na,0,1,0,0,0,0\nb,0,1,0,0,0,0\nb,0,0.5,0,0,0,0\n",
+        ":4:",
+    ),
+    ("read_segments_csv", "encounter_id,segment_index,t,x1,y1,x2,y2\na,zero,0,0,0,0,0\n", ":2:"),
+    ("read_knots_json", '{"encounters": {"a": {"knots": [5, 3], "epsilon": 1.0}}}\n', ""),
+    ("read_transfer_csv", '# {"seed": 1}\nid,cluster\na,0\nb,x\n', ":4:"),
+    ("read_encounters_csv", "encounter_id,t,x1,y1,x2,y2\na,0,1,2,3,4\na,1,inf,2,3,4\n", ""),
+]
+
+
+def _error(reader, path) -> str:
+    with pytest.raises(DataError) as info:
+        READERS[reader](path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_missing_file(tmp_path, reader):
+    path = tmp_path / "absent"
+    assert str(path) in _error(reader, path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_garbage_bytes(tmp_path, reader):
+    path = tmp_path / "garbage"
+    path.write_bytes(GARBAGE)
+    assert str(path) in _error(reader, path)
+
+
+@pytest.mark.parametrize(
+    "reader, content, line", REJECTED, ids=[f"{r}-{i}" for i, (r, _, _) in enumerate(REJECTED)]
+)
+def test_rejected_content(tmp_path, reader, content, line):
+    if callable(content):
+        content = content(tmp_path)
+    path = tmp_path / "artifact"
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_bytes(content)
+    message = _error(reader, path)
+    assert message.startswith(str(path) + line), message
+    if not line:
+        assert not re.match(re.escape(str(path)) + r":\d", message), message
+
+
+def test_rows_report_real_line_numbers(tmp_path):
+    path = tmp_path / "rows.csv"
+    artifacts.write_rows(path, ("a", "b"), [["1", "2"], ["3", "4"]], meta={"seed": 1})
+    with open(path, "a") as handle:
+        handle.write("\n5,6\n")
+    meta, rows = artifacts.read_rows(path, ("a", "b"))
+    assert meta == {"seed": 1}
+    assert rows == [(3, ["1", "2"]), (4, ["3", "4"]), (6, ["5", "6"])]
+
+
+def test_json_meta_round_trip(tmp_path):
+    path = tmp_path / "a.json"
+    artifacts.write_json(path, {"b": 1, "a": [1.5]}, meta={"seed": 2})
+    assert path.read_text() == (
+        '{\n  "a": [\n    1.5\n  ],\n  "b": 1,\n  "meta": {\n    "seed": 2\n  }\n}\n'
+    )
+    assert artifacts.read_json(path) == {"a": [1.5], "b": 1, "meta": {"seed": 2}}
+
+
+def test_binary_round_trip(tmp_path):
+    path = tmp_path / "a.bin"
+    artifacts.write_binary(path, b"PTXX", b"\x01\x02", b"\x03")
+    assert bytes(artifacts.read_binary(path, b"PTXX")) == b"\x01\x02\x03"
+    with pytest.raises(DataError, match="PTYY"):
+        artifacts.read_binary(path, b"PTYY")

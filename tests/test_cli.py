@@ -142,7 +142,8 @@ class TestDistances:
         assert body_lines(path) == first
         assert os.listdir(os.path.join(out, "cache")) == cache
 
-    def test_truncated_cache_is_rebuilt(self, workdir, tmp_path):
+    @pytest.mark.parametrize("damage", ["truncate", "nan"])
+    def test_truncated_cache_is_rebuilt(self, workdir, tmp_path, damage):
         dataset = os.path.join(workdir, "dataset.csv")
         out = str(tmp_path / "d")
         args = (
@@ -154,13 +155,19 @@ class TestDistances:
         first = body_lines(path)
         (cache,) = os.listdir(os.path.join(out, "cache"))
         cache_path = os.path.join(out, "cache", cache)
-        size = os.path.getsize(cache_path)
+        with open(cache_path, "rb") as handle:
+            blob = handle.read()
         with open(cache_path, "r+b") as handle:
-            handle.truncate(size // 2)
+            if damage == "truncate":
+                handle.truncate(len(blob) // 2)
+            else:  # full size, one entry NaN: the matrix type rejects it
+                handle.seek(4 + 8 + 8)
+                handle.write(np.array([np.nan], dtype="<f8").tobytes())
         assert run(*args) == 0
         assert body_lines(path) == first
         assert os.listdir(os.path.join(out, "cache")) == [cache]
-        assert os.path.getsize(cache_path) == size
+        with open(cache_path, "rb") as handle:
+            assert handle.read() == blob
 
     def test_normalize_changes_values(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")
@@ -471,6 +478,12 @@ class TestExitCodes:
             "cluster", "--method", "mds", "--input", str(tmp_path / "nope.csv"),
             "--output-dir", str(tmp_path),
         ) == 3
+
+    def test_non_finite_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text("encounter_id,t,x1,y1,x2,y2\na,0,1,2,3,4\na,1,inf,2,3,4\n")
+        assert run("distances", "--input", str(path), "--output-dir", str(tmp_path)) == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_k_beyond_dataset_rejected(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,21 @@ class TestCsvRoundTrip:
             "a,1.0,1,2,3,4\n"
         )
         with pytest.raises(DataError, match="contiguous"):
+            read_encounters_csv(path)
+
+    @pytest.mark.parametrize(
+        "column, value", [("t", "inf"), ("t", "nan"), ("x1", "nan"), ("y2", "-inf")]
+    )
+    def test_non_finite_value_is_data_error(self, tmp_path, value, column):
+        fields = {"t": "1.0", "x1": "1", "y1": "2", "x2": "3", "y2": "4"}
+        fields[column] = value
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "encounter_id,t,x1,y1,x2,y2\n"
+            "a,0.0,1,2,3,4\n"
+            f"a,{fields['t']},{fields['x1']},{fields['y1']},{fields['x2']},{fields['y2']}\n"
+        )
+        with pytest.raises(DataError, match=re.escape(str(path)) + ".*'a'"):
             read_encounters_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):

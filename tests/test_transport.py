@@ -1,22 +1,23 @@
-import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pairtraj
 from pairtraj.clustering import ClusterModel, cluster_mds
-from pairtraj.errors import DataError, InvalidInputError
+from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import distance, distance_matrix
 from pairtraj.transport import (
     DiscreteMeasure,
     empirical_measure,
     ground_cost,
     model_measure,
-    read_measure_json,
     wasserstein,
-    write_measure_json,
 )
 
-from oracles import enumerate_uniform_wasserstein, planted, random_interaction
+from oracles import dense_transport_lp, enumerate_uniform_wasserstein, planted, random_interaction
 
 
 def atoms(seed, count, T=9):
@@ -150,22 +151,35 @@ class TestWasserstein:
             for j, b in enumerate(G.atoms):
                 assert cost[i, j] == pytest.approx(distance(a, b) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [150, 3])
+    def test_lp_matches_dense_reference(self, m):
+        F = random_measure(31, m)
+        G = empirical_measure(list(atoms(32, 149)))
+        cost = ground_cost(F, G, 2.0)
+        reference = dense_transport_lp(cost, F.weights, G.weights) ** 0.5
+        assert wasserstein(F, G, 2.0) == pytest.approx(reference, rel=1e-12)
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        measure = random_measure(21, 3)
-        path = tmp_path / "measure.json"
-        write_measure_json(path, measure, meta={"k": 3})
-        loaded = read_measure_json(path)
-        assert np.array_equal(loaded.weights, measure.weights)
-        for a, b in zip(loaded.atoms, measure.atoms):
-            assert np.array_equal(a.first.samples, b.first.samples)
-            assert np.array_equal(a.second.samples, b.second.samples)
-            assert np.array_equal(a.grid, b.grid)
-        assert json.loads(path.read_text())["meta"] == {"k": 3}
-
-    def test_read_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"weights": [1.0]}')
-        with pytest.raises(DataError, match="malformed"):
-            read_measure_json(path)
+    def test_large_unequal_uniform_lp_fits_in_memory(self):
+        # a dense equality matrix alone is (m + n) * m * n * 8 bytes = 1.02 GB here
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from pairtraj.trajectory import Interaction, Trajectory\n"
+            "from pairtraj.transport import empirical_measure, wasserstein\n"
+            "rng = np.random.default_rng(0)\n"
+            "grid = np.linspace(0.0, 1.0, 5)\n"
+            "def sample(count):\n"
+            "    return empirical_measure([Interaction(Trajectory(rng.normal(size=(5, 2)), grid),"
+            " Trajectory(rng.normal(size=(5, 2)), grid)) for _ in range(count)])\n"
+            "print(wasserstein(sample(400), sample(399)))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        )
+        value, peak_kib = done.stdout.split()
+        assert float(value) > 0
+        assert int(peak_kib) < 1024 * 1024  # ru_maxrss is in KiB on Linux
