@@ -12,6 +12,7 @@ for a row, the line.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import contextmanager
 
@@ -42,6 +43,22 @@ def _read(path, mode: str = "r"):
             return handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def file_sha256(path):
+    """A sha256 hash object fed the file's bytes; DataError if it cannot be
+    read.  Reading in chunks keeps a large input out of memory."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as handle:
+            # chunks under glibc's 128 KiB mmap threshold: freeing a larger
+            # mapped block raises the threshold and leaves the step's later
+            # arrays on the heap, about 2 MB more peak RSS
+            for chunk in iter(lambda: handle.read(1 << 16), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return digest
 
 
 def write_json(path, payload: dict, meta: dict | None = None) -> None:

@@ -8,11 +8,13 @@ metadata header (tool version, seed, config hash, creation time) and lands in
 the configured output directory, written under a temporary name and moved
 into place, so a failed write leaves the earlier file intact.
 
-The output directory's `cache/` holds distance matrices, keyed by the input
-bytes, T, `normalize` and the tool version, and MDS embeddings, keyed by the
-matrix entries, beta, seed, the SMACOF constants and the tool version, so
-`cluster` and `stability` share one embedding per (matrix, beta, seed).
-Cache files are written atomically and rebuilt when unreadable.
+The output directory's `cache/` holds parsed encounter CSVs, keyed by the
+file's bytes and the tool version, so each input is parsed once per output
+directory; distance matrices, keyed by the input bytes, T, `normalize` and
+the tool version; and MDS embeddings, keyed by the matrix entries, beta,
+seed, the SMACOF constants and the tool version, so `cluster` and
+`stability` share one embedding per (matrix, beta, seed).  Cache files are
+written atomically and rebuilt when unreadable.
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
 4 numerical failure.
@@ -27,7 +29,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, mds
-from .artifacts import malformed, read_rows, write_json, write_rows
+from .artifacts import file_sha256, malformed, read_rows, write_json, write_rows
 from .clustering import (
     METHODS,
     cluster_geo1,
@@ -69,7 +71,13 @@ from .segmentation import (
     write_segments_csv,
 )
 from .synthetic import make_encounter_dataset, make_labeled_dataset, within_between_ratio
-from .trajectory import read_encounters_csv, resample, write_encounters_csv
+from .trajectory import (
+    read_encounters_binary,
+    read_encounters_csv,
+    resample,
+    write_encounters_binary,
+    write_encounters_csv,
+)
 from .transport import empirical_measure, model_measure, wasserstein
 
 
@@ -92,11 +100,12 @@ def _require_input(config: RunConfig) -> None:
 
 
 def _load_interactions(config: RunConfig, path=None):
-    """Encounters resampled onto the common uniform grid, with their ids."""
-    encounters = read_encounters_csv(path if path is not None else config.input)
+    """Encounters resampled onto the common uniform grid, their ids, and the
+    sha256 of the input's bytes."""
+    encounters, digest = _read_input(config, path if path is not None else config.input)
     ids = [enc_id for enc_id, _ in encounters]
     data = [resample(inter, config.num_samples) for _, inter in encounters]
-    return ids, data
+    return ids, data, digest
 
 
 def _write_atomically(path: str, write) -> None:
@@ -141,12 +150,27 @@ def _cached(config: RunConfig, kind: str, digest, read, build, write):
     return value
 
 
-def _matrix_for(config: RunConfig, data, normalize: bool):
-    """Distance matrix, cached; the key covers the input bytes, T, `normalize`
-    and the tool version, so a matrix from another kernel is never served."""
-    digest = hashlib.sha256()
-    with open(config.input, "rb") as handle:
-        digest.update(handle.read())
+def _read_input(config: RunConfig, path):
+    """The encounters of the CSV at `path`, cached, and the sha256 of its bytes.
+
+    The key covers the bytes and the tool version, so each input is parsed
+    once per output directory; a hit still runs every constructor check.
+    """
+    digest = file_sha256(path)
+    key = digest.copy()
+    key.update(f";version={__version__}".encode())
+    encounters = _cached(
+        config, "encounters", key, read_encounters_binary,
+        lambda: read_encounters_csv(path), write_encounters_binary,
+    )
+    return encounters, digest
+
+
+def _matrix_for(config: RunConfig, input_digest, data, normalize: bool):
+    """Distance matrix, cached; the key covers the input bytes (`input_digest`,
+    from `_read_input`), T, `normalize` and the tool version, so a matrix from
+    another kernel is never served."""
+    digest = input_digest.copy()
     digest.update(
         f";T={config.num_samples};normalize={int(normalize)};version={__version__}".encode()
     )
@@ -217,7 +241,7 @@ def cmd_generate(config: RunConfig, args) -> None:
 
 def cmd_segment(config: RunConfig, args) -> None:
     _require_input(config)
-    encounters = read_encounters_csv(config.input)
+    encounters, _ = _read_input(config, config.input)
     epsilons = config.epsilons if config.epsilons else None
     segmented = []
     knot_entries = []
@@ -241,8 +265,8 @@ def cmd_segment(config: RunConfig, args) -> None:
 
 def cmd_distances(config: RunConfig, args) -> None:
     _require_input(config)
-    ids, data = _load_interactions(config)
-    matrix = _matrix_for(config, data, config.normalize)
+    ids, data, digest = _load_interactions(config)
+    matrix = _matrix_for(config, digest, data, config.normalize)
     path = _save(
         config, "distances.csv",
         lambda name: write_matrix_csv(name, matrix, meta={**_meta(config), "ids": ids}),
@@ -273,10 +297,10 @@ def _fit_model(config: RunConfig, data, matrix):
 def cmd_cluster(config: RunConfig, args) -> None:
     _require_input(config)
     config.validate()
-    ids, data = _load_interactions(config)
+    ids, data, digest = _load_interactions(config)
     # the objective contract needs raw distances, so the matrix for mds is
     # always unnormalized regardless of the distances-artifact flag
-    matrix = _matrix_for(config, data, False) if config.method == "mds" else None
+    matrix = _matrix_for(config, digest, data, False) if config.method == "mds" else None
     model = _fit_model(config, data, matrix)
     path = _save(
         config, "model.json",
@@ -288,8 +312,8 @@ def cmd_cluster(config: RunConfig, args) -> None:
 def cmd_evaluate(config: RunConfig, args) -> None:
     _require_input(config)
     model = read_model_json(args.model)
-    ids, data = _load_interactions(config)
-    matrix = _matrix_for(config, data, False)
+    ids, data, digest = _load_interactions(config)
+    matrix = _matrix_for(config, digest, data, False)
     report = quality(data, model, matrix)
     quality_path = _save(
         config, "quality.json",
@@ -322,8 +346,8 @@ def cmd_stability(config: RunConfig, args) -> None:
                 raise ConfigError(f"bad grid axis {axis!r}")
             config.set(slot, name)
             config.set(f"{slot}_values", values)
-    ids, data = _load_interactions(config)
-    matrix = _matrix_for(config, data, False)
+    _, data, digest = _load_interactions(config)
+    matrix = _matrix_for(config, digest, data, False)
     base = {"k": config.k, "n_init": config.n_init, "max_iter": config.max_iter}
     if config.method == "mds":
         base["beta"] = config.beta
@@ -352,7 +376,7 @@ def cmd_stability(config: RunConfig, args) -> None:
 def _measure_from(path, config: RunConfig):
     if str(path).endswith(".json"):
         return model_measure(read_model_json(path))
-    _, data = _load_interactions(config, path)
+    _, data, _ = _load_interactions(config, path)
     return empirical_measure(data)
 
 
@@ -373,7 +397,7 @@ TRANSFER_HEADER = ("id", "cluster")
 def cmd_transfer(config: RunConfig, args) -> None:
     _require_input(config)
     model = read_model_json(args.primitives)
-    ids, data = _load_interactions(config)
+    ids, data, _ = _load_interactions(config)
     assignments = transfer_primitives(data, list(model.representatives))
     path = _save(
         config, "transfer.csv",

@@ -185,6 +185,6 @@ def load_config(path) -> RunConfig:
                     config.set(key.strip(), value)
                 except ConfigError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .artifacts import fmt, malformed, write_rows
+from .artifacts import fmt, malformed, read_binary, write_binary, write_rows
 from .errors import DataError, InvalidInputError
 
 CSV_HEADER = ("encounter_id", "t", "x1", "y1", "x2", "y2")
+_MAGIC = b"PTEC"
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -131,69 +133,72 @@ def interaction_from_dict(payload: dict) -> Interaction:
     return Interaction(Trajectory(payload["first"], grid), Trajectory(payload["second"], grid))
 
 
+def _fields(line: str) -> list[str]:
+    # csv.reader splits a line without quotes exactly as str.split does
+    return next(csv.reader([line])) if '"' in line else line.split(",")
+
+
+def _interaction(table: np.ndarray) -> Interaction:
+    """The encounter in rows of (t, x1, y1, x2, y2)."""
+    grid = table[:, 0]
+    return Interaction(Trajectory(table[:, 1:3], grid), Trajectory(table[:, 3:5], grid))
+
+
 def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
     """Read `encounter_id,t,x1,y1,x2,y2` rows grouped by encounter, sorted by t.
 
-    Leading `#` lines (metadata) are skipped.  Malformed rows raise DataError
-    with the offending line number, and non-finite values one naming the encounter.
+    `#` lines (metadata) and blank lines are skipped.  Malformed rows raise
+    DataError with the offending line number, and non-finite values one
+    naming the encounter.
     """
-    order: list[str] = []
-    rows: dict[str, list[tuple[float, float, float, float, float]]] = {}
+    rows: dict[str, list[tuple[float, ...]]] = {}
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    # iterating a newline="" handle ends lines at \n, \r and \r\n only
     with handle, malformed(path):  # bytes that are not UTF-8 fail as ValueError
-        lineno = 0
-        header_seen = False
+        lines = enumerate(handle, start=1)
+        for lineno, raw in lines:
+            line = raw.strip()
+            if line and not raw.startswith("#"):
+                break
+        else:
+            raise DataError(f"{path}: empty file, expected header row")
+        if tuple(f.strip() for f in _fields(line)) != CSV_HEADER:
+            raise DataError(f"{path}:{lineno}: expected header {','.join(CSV_HEADER)}")
         last_id = None
-        for raw in handle:
-            lineno += 1
+        for lineno, raw in lines:
             if raw.startswith("#"):
                 continue
             line = raw.strip()
             if not line:
                 continue
-            fields = next(csv.reader([line]))
-            if not header_seen:
-                if tuple(f.strip() for f in fields) != CSV_HEADER:
-                    raise DataError(
-                        f"{path}:{lineno}: expected header {','.join(CSV_HEADER)}"
-                    )
-                header_seen = True
-                continue
+            fields = _fields(line)
             if len(fields) != 6:
                 raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
             enc_id = fields[0]
             try:
-                t, x1, y1, x2, y2 = (float(v) for v in fields[1:])
+                row = tuple(map(float, fields[1:]))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric value") from None
-            if enc_id not in rows:
-                rows[enc_id] = []
-                order.append(enc_id)
-            elif enc_id != last_id:
-                raise DataError(
-                    f"{path}:{lineno}: rows for encounter {enc_id!r} are not contiguous"
-                )
-            if rows[enc_id] and t <= rows[enc_id][-1][0]:
+            if enc_id != last_id:
+                if enc_id in rows:
+                    raise DataError(
+                        f"{path}:{lineno}: rows for encounter {enc_id!r} are not contiguous"
+                    )
+                current = rows[enc_id] = []
+                last_id = enc_id
+            elif row[0] <= current[-1][0]:
                 raise DataError(f"{path}:{lineno}: t is not strictly increasing")
-            rows[enc_id].append((t, x1, y1, x2, y2))
-            last_id = enc_id
-        if not header_seen:
-            raise DataError(f"{path}: empty file, expected header row")
+            current.append(row)
 
     encounters = []
-    for enc_id in order:
-        arr = np.array(rows[enc_id])
-        if arr.shape[0] < 2:
+    for enc_id, table in rows.items():
+        if len(table) < 2:
             raise DataError(f"{path}: encounter {enc_id!r} has fewer than 2 samples")
-        grid = arr[:, 0]
         with malformed(f"{path}: encounter {enc_id!r}"):
-            inter = Interaction(
-                Trajectory(arr[:, 1:3], grid), Trajectory(arr[:, 3:5], grid)
-            )
-        encounters.append((enc_id, inter))
+            encounters.append((enc_id, _interaction(np.array(table))))
     return encounters
 
 
@@ -208,3 +213,38 @@ def write_encounters_csv(path, encounters, meta: dict | None = None) -> None:
                 yield [enc_id, *map(fmt, row)]
 
     write_rows(path, CSV_HEADER, rows(), meta)
+
+
+def write_encounters_binary(path, encounters) -> None:
+    """Magic, then little-endian int64 count n, n int64 row counts, n int64
+    id lengths in bytes, the UTF-8 ids, and every encounter's row-major
+    float64 (t, x1, y1, x2, y2) rows in turn."""
+    ids = [enc_id.encode() for enc_id, _ in encounters]
+    head = [len(ids), *(len(inter) for _, inter in encounters), *map(len, ids)]
+    rows = (
+        np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
+        .astype("<f8").tobytes()
+        for _, inter in encounters
+    )
+    write_binary(path, _MAGIC, np.array(head, dtype="<i8").tobytes(), *ids, *rows)
+
+
+def read_encounters_binary(path) -> list[tuple[str, Interaction]]:
+    """Inverse of write_encounters_binary; every encounter goes through the
+    constructors again, so a poisoned file fails as DataError."""
+    payload = read_binary(path, _MAGIC)
+    with malformed(path):
+        n = int(np.frombuffer(payload, dtype="<i8", count=1)[0])
+        head = 8 * (1 + 2 * n)
+        if n < 0 or head > len(payload):
+            raise DataError(f"{path}: truncated payload for {n} encounters")
+        sizes = np.frombuffer(payload, dtype="<i8", count=2 * n, offset=8).tolist()
+        lengths, id_cuts = sizes[:n], list(accumulate(sizes[n:], initial=head))
+        if min(sizes, default=0) < 0 or len(payload) != id_cuts[-1] + 40 * sum(lengths):
+            raise DataError(f"{path}: truncated or oversized payload")
+        ids = [bytes(payload[a:b]).decode() for a, b in zip(id_cuts, id_cuts[1:])]
+        if len(set(ids)) != n:
+            raise DataError(f"{path}: repeated encounter id")
+        table = np.frombuffer(payload, dtype="<f8", offset=id_cuts[-1]).reshape(-1, 5)
+        cuts = list(accumulate(lengths, initial=0))
+        return [(enc_id, _interaction(table[a:b])) for enc_id, a, b in zip(ids, cuts, cuts[1:])]

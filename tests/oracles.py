@@ -10,16 +10,20 @@ complex-number distance kernel.  `reference_segment_with_knots` is the
 original segmentation, which refits every span on every call, frozen as the
 reference the memoised fits must reproduce byte for byte.  `dense_transport_lp`
 is the original dense transport LP, frozen as the reference for the sparse
-constraint matrix.
+constraint matrix.  `reference_read_encounters_csv` is the original ingest,
+one `csv.reader` per line, frozen as the reference for the `str.split` parser.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
 
-from pairtraj.trajectory import Interaction, Trajectory, resample
+from pairtraj.artifacts import malformed
+from pairtraj.errors import DataError
+from pairtraj.trajectory import CSV_HEADER, Interaction, Trajectory, resample
 
 
 def stack_rows(interaction: Interaction) -> np.ndarray:
@@ -173,6 +177,68 @@ def dense_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     res = linprog(cost.ravel(), A_eq=A[:-1], b_eq=rhs[:-1], method="highs")
     assert res.success, res.message
     return float(max(res.fun, 0.0))
+
+
+def reference_read_encounters_csv(path) -> list[tuple[str, Interaction]]:
+    """The encounters of a CSV, each line split by its own `csv.reader`."""
+    order: list[str] = []
+    rows: dict[str, list[tuple[float, float, float, float, float]]] = {}
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with handle, malformed(path):
+        lineno = 0
+        header_seen = False
+        last_id = None
+        for raw in handle:
+            lineno += 1
+            if raw.startswith("#"):
+                continue
+            line = raw.strip()
+            if not line:
+                continue
+            fields = next(csv.reader([line]))
+            if not header_seen:
+                if tuple(f.strip() for f in fields) != CSV_HEADER:
+                    raise DataError(
+                        f"{path}:{lineno}: expected header {','.join(CSV_HEADER)}"
+                    )
+                header_seen = True
+                continue
+            if len(fields) != 6:
+                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+            enc_id = fields[0]
+            try:
+                t, x1, y1, x2, y2 = (float(v) for v in fields[1:])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric value") from None
+            if enc_id not in rows:
+                rows[enc_id] = []
+                order.append(enc_id)
+            elif enc_id != last_id:
+                raise DataError(
+                    f"{path}:{lineno}: rows for encounter {enc_id!r} are not contiguous"
+                )
+            if rows[enc_id] and t <= rows[enc_id][-1][0]:
+                raise DataError(f"{path}:{lineno}: t is not strictly increasing")
+            rows[enc_id].append((t, x1, y1, x2, y2))
+            last_id = enc_id
+        if not header_seen:
+            raise DataError(f"{path}: empty file, expected header row")
+
+    encounters = []
+    for enc_id in order:
+        arr = np.array(rows[enc_id])
+        if arr.shape[0] < 2:
+            raise DataError(f"{path}: encounter {enc_id!r} has fewer than 2 samples")
+        grid = arr[:, 0]
+        with malformed(f"{path}: encounter {enc_id!r}"):
+            inter = Interaction(
+                Trajectory(arr[:, 1:3], grid), Trajectory(arr[:, 3:5], grid)
+            )
+        encounters.append((enc_id, inter))
+    return encounters
 
 
 def _reference_pairwise(points: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ fault in one row is reported with that row's line number in the file.
 """
 
 import functools
+import hashlib
 import re
 
 import numpy as np
@@ -19,7 +20,11 @@ from pairtraj.evaluation import read_quality_json, read_silhouette_csv, read_sta
 from pairtraj.mds import Embedding, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
 from pairtraj.segmentation import read_knots_json, read_segments_csv
-from pairtraj.trajectory import read_encounters_csv
+from pairtraj.trajectory import (
+    read_encounters_binary,
+    read_encounters_csv,
+    write_encounters_binary,
+)
 
 READERS = {
     "read_json": artifacts.read_json,
@@ -36,6 +41,7 @@ READERS = {
     "read_knots_json": read_knots_json,
     "read_transfer_csv": read_transfer_csv,
     "read_encounters_csv": read_encounters_csv,
+    "read_encounters_binary": read_encounters_binary,
 }
 
 # not UTF-8, no magic of ours, no JSON
@@ -45,6 +51,17 @@ GARBAGE = b"\x89PNG\r\n\x1a\n\xff\xfe\x00garbage\xc3\x28" * 8
 def _matrix_blob(entries) -> bytes:
     entries = np.asarray(entries, dtype="<f8")
     return b"PTDM" + np.array([entries.shape[0]], dtype="<i8").tobytes() + entries.tobytes()
+
+
+def _encounters_blob(ids, lengths, rows, count=None) -> bytes:
+    """The encounter cache layout, packed by hand: count, row counts, id
+    lengths in bytes, the ids, then (t, x1, y1, x2, y2) rows."""
+    head = [len(ids) if count is None else count, *lengths, *map(len, ids)]
+    table = np.asarray(rows, dtype="<f8")
+    return b"PTEC" + np.array(head, dtype="<i8").tobytes() + b"".join(ids) + table.tobytes()
+
+
+_TWO_ROWS = [[0, 1, 2, 3, 4], [1, 1, 2, 3, 4]]
 
 
 def _nan_embedding(tmp_path) -> bytes:
@@ -107,6 +124,16 @@ REJECTED = [
     ("read_knots_json", '{"encounters": {"a": {"knots": [5, 3], "epsilon": 1.0}}}\n', ""),
     ("read_transfer_csv", '# {"seed": 1}\nid,cluster\na,0\nb,x\n', ":4:"),
     ("read_encounters_csv", "encounter_id,t,x1,y1,x2,y2\na,0,1,2,3,4\na,1,inf,2,3,4\n", ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [2], [[0, 1, 2, 3, 4], [1, np.nan, 2, 3, 4]]), ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [2], [[1, 1, 2, 3, 4], [0, 1, 2, 3, 4]]), ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS)[:-8], ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS) + b"\x00", ""),
+    ("read_encounters_binary", _encounters_blob([b"a", b"b"], [1, 1], _TWO_ROWS), ""),
+    ("read_encounters_binary", _encounters_blob([b"a", b"a"], [2, 2], _TWO_ROWS * 2), ""),
+    ("read_encounters_binary", _encounters_blob([b"\xff"], [2], _TWO_ROWS), ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=-1), ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=1 << 40), ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=1 << 62), ""),
 ]
 
 
@@ -165,9 +192,29 @@ def test_json_meta_round_trip(tmp_path):
     assert artifacts.read_json(path) == {"a": [1.5], "b": 1, "meta": {"seed": 2}}
 
 
+def test_encounters_blob_matches_the_writer(tmp_path):
+    path = tmp_path / "enc.bin"
+    path.write_bytes(_encounters_blob([b"a", b"\xc3\xa9"], [2, 2], _TWO_ROWS * 2))
+    (first, a), (second, b) = read_encounters_binary(path)
+    assert (first, second) == ("a", "\u00e9")
+    assert a.grid.tolist() == b.grid.tolist() == [0.0, 1.0]
+    assert a.second.samples.tolist() == [[3.0, 4.0], [3.0, 4.0]]
+    write_encounters_binary(tmp_path / "again.bin", [(first, a), (second, b)])
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
 def test_binary_round_trip(tmp_path):
     path = tmp_path / "a.bin"
     artifacts.write_binary(path, b"PTXX", b"\x01\x02", b"\x03")
     assert bytes(artifacts.read_binary(path, b"PTXX")) == b"\x01\x02\x03"
     with pytest.raises(DataError, match="PTYY"):
         artifacts.read_binary(path, b"PTYY")
+
+
+def test_file_sha256(tmp_path):
+    path = tmp_path / "a.csv"
+    blob = bytes(range(256)) * 5000  # several read chunks
+    path.write_bytes(blob)
+    assert artifacts.file_sha256(path).hexdigest() == hashlib.sha256(blob).hexdigest()
+    with pytest.raises(DataError, match=re.escape(str(tmp_path / "absent"))):
+        artifacts.file_sha256(tmp_path / "absent")

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from pairtraj import cli, mds
+from pairtraj import __version__, cli, mds
 from pairtraj.cli import _build_parser, _resolve_config, main, read_transfer_csv
 from pairtraj.clustering import read_model_json
 from pairtraj.procrustes import read_matrix_csv
@@ -52,6 +53,13 @@ def sans_created(path):
     """File bytes with only the created timestamp's value blanked out."""
     with open(path, "rb") as handle:
         return re.sub(rb'"created": "[^"]*"', b'"created": "-"', handle.read())
+
+
+def cache_files(out, kind):
+    """Names of the `kind` entries in the output directory's cache, sorted."""
+    cache = os.path.join(out, "cache")
+    names = os.listdir(cache) if os.path.isdir(cache) else []
+    return sorted(name for name in names if name.startswith(f"{kind}-"))
 
 
 class TestGenerate:
@@ -135,12 +143,21 @@ class TestDistances:
         path = os.path.join(out, "distances.csv")
         matrix = read_matrix_csv(path)
         assert matrix.n == 12
-        cache = os.listdir(os.path.join(out, "cache"))
-        assert len(cache) == 1 and cache[0].endswith(".bin")
+        (cache,) = cache_files(out, "distances")
+        (parsed,) = cache_files(out, "encounters")
+        with open(dataset, "rb") as handle:
+            data = handle.read()
+        for name, kind, suffix in (
+            (cache, "distances", f";T=31;normalize=0;version={__version__}"),
+            (parsed, "encounters", f";version={__version__}"),
+        ):
+            digest = hashlib.sha256(data + suffix.encode()).hexdigest()
+            assert name == f"{kind}-{digest[:16]}.bin"
         first = body_lines(path)
         assert run(*args) == 0  # served from cache
         assert body_lines(path) == first
-        assert os.listdir(os.path.join(out, "cache")) == cache
+        assert cache_files(out, "distances") == [cache]
+        assert cache_files(out, "encounters") == [parsed]
 
     @pytest.mark.parametrize("damage", ["truncate", "nan"])
     def test_truncated_cache_is_rebuilt(self, workdir, tmp_path, damage):
@@ -153,7 +170,8 @@ class TestDistances:
         assert run(*args) == 0
         path = os.path.join(out, "distances.csv")
         first = body_lines(path)
-        (cache,) = os.listdir(os.path.join(out, "cache"))
+        (cache,) = cache_files(out, "distances")
+        (parsed,) = cache_files(out, "encounters")
         cache_path = os.path.join(out, "cache", cache)
         with open(cache_path, "rb") as handle:
             blob = handle.read()
@@ -165,7 +183,8 @@ class TestDistances:
                 handle.write(np.array([np.nan], dtype="<f8").tobytes())
         assert run(*args) == 0
         assert body_lines(path) == first
-        assert os.listdir(os.path.join(out, "cache")) == [cache]
+        assert cache_files(out, "distances") == [cache]
+        assert cache_files(out, "encounters") == [parsed]
         with open(cache_path, "rb") as handle:
             assert handle.read() == blob
 
@@ -180,6 +199,85 @@ class TestDistances:
         a = read_matrix_csv(os.path.join(raw, "distances.csv"))
         b = read_matrix_csv(os.path.join(unit, "distances.csv"))
         assert not np.allclose(a.entries, b.entries)
+
+
+class TestEncounterCache:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every CSV parse the CLI makes, by path."""
+        calls = []
+        real = cli.read_encounters_csv
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "read_encounters_csv", counting)
+        return calls
+
+    @staticmethod
+    def cluster(workdir, out):
+        return run(
+            "cluster", "--method", "geo2", "--input", os.path.join(workdir, "dataset.csv"),
+            "--output-dir", out, "--set", "k=3", "--set", "n_init=2",
+            "--set", "num_samples=31", "--seed", "3",
+        )
+
+    def test_warm_cache_writes_cold_bytes(self, workdir, tmp_path, parses):
+        cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+        assert self.cluster(workdir, cold) == 0
+        assert self.cluster(workdir, warm) == 0
+        assert self.cluster(workdir, warm) == 0  # a cache hit
+        assert len(parses) == 2
+        assert sans_created(os.path.join(warm, "model.json")) == sans_created(
+            os.path.join(cold, "model.json")
+        )
+        (name,) = cache_files(cold, "encounters")
+        assert cache_files(warm, "encounters") == [name]
+        blob = (tmp_path / "cold" / "cache" / name).read_bytes()
+        assert (tmp_path / "warm" / "cache" / name).read_bytes() == blob
+
+    def test_segment_shares_the_parse(self, tmp_path, parses):
+        out = str(tmp_path / "seg")
+        assert run(
+            "generate", "--set", "kind=encounters", "--set", "count=2",
+            "--set", "num_samples=121", "--seed", "4", "--output-dir", out,
+        ) == 0
+        common = ("--input", os.path.join(out, "dataset.csv"), "--output-dir", out,
+                  "--set", "num_samples=121", "--seed", "4")
+        assert run("segment", *common) == 0
+        assert run("distances", *common) == 0
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("damage", ["truncate", "nan"])
+    def test_bad_cache_is_rebuilt(self, workdir, tmp_path, parses, damage):
+        out = str(tmp_path / "b")
+        assert self.cluster(workdir, out) == 0
+        model = sans_created(os.path.join(out, "model.json"))
+        (name,) = cache_files(out, "encounters")
+        path = os.path.join(out, "cache", name)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "r+b") as handle:
+            if damage == "truncate":
+                handle.truncate(len(blob) // 2)
+            else:  # full size, the last y2 NaN: the trajectory type rejects it
+                handle.seek(len(blob) - 8)
+                handle.write(np.array([np.nan], dtype="<f8").tobytes())
+        assert self.cluster(workdir, out) == 0
+        assert len(parses) == 2
+        assert sans_created(os.path.join(out, "model.json")) == model
+        assert cache_files(out, "encounters") == [name]
+        with open(path, "rb") as handle:
+            assert handle.read() == blob
+
+    def test_failed_parse_is_not_cached(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("encounter_id,t,x1,y1,x2,y2\na,0,1,2,3,4\na,0,1,2,3,4\n")
+        out = str(tmp_path / "f")
+        assert run("distances", "--input", str(path), "--output-dir", out) == 3
+        assert run("segment", "--input", str(path), "--output-dir", out) == 3
+        assert cache_files(out, "encounters") == []
 
 
 class TestStability:
@@ -252,8 +350,7 @@ class TestEmbeddingCache:
 
     @staticmethod
     def embeddings(out):
-        cache = os.path.join(out, "cache")
-        return sorted(name for name in os.listdir(cache) if name.startswith("embedding-"))
+        return cache_files(out, "embedding")
 
     def test_cluster_and_stability_share_one_embedding(self, workdir, tmp_path, counted):
         shared = str(tmp_path / "shared")
@@ -484,6 +581,12 @@ class TestExitCodes:
         path.write_text("encounter_id,t,x1,y1,x2,y2\na,0,1,2,3,4\na,1,inf,2,3,4\n")
         assert run("distances", "--input", str(path), "--output-dir", str(tmp_path)) == 3
         assert str(path) in capsys.readouterr().err
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfek = 3\n")
+        assert run("cluster", "--config", str(cfg), "--output-dir", str(tmp_path)) == 2
+        assert str(cfg) in capsys.readouterr().err
 
     def test_k_beyond_dataset_rejected(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")

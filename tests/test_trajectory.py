@@ -1,10 +1,13 @@
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_read_encounters_csv
 from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.trajectory import (
     Interaction,
@@ -12,9 +15,11 @@ from pairtraj.trajectory import (
     Trajectory,
     interaction_from_dict,
     interaction_to_dict,
+    read_encounters_binary,
     read_encounters_csv,
     resample,
     uniform_measure,
+    write_encounters_binary,
     write_encounters_csv,
 )
 
@@ -191,6 +196,151 @@ class TestCsvRoundTrip:
         path.write_text("id,t,x1,y1,x2,y2\na,0,1,2,3,4\n")
         with pytest.raises(DataError, match="header"):
             read_encounters_csv(path)
+
+
+HEADER = "encounter_id,t,x1,y1,x2,y2\n"
+
+# name, file content; every case must read exactly as the csv.reader parser does
+PARSER_CASES = [
+    ("plain", HEADER + "a,0,1,2,3,4\na,1,5,6,7,8\nb,0,0,0,0,0\nb,0.5,1,1,1,1\n"),
+    ("quoted-ids", HEADER + '"a",0,1,2,3,4\n"a",1,1,2,3,4\n"b,c",0,0,0,0,0\n"b,c",2,1,1,1,1\n'),
+    ("doubled-quote", HEADER + '"e""f",0,1,2,3,4\n"e""f",1,1,2,3,4\n'),
+    ("crlf", HEADER.replace("\n", "\r\n") + "a,0,1,2,3,4\r\na,1,1,2,3,4\r\n"),
+    ("lone-cr", HEADER.replace("\n", "\r") + "a,0,1,2,3,4\ra,1,1,2,3,4\r"),
+    ("blank-lines", "\n  \n" + HEADER + "\na,0,1,2,3,4\n\t\na,1,1,2,3,4\n\n"),
+    ("comments-mid-file", '# {"seed": 1}\n' + HEADER + "a,0,1,2,3,4\n# a,9,9\na,1,1,2,3,4\n#\n"),
+    ("spaces", " encounter_id , t,x1,y1,x2,y2 \n a , 0 ,1,2,3,4  \na ,1,1,2,3,4\n"),
+    # str.splitlines would end a line at each of these; the handle does not
+    ("form-feeds", HEADER + "a,0,1\x0b,2,3,4\x0c\na,1\x1c,1,2,3,4\u2028\n"),
+    ("no-final-newline", HEADER + "a,0,1,2,3,4\na,1,1,2,3,4"),
+    ("only-header", HEADER),
+    ("nul-in-number", HEADER + "a,0,1,2,3,4\na,1,1\x002,2,3,4\n"),
+    ("too-few-fields", HEADER + "a,0,1,2,3,4\na,1,1,2,3\n"),
+    ("too-many-fields", HEADER + "a,0,1,2,3,4,5\n"),
+    ("quoted-comma-field-count", HEADER + '"a,b",0,1,2,3\n'),
+    ("non-numeric", HEADER + "a,0,1,2,3,4\na,1,one,2,3,4\n"),
+    ("non-contiguous", HEADER + "a,0,1,2,3,4\nb,0,1,2,3,4\na,1,1,2,3,4\n"),
+    ("repeated-t", HEADER + "a,0,1,2,3,4\na,0,1,2,3,4\n"),
+    ("decreasing-t", HEADER + "a,1,1,2,3,4\na,0,1,2,3,4\n"),
+    ("nan-t", HEADER + "a,0,1,2,3,4\na,nan,1,2,3,4\n"),
+    ("nan-x", HEADER + "a,0,nan,2,3,4\na,1,1,2,3,4\n"),
+    ("inf-y", HEADER + "a,0,1,2,3,4\na,1,1,2,3,-inf\n"),
+    ("overflow-inf", HEADER + "a,0,1,2,3,4\na,1,1e400,2,3,4\n"),
+    ("single-sample", HEADER + "a,0,1,2,3,4\nb,0,1,2,3,4\nb,1,1,2,3,4\n"),
+    ("bad-header", "id,t,x1,y1,x2,y2\na,0,1,2,3,4\n"),
+    ("empty", ""),
+    ("only-comments", "# {}\n\n#\n"),
+]
+
+_IDS = st.sampled_from(["a", "b", '"a"', '"b,c"', '"e""f"', " d ", "\u00e9"])
+_ODD_NUMBERS = st.sampled_from(
+    [" 4 ", "1_0", "\u0661", "1\x0b", "-0.0", "nan", "-inf", "1e400", "0x1", "", "1\x00"]
+)
+_NOISE = st.sampled_from(["", "  ", "\t", "\x0c", "#", "# a,b", '"', "a,1"])
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _rarely(draw, one_in: int) -> bool:
+    """True about once in `one_in` draws.  The middle of the range is neither
+    an end nor the shrink target, both of which hypothesis draws more often."""
+    return draw(st.integers(0, one_in - 1)) == one_in // 2
+
+
+@st.composite
+def _encounter_files(draw) -> str:
+    """Mostly a header, then blocks of rows with increasing t, noise lines
+    between them and an odd number now and then."""
+
+    def number() -> str:
+        return draw(_ODD_NUMBERS) if _rarely(draw, 40) else repr(draw(st.floats(-1e3, 1e3)))
+
+    lines = [] if _rarely(draw, 8) else [HEADER.strip()]
+    t = 0
+    for _ in range(draw(st.integers(0, 6))):
+        if _rarely(draw, 5):
+            lines.append(draw(_NOISE))
+            continue
+        enc_id = draw(_IDS)
+        for _ in range(draw(st.integers(1, 4))):
+            t += 1
+            lines.append(",".join([enc_id, str(t), *(number() for _ in range(4))]))
+    return "".join(line + draw(_ENDINGS) for line in lines)
+
+
+def assert_parses_like_reference(path) -> None:
+    """Bit-identical encounters, or a DataError with the same message."""
+    try:
+        expected = reference_read_encounters_csv(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            read_encounters_csv(path)
+        assert str(info.value) == str(exc)
+        return
+    got = read_encounters_csv(path)
+    assert [enc_id for enc_id, _ in got] == [enc_id for enc_id, _ in expected]
+    for (_, a), (_, b) in zip(got, expected):
+        for mine, theirs in (
+            (a.grid, b.grid), (a.first.samples, b.first.samples), (a.second.samples, b.second.samples)
+        ):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+
+
+class TestParserMatchesReference:
+    @pytest.mark.parametrize("content", [c for _, c in PARSER_CASES], ids=[n for n, _ in PARSER_CASES])
+    def test_case(self, tmp_path, content):
+        path = tmp_path / "enc.csv"
+        path.write_bytes(content.encode())
+        assert_parses_like_reference(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "enc.csv"
+        path.write_bytes(HEADER.encode() + b"a,0,1,2,3,4\n\xff\xfe,1,1,2,3,4\n")
+        assert_parses_like_reference(path)
+
+    def test_written_dataset(self, tmp_path):
+        rng = np.random.default_rng(7)
+        grid = np.sort(rng.uniform(0, 7, size=9))
+        encounters = [
+            (f"enc{k}", make_interaction(grid, rng.normal(size=(9, 2)), rng.normal(size=(9, 2))))
+            for k in range(4)
+        ]
+        path = tmp_path / "enc.csv"
+        write_encounters_csv(path, encounters, meta={"seed": 7})
+        assert_parses_like_reference(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=_encounter_files())
+    def test_generated_files(self, content):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "enc.csv")
+            with open(path, "w", newline="") as handle:
+                handle.write(content)
+            assert_parses_like_reference(path)
+
+
+class TestEncountersBinary:
+    def test_round_trip_is_bit_identical(self, tmp_path):
+        path = tmp_path / "enc.csv"
+        path.write_text(PARSER_CASES[1][1] + '"\u00e9,x",0,-0.0,2,3,4\n"\u00e9,x",1e-300,1,2,3,4\n')
+        encounters = read_encounters_csv(path)
+        cache = tmp_path / "enc.bin"
+        write_encounters_binary(cache, encounters)
+        back = read_encounters_binary(cache)
+        assert [enc_id for enc_id, _ in back] == ["a", "b,c", "\u00e9,x"]
+        for (_, a), (_, b) in zip(back, encounters):
+            for mine, theirs in (
+                (a.grid, b.grid), (a.first.samples, b.first.samples),
+                (a.second.samples, b.second.samples),
+            ):
+                assert mine.tobytes() == theirs.tobytes()
+        write_encounters_binary(tmp_path / "again.bin", back)
+        assert (tmp_path / "again.bin").read_bytes() == cache.read_bytes()
+
+    def test_empty_round_trip(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        write_encounters_binary(path, [])
+        assert read_encounters_binary(path) == []
 
 
 def test_interaction_dict_round_trip():
