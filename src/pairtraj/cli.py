@@ -90,10 +90,6 @@ def _meta(config: RunConfig) -> dict:
     }
 
 
-def _resolve_workers(config: RunConfig) -> int:
-    return config.workers if config.workers > 0 else (os.cpu_count() or 1)
-
-
 def _require_input(config: RunConfig) -> None:
     if not config.input:
         raise ConfigError("no input file; set input= in the config or pass --input")
@@ -365,7 +361,6 @@ def cmd_stability(config: RunConfig, args) -> None:
         _sweep_values(config.axis2_values),
         seed=config.seed,
         base=base,
-        workers=_resolve_workers(config),
         embed=_embedder(config),
     )
     meta = {**_meta(config), "method": config.method}
@@ -439,8 +434,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="encounter CSV")
     sub.add_argument("--output-dir", help="artifact directory")
     sub.add_argument("--seed", type=int, help="seed for all randomness")
-    sub.add_argument("--workers", type=int,
-                     help="threads for the stability cells (0 = all cores)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -491,8 +484,6 @@ def _resolve_config(args) -> RunConfig:
         config.output_dir = args.output_dir
     if args.seed is not None:
         config.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
     if getattr(args, "method", None):
         config.method = args.method
     return config

@@ -30,6 +30,7 @@ from .procrustes import (
     _residual_sq,
     _resolve_measure,
     _row_weights,
+    _shared_length,
     DistanceMatrix,
     align,
 )
@@ -144,20 +145,32 @@ def _lloyd(
     return labels, centers, history
 
 
+def _check_restarts(n: int, k: int, n_init: int, max_iter: int) -> None:
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
+    if n_init < 1 or max_iter < 1:
+        raise InvalidInputError("n_init and max_iter must be positive")
+
+
+def _best_of(run, seed: int, n_init: int) -> tuple:
+    """The result of `run(rng)` with the lowest final objective over n_init restarts.
+
+    Each restart draws from its own child of the seed; results are tuples
+    ending in the objective history, and the earliest restart wins ties.
+    """
+    best = None
+    for child in np.random.default_rng(seed).spawn(n_init):
+        result = run(child)
+        if best is None or result[-1][-1] < best[-1][-1]:
+            best = result
+    return best
+
+
 def _kmeans(
     X: np.ndarray, k: int, seed: int, n_init: int, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    if not 1 <= k <= X.shape[0]:
-        raise InvalidInputError(f"k must lie in [1, {X.shape[0]}], got {k}")
-    if n_init < 1 or max_iter < 1:
-        raise InvalidInputError("n_init and max_iter must be positive")
-    best = None
-    for child in np.random.default_rng(seed).spawn(n_init):
-        centers0 = _kmeans_pp(X, k, child)
-        labels, centers, history = _lloyd(X, centers0.copy(), max_iter)
-        if best is None or history[-1] < best[2][-1]:
-            best = (labels, centers, history)
-    return best
+    _check_restarts(X.shape[0], k, n_init, max_iter)
+    return _best_of(lambda rng: _lloyd(X, _kmeans_pp(X, k, rng), max_iter), seed, n_init)
 
 
 def _snap_to_points(centers: np.ndarray, X: np.ndarray) -> list[int]:
@@ -170,18 +183,6 @@ def _snap_to_points(centers: np.ndarray, X: np.ndarray) -> list[int]:
         chosen.append(pick)
         taken.add(pick)
     return chosen
-
-
-def _check_shared_grid(data: list[Interaction]) -> int:
-    if not data:
-        raise InvalidInputError("need at least one interaction")
-    T = len(data[0])
-    for idx, inter in enumerate(data):
-        if len(inter) != T:
-            raise InvalidInputError(
-                f"interaction {idx} has grid length {len(inter)}, expected {T}"
-            )
-    return T
 
 
 def _stack_rows(interaction: Interaction) -> np.ndarray:
@@ -199,13 +200,14 @@ def _rows_to_interaction(rows: np.ndarray, grid: np.ndarray) -> Interaction:
 # mds
 
 
-def _check_mds_inputs(data: list[Interaction], matrix: DistanceMatrix, k: int) -> None:
-    _check_shared_grid(data)
+def _check_mds_inputs(
+    data: list[Interaction], matrix: DistanceMatrix, k: int, n_init: int, max_iter: int
+) -> None:
+    _shared_length(data)
     n = len(data)
     if matrix.n != n:
         raise InvalidInputError(f"matrix is {matrix.n}x{matrix.n} but n={n}")
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
+    _check_restarts(n, k, n_init, max_iter)
 
 
 def cluster_mds(
@@ -229,7 +231,7 @@ def cluster_mds(
     which must be unnormalized for the objective to be meaningful.
     `embed(matrix, beta, seed)` supplies the embedding; `mds.embed` when None.
     """
-    _check_mds_inputs(data, matrix, k)  # before paying for the embedding
+    _check_mds_inputs(data, matrix, k, n_init, max_iter)  # before paying for the embedding
     embedding = (embed or mds.embed)(matrix, beta, seed)
     return _mds_partition(data, matrix, embedding, k, seed, n_init, max_iter)
 
@@ -249,7 +251,7 @@ def _mds_partition(
     embedding depends only on (matrix, beta, seed), so a parameter sweep can
     share one embedding across every k, n_init and max_iter.
     """
-    _check_mds_inputs(data, matrix, k)
+    _check_mds_inputs(data, matrix, k, n_init, max_iter)
     labels, _, history = _kmeans(embedding.points, k, seed, n_init, max_iter)
     d2 = matrix.entries**2
     medoids = []
@@ -279,7 +281,7 @@ def align_to_anchor(
     data: list[Interaction], mu: TimeMeasure | None = None, anchor: int = 0
 ) -> list[Interaction]:
     """Rigidly align every interaction onto data[anchor] (no pair-order swap)."""
-    _check_shared_grid(data)
+    _shared_length(data)
     if not 0 <= anchor < len(data):
         raise InvalidInputError(f"anchor must lie in [0, {len(data) - 1}]")
     target = data[anchor]
@@ -309,7 +311,7 @@ def cluster_geo1(
     interactions on the anchor's grid, and the objective is the within-cluster
     sum of squares in that space.
     """
-    T = _check_shared_grid(data)
+    T = _shared_length(data)
     mu = _resolve_measure(mu, T)
     aligned = align_to_anchor(data, mu, anchor)
     w_row = _row_weights(mu)
@@ -405,21 +407,14 @@ def cluster_geo2(
     (no pair-order swap).  Emptied clusters are re-seeded with the point
     farthest from its current centroid.  Restarts keep the best objective.
     """
-    T = _check_shared_grid(data)
-    n = len(data)
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
-    if n_init < 1 or max_iter < 1:
-        raise InvalidInputError("n_init and max_iter must be positive")
+    T = _shared_length(data)
+    _check_restarts(len(data), k, n_init, max_iter)
     mu = _resolve_measure(mu, T)
     w_row = _row_weights(mu)
     packed = _pack(data, w_row)
-    best = None
-    for child in np.random.default_rng(seed).spawn(n_init):
-        labels, centroids, history = _geo2_run(data, packed, w_row, k, child, max_iter)
-        if best is None or history[-1] < best[2][-1]:
-            best = (labels, centroids, history)
-    labels, centroids, history = best
+    labels, centroids, history = _best_of(
+        lambda rng: _geo2_run(data, packed, w_row, k, rng, max_iter), seed, n_init
+    )
     return ClusterModel(
         method="geo2",
         k=k,
@@ -459,7 +454,7 @@ def cluster_spline_coef(
     are the interactions whose features sit nearest the centroids; the
     objective is the k-means within-cluster sum of squares in feature space.
     """
-    T = _check_shared_grid(data)
+    T = _shared_length(data)
     if T < 4:
         raise InvalidInputError("cubic features need grids of at least 4 samples")
     X = np.stack([_cubic_features(inter) for inter in data])

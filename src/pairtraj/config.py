@@ -73,7 +73,6 @@ _PARSERS = {
     "max_iter": _parse_int,
     "n_init": _parse_int,
     "anchor": _parse_int,
-    "workers": _parse_int,
     "per_family": _parse_int,
     "count": _parse_int,
     "normalize": _parse_bool,
@@ -106,7 +105,6 @@ class RunConfig:
     n_init: int = 8
     anchor: int = 0
     r: float = 2.0
-    workers: int = 0
     epsilons: tuple[float, ...] = ()
     axis1: str = "k"
     axis1_values: tuple[float, ...] = (2.0, 3.0, 4.0)
@@ -139,19 +137,17 @@ class RunConfig:
             raise ConfigError("num_samples must be at least 2")
         if self.r < 1.0:
             raise ConfigError("r must be at least 1")
-        if self.workers < 0:
-            raise ConfigError("workers must be nonnegative")
 
     def render(self) -> str:
         """Canonical text form: one sorted key=value line per parameter.
 
-        Paths (input, output_dir) are locations and `workers` is a thread
-        count; none of them can change a result, so they are left out and the
-        hash identifies the computation, not where or how it ran.
+        Paths (input, output_dir) are locations that cannot change a result,
+        so they are left out and the hash identifies the computation, not
+        where it ran.
         """
         lines = []
         for field in sorted(f.name for f in fields(self)):
-            if field in ("input", "output_dir", "workers"):
+            if field in ("input", "output_dir"):
                 continue
             value = getattr(self, field)
             if isinstance(value, tuple):

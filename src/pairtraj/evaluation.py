@@ -14,7 +14,8 @@ differences.
 from __future__ import annotations
 
 import inspect
-from concurrent.futures import ThreadPoolExecutor
+# not used here; bench/layers.py patches this name when it traces a run
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -230,20 +231,6 @@ _RUNNERS = {
 }
 
 
-def _sweep_cell(method, data, matrix, mu, seed, kwargs, embeddings):
-    if method == "mds":
-        kwargs = dict(kwargs)
-        embedding = embeddings[kwargs.pop("beta")]
-        if embedding is None:
-            return None
-        model = clustering._mds_partition(data, matrix, embedding, seed=seed, **kwargs)
-    elif method == "spline-coef":
-        model = _RUNNERS[method](data, seed=seed, **kwargs)
-    else:
-        model = _RUNNERS[method](data, mu, seed=seed, **kwargs)
-    return stability_statistic(matrix, model.assignments)
-
-
 def stability_sweep(
     data: list[Interaction],
     matrix: DistanceMatrix,
@@ -255,16 +242,16 @@ def stability_sweep(
     seed: int = 0,
     mu: TimeMeasure | None = None,
     base: dict | None = None,
-    workers: int | None = None,
     embed=None,
 ) -> StabilityGrid:
     """Rerun one clustering method across a 2-axis grid of tuning parameters.
 
     Every cell uses the same seed; the statistic is always evaluated on the
-    supplied true distance matrix.  Cells that raise a package error are
-    reported as missing, not fatal.  For mds the embedding depends only on
-    (matrix, beta, seed), so it is computed once per distinct beta before the
-    cells run, and each cell only partitions its shared embedding.
+    supplied true distance matrix.  Cells run in row-major order, and those
+    that raise a package error are reported as missing, not fatal.  For mds
+    the embedding depends only on (matrix, beta, seed), so it is computed once
+    per distinct beta, on first use, and each cell only partitions its shared
+    embedding; a beta whose embedding fails marks all of its cells missing.
     `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
     """
     if method not in _RUNNERS:
@@ -281,44 +268,33 @@ def stability_sweep(
                 f"{name!r} is not a sweepable parameter of method {method!r}"
             )
     base = dict(base or {})
+    if method == "mds" and "beta" not in (*base, axis1_name, axis2_name):
+        raise InvalidInputError("an mds sweep needs beta on an axis or in base")
 
-    cells = [
-        (i, j, {**base, axis1_name: v1, axis2_name: v2})
-        for i, v1 in enumerate(axis1_values)
-        for j, v2 in enumerate(axis2_values)
-    ]
     values = np.full((len(axis1_values), len(axis2_values)), np.nan)
     missing = np.ones_like(values, dtype=bool)
-
-    def each(fn, items):
-        if workers is not None and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
-        return [fn(item) for item in items]
-
-    def embed_one(beta):
-        try:
-            return (embed or mds.embed)(matrix, beta, seed)
-        except PairtrajError:
-            return None  # every cell with this beta is reported missing
-
-    embeddings = {}
-    if method == "mds":
-        if "beta" not in cells[0][2]:
-            raise InvalidInputError("an mds sweep needs beta on an axis or in base")
-        betas = list(dict.fromkeys(kwargs["beta"] for _, _, kwargs in cells))
-        embeddings = dict(zip(betas, each(embed_one, betas)))
-
-    def run(cell):
-        i, j, kwargs = cell
-        try:
-            return i, j, _sweep_cell(method, data, matrix, mu, seed, kwargs, embeddings)
-        except PairtrajError:
-            return i, j, None
-
-    for i, j, value in each(run, cells):
-        if value is not None:
-            values[i, j] = value
+    embeddings = {}  # beta -> its embedding, or None when embedding it failed
+    for i, v1 in enumerate(axis1_values):
+        for j, v2 in enumerate(axis2_values):
+            kwargs = {**base, axis1_name: v1, axis2_name: v2}
+            try:
+                if method == "mds":
+                    beta = kwargs.pop("beta")
+                    if beta not in embeddings:
+                        embeddings[beta] = None  # kept if the embed raises
+                        embeddings[beta] = (embed or mds.embed)(matrix, beta, seed)
+                    if embeddings[beta] is None:
+                        continue
+                    model = clustering._mds_partition(
+                        data, matrix, embeddings[beta], seed=seed, **kwargs
+                    )
+                elif method == "spline-coef":
+                    model = _RUNNERS[method](data, seed=seed, **kwargs)
+                else:
+                    model = _RUNNERS[method](data, mu, seed=seed, **kwargs)
+                values[i, j] = stability_statistic(matrix, model.assignments)
+            except PairtrajError:
+                continue
             missing[i, j] = False
     return StabilityGrid(
         axis1_name, axis2_name, axis1_values, axis2_values, values, missing

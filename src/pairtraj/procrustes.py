@@ -176,6 +176,8 @@ def _check_pair(target: Interaction, source: Interaction) -> None:
 
 
 def _shared_length(data: list[Interaction]) -> int:
+    if not data:
+        raise InvalidInputError("need at least one interaction")
     T = len(data[0])
     for idx, inter in enumerate(data):
         if len(inter) != T:
@@ -248,8 +250,6 @@ def distance_matrix(
     the diagonal is exactly 0.  `workers` is accepted for compatibility and
     changes nothing: the matrix is two complex matrix products.
     """
-    if len(data) < 1:
-        raise InvalidInputError("need at least one interaction")
     upper = np.triu(np.sqrt(_quotient_sq(data, data, mu)), 1)
     out = upper + upper.T
     if normalize:

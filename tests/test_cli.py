@@ -354,18 +354,18 @@ class TestEmbeddingCache:
 
     def test_cluster_and_stability_share_one_embedding(self, workdir, tmp_path, counted):
         shared = str(tmp_path / "shared")
-        assert self.cluster(workdir, shared, "--workers", "1") == 0
-        assert self.stability(workdir, shared, "--workers", "2") == 0
+        assert self.cluster(workdir, shared) == 0
+        assert self.stability(workdir, shared) == 0
         assert len(counted) == 1
         (name,) = self.embeddings(shared)
         model = sans_created(os.path.join(shared, "model.json"))
-        assert self.cluster(workdir, shared, "--workers", "2") == 0  # a cache hit
+        assert self.cluster(workdir, shared) == 0  # a cache hit
         assert len(counted) == 1
         assert sans_created(os.path.join(shared, "model.json")) == model
 
         cold_fit, cold_sweep = str(tmp_path / "cold-fit"), str(tmp_path / "cold-sweep")
-        assert self.cluster(workdir, cold_fit, "--workers", "2") == 0
-        assert self.stability(workdir, cold_sweep, "--workers", "1") == 0
+        assert self.cluster(workdir, cold_fit) == 0
+        assert self.stability(workdir, cold_sweep) == 0
         assert len(counted) == 3
         assert sans_created(os.path.join(cold_fit, "model.json")) == model
         assert sans_created(os.path.join(cold_sweep, "stability.csv")) == sans_created(
@@ -558,6 +558,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["cluster", "--granularity", "3"])
         assert info.value.code == 2
+
+    def test_workers_knob_is_gone(self, workdir, tmp_path):
+        common = (
+            "stability", "--input", os.path.join(workdir, "dataset.csv"),
+            "--output-dir", str(tmp_path),
+        )
+        with pytest.raises(SystemExit) as info:
+            main([*common, "--workers", "2"])
+        assert info.value.code == 2
+        assert run(*common, "--set", "workers=2") == 2
+        assert not os.path.exists(tmp_path / "stability.csv")
 
     def test_unknown_config_key(self, tmp_path):
         assert run(

@@ -84,7 +84,6 @@ class TestValidate:
             ("kind", "shapes"),
             ("num_samples", "1"),
             ("r", "0.5"),
-            ("workers", "-1"),
         ]:
             cfg = RunConfig()
             cfg.set(key, value)
@@ -103,7 +102,6 @@ class TestHash:
         a, b = RunConfig(), RunConfig()
         b.set("input", "elsewhere.csv")
         b.set("output_dir", "another-place")
-        b.set("workers", "2")
         assert a.sha256() == b.sha256()
 
     def test_render_lists_every_parameter(self):
