@@ -24,30 +24,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__, mds
 from .artifacts import file_sha256, malformed, read_rows, write_json, write_rows
-from .clustering import (
-    METHODS,
-    cluster_geo1,
-    cluster_geo2,
-    cluster_mds,
-    cluster_spline_coef,
-    read_model_json,
-    write_model_json,
-)
+from .clustering import METHODS, fit, read_model_json, route, write_model_json
+# not used here; bench/layers.py patches these names when it traces a run
+from .clustering import cluster_geo1, cluster_geo2, cluster_mds  # noqa: F401
+from .clustering import cluster_spline_coef  # noqa: F401
 from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateFitError,
-    InvalidInputError,
-    NumericalError,
-    PairtrajError,
-)
+from .errors import ConfigError, DataError, NumericalError, PairtrajError
 from .evaluation import (
     quality,
     silhouette,
@@ -127,15 +117,18 @@ def _save(config: RunConfig, name: str, write) -> str:
 
 
 def _cached(config: RunConfig, kind: str, digest, read, build, write):
-    """`read` the file `cache/<kind>-<digest>.bin`, or `build()` and store it.
+    """`read` the file `cache/<kind>-<key>.bin`, or `build()` and store it.
 
-    A missing file, or one that `read` rejects with DataError (truncated or
+    The key is `digest` (left as it is) with the tool version appended.  A
+    missing file, or one that `read` rejects with DataError (truncated or
     foreign), is rebuilt and written atomically; a `build` that raises writes
     nothing.
     """
     cache_dir = os.path.join(config.output_dir, "cache")
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{kind}-{digest.hexdigest()[:16]}.bin")
+    key = digest.copy()
+    key.update(f";version={__version__}".encode())
+    path = os.path.join(cache_dir, f"{kind}-{key.hexdigest()[:16]}.bin")
     if os.path.exists(path):
         try:
             return read(path)
@@ -153,10 +146,8 @@ def _read_input(config: RunConfig, path):
     once per output directory; a hit still runs every constructor check.
     """
     digest = file_sha256(path)
-    key = digest.copy()
-    key.update(f";version={__version__}".encode())
     encounters = _cached(
-        config, "encounters", key, read_encounters_binary,
+        config, "encounters", digest, read_encounters_binary,
         lambda: read_encounters_csv(path), write_encounters_binary,
     )
     return encounters, digest
@@ -167,9 +158,7 @@ def _matrix_for(config: RunConfig, input_digest, data, normalize: bool):
     from `_read_input`), T, `normalize` and the tool version, so a matrix from
     another kernel is never served."""
     digest = input_digest.copy()
-    digest.update(
-        f";T={config.num_samples};normalize={int(normalize)};version={__version__}".encode()
-    )
+    digest.update(f";T={config.num_samples};normalize={int(normalize)}".encode())
     return _cached(
         config, "distances", digest, read_matrix_binary,
         lambda: distance_matrix(data, normalize=normalize), write_matrix_binary,
@@ -185,7 +174,7 @@ def _embedder(config: RunConfig):
         digest = hashlib.sha256(matrix.entries.astype("<f8").tobytes())
         digest.update(
             f";beta={beta};seed={seed};max_iter={mds._MAX_ITER}"
-            f";restarts={mds._N_RESTARTS};version={__version__}".encode()
+            f";restarts={mds._N_RESTARTS}".encode()
         )
         return _cached(
             config, "embedding", digest, read_embedding_binary,
@@ -270,34 +259,24 @@ def cmd_distances(config: RunConfig, args) -> None:
     _emit(path)
 
 
-def _fit_model(config: RunConfig, data, matrix):
-    if config.method == "mds":
-        return cluster_mds(
-            data, matrix, config.beta, config.k, config.seed,
-            config.n_init, config.max_iter, embed=_embedder(config),
-        )
-    if config.method == "geo1":
-        return cluster_geo1(
-            data, None, config.k, config.seed, config.anchor,
-            config.n_init, config.max_iter,
-        )
-    if config.method == "geo2":
-        return cluster_geo2(
-            data, None, config.k, config.seed, config.n_init, config.max_iter
-        )
-    return cluster_spline_coef(
-        data, config.k, config.seed, config.n_init, config.max_iter
-    )
+def _route_params(config: RunConfig) -> dict:
+    """The RunConfig fields that the clustering route of `config.method` takes,
+    seed apart."""
+    taken = inspect.signature(route(config.method)).parameters
+    names = {f.name for f in fields(config)} - {"seed"}
+    return {name: getattr(config, name) for name in taken if name in names}
 
 
 def cmd_cluster(config: RunConfig, args) -> None:
     _require_input(config)
-    config.validate()
     ids, data, digest = _load_interactions(config)
     # the objective contract needs raw distances, so the matrix for mds is
     # always unnormalized regardless of the distances-artifact flag
     matrix = _matrix_for(config, digest, data, False) if config.method == "mds" else None
-    model = _fit_model(config, data, matrix)
+    model = fit(
+        config.method, data, matrix, seed=config.seed, embed=_embedder(config),
+        **_route_params(config),
+    )
     path = _save(
         config, "model.json",
         lambda name: write_model_json(name, model, meta={**_meta(config), "ids": ids}),
@@ -331,7 +310,6 @@ def _sweep_values(values) -> tuple:
 
 def cmd_stability(config: RunConfig, args) -> None:
     _require_input(config)
-    config.validate()
     if args.grid:
         axes = args.grid.split(";")
         if len(axes) != 2:
@@ -344,24 +322,11 @@ def cmd_stability(config: RunConfig, args) -> None:
             config.set(f"{slot}_values", values)
     _, data, digest = _load_interactions(config)
     matrix = _matrix_for(config, digest, data, False)
-    base = {"k": config.k, "n_init": config.n_init, "max_iter": config.max_iter}
-    if config.method == "mds":
-        base["beta"] = config.beta
-    elif config.method == "geo1":
-        base["anchor"] = config.anchor
-    base.pop(config.axis1, None)
-    base.pop(config.axis2, None)
     grid = stability_sweep(
-        data,
-        matrix,
-        config.method,
-        config.axis1,
-        _sweep_values(config.axis1_values),
-        config.axis2,
-        _sweep_values(config.axis2_values),
-        seed=config.seed,
-        base=base,
-        embed=_embedder(config),
+        data, matrix, config.method,
+        config.axis1, _sweep_values(config.axis1_values),
+        config.axis2, _sweep_values(config.axis2_values),
+        seed=config.seed, base=_route_params(config), embed=_embedder(config),
     )
     meta = {**_meta(config), "method": config.method}
     path = _save(config, "stability.csv", lambda name: write_stability_csv(name, grid, meta))
@@ -493,23 +458,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
+        config.validate()
         _COMMANDS[args.command](config, args)
         return 0
-    except ConfigError as exc:
-        print(f"pairtraj: {exc}", file=sys.stderr)
-        return 2
-    except InvalidInputError as exc:
-        print(f"pairtraj: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateFitError, NumericalError) as exc:
-        print(f"pairtraj: {exc}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        print(f"pairtraj: {exc}", file=sys.stderr)
-        return 3
     except PairtrajError as exc:
         print(f"pairtraj: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"pairtraj: {exc}", file=sys.stderr)
         return 3

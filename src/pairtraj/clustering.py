@@ -14,10 +14,15 @@ Four methods share one model type:
 All Euclidean k-means stages use k-means++ seeding, Lloyd iteration, and a
 handful of seeded restarts keeping the best objective, so every run is
 deterministic given its seed.
+
+`ROUTES` maps each method to its function.  `fit`, the one entry point for
+the CLI and the stability sweep, reads from a route's signature which of the
+inputs (the distance matrix, an embedder, a time measure) that route takes.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,16 +205,6 @@ def _rows_to_interaction(rows: np.ndarray, grid: np.ndarray) -> Interaction:
 # mds
 
 
-def _check_mds_inputs(
-    data: list[Interaction], matrix: DistanceMatrix, k: int, n_init: int, max_iter: int
-) -> None:
-    _shared_length(data)
-    n = len(data)
-    if matrix.n != n:
-        raise InvalidInputError(f"matrix is {matrix.n}x{matrix.n} but n={n}")
-    _check_restarts(n, k, n_init, max_iter)
-
-
 def cluster_mds(
     data: list[Interaction],
     matrix: DistanceMatrix,
@@ -230,28 +225,14 @@ def cluster_mds(
     sum_i min_j d^2(data[i], rep[j]) are taken through the supplied matrix,
     which must be unnormalized for the objective to be meaningful.
     `embed(matrix, beta, seed)` supplies the embedding; `mds.embed` when None.
+    The inputs are checked before the embedding is paid for.
     """
-    _check_mds_inputs(data, matrix, k, n_init, max_iter)  # before paying for the embedding
+    _shared_length(data)
+    n = len(data)
+    if matrix is None or matrix.n != n:
+        raise InvalidInputError(f"mds needs the {n}x{n} distance matrix of its data")
+    _check_restarts(n, k, n_init, max_iter)
     embedding = (embed or mds.embed)(matrix, beta, seed)
-    return _mds_partition(data, matrix, embedding, k, seed, n_init, max_iter)
-
-
-def _mds_partition(
-    data: list[Interaction],
-    matrix: DistanceMatrix,
-    embedding: mds.Embedding,
-    k: int,
-    seed: int = 0,
-    n_init: int = _DEFAULT_N_INIT,
-    max_iter: int = _DEFAULT_MAX_ITER,
-) -> ClusterModel:
-    """The partition step of cluster_mds on a given embedding of `matrix`.
-
-    k-means on the embedded points, then medoids, then the objective.  The
-    embedding depends only on (matrix, beta, seed), so a parameter sweep can
-    share one embedding across every k, n_init and max_iter.
-    """
-    _check_mds_inputs(data, matrix, k, n_init, max_iter)
     labels, _, history = _kmeans(embedding.points, k, seed, n_init, max_iter)
     d2 = matrix.entries**2
     medoids = []
@@ -469,6 +450,45 @@ def cluster_spline_coef(
         objective=history[-1],
         objective_history=tuple(history),
     )
+
+
+# ---------------------------------------------------------------------------
+# the one entry point
+
+ROUTES = {
+    "mds": cluster_mds,
+    "geo1": cluster_geo1,
+    "geo2": cluster_geo2,
+    "spline-coef": cluster_spline_coef,
+}
+
+
+def route(method: str):
+    """The function in ROUTES that fits `method`, looked up at call time."""
+    if method not in ROUTES:
+        raise InvalidInputError(f"unknown method {method!r}")
+    return ROUTES[method]
+
+
+def fit(
+    method: str,
+    data: list[Interaction],
+    matrix: DistanceMatrix | None = None,
+    mu: TimeMeasure | None = None,
+    seed: int = 0,
+    embed=None,
+    **params,
+) -> ClusterModel:
+    """Fit `method` with `params`, giving its route only the inputs it takes.
+
+    The route's signature decides: `matrix` and `embed` reach mds, `mu`
+    reaches geo1 and geo2, and spline-coef takes neither.
+    """
+    fn = route(method)
+    taken = inspect.signature(fn).parameters
+    inputs = {"matrix": matrix, "mu": mu, "embed": embed}
+    given = {name: value for name, value in inputs.items() if name in taken}
+    return fn(data, seed=seed, **given, **params)
 
 
 # ---------------------------------------------------------------------------

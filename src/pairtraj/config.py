@@ -34,56 +34,25 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"expected a number, got {text!r}") from None
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    stripped = text.strip()
-    if not stripped:
-        return ()
-    return tuple(_parse_float(part) for part in stripped.split(","))
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    stripped = text.strip()
-    if not stripped:
-        return ()
-    return tuple(_parse_int(part) for part in stripped.split(","))
-
-
-def _parse_strs(text: str) -> tuple[str, ...]:
-    stripped = text.strip()
-    if not stripped:
-        return ()
-    return tuple(part.strip() for part in stripped.split(","))
-
-
 def _parse_str(text: str) -> str:
     return text.strip()
 
 
-_PARSERS = {
-    "input": _parse_str,
-    "output_dir": _parse_str,
-    "method": _parse_str,
-    "kind": _parse_str,
-    "axis1": _parse_str,
-    "axis2": _parse_str,
-    "num_samples": _parse_int,
-    "k": _parse_int,
-    "beta": _parse_int,
-    "seed": _parse_int,
-    "max_iter": _parse_int,
-    "n_init": _parse_int,
-    "anchor": _parse_int,
-    "per_family": _parse_int,
-    "count": _parse_int,
-    "normalize": _parse_bool,
-    "r": _parse_float,
-    "noise": _parse_float,
-    "box": _parse_float,
-    "epsilons": _parse_floats,
-    "axis1_values": _parse_floats,
-    "axis2_values": _parse_floats,
-    "knots": _parse_ints,
-    "families": _parse_strs,
+def _tuple_of(parse):
+    """A parser of comma-separated `parse` items; blank text is the empty tuple."""
+    return lambda text: tuple(map(parse, text.split(","))) if text.strip() else ()
+
+
+# each RunConfig field is parsed by its annotation (a string, as annotations
+# are not evaluated here)
+_PARSE_BY_TYPE = {
+    "str": _parse_str,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "float": _parse_float,
+    "tuple[float, ...]": _tuple_of(_parse_float),
+    "tuple[int, ...]": _tuple_of(_parse_int),
+    "tuple[str, ...]": _tuple_of(_parse_str),
 }
 
 _KINDS = ("families", "encounters")
@@ -120,9 +89,10 @@ class RunConfig:
 
     def set(self, key: str, text: str) -> None:
         """Assign one key from its text form; unknown keys are rejected."""
-        if key not in _PARSERS:
+        types = {f.name: f.type for f in fields(self)}
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(self, key, _PARSERS[key](text))
+        setattr(self, key, _PARSE_BY_TYPE[types[key]](text))
 
     def validate(self) -> None:
         from .clustering import METHODS

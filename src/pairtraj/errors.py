@@ -1,12 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the CLI's exit code for it: 2 for a configuration or
+parameter error, 3 for a data error (the default), 4 for a numerical failure.
+"""
 
 
 class PairtrajError(Exception):
     """Base class for errors raised by this package."""
+    exit_code = 3
 
 
 class InvalidInputError(PairtrajError, ValueError):
     """Arguments violate a documented precondition (bad k, mismatched grids, ...)."""
+    exit_code = 2
 
 
 class DataError(PairtrajError, ValueError):
@@ -15,11 +21,14 @@ class DataError(PairtrajError, ValueError):
 
 class ConfigError(PairtrajError, ValueError):
     """Configuration file or CLI flags are invalid."""
+    exit_code = 2
 
 
 class DegenerateFitError(PairtrajError, ArithmeticError):
     """A numerical subproblem is rank-deficient or otherwise has no usable solution."""
+    exit_code = 4
 
 
 class NumericalError(PairtrajError, ArithmeticError):
     """A solver failed to converge or reported an unusable status."""
+    exit_code = 4

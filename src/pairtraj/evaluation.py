@@ -110,32 +110,23 @@ class QualityReport:
         return int(self.per_cluster_within.size)
 
 
-_MEDOID_ONLY = ("mds", "spline-coef")
-
-
 def quality(
     data: list[Interaction],
     model: ClusterModel,
     matrix: DistanceMatrix,
     mu: TimeMeasure | None = None,
-    use_medoid: bool = True,
 ) -> QualityReport:
     """Within/between statistics of a model against its own data.
 
-    use_medoid=True scores distances to the stored representatives; False is
-    reserved for methods whose representatives are mean curves (geo1/geo2) and
-    is rejected for medoid methods, where means are not defined.  Variances
-    are sample variances (ddof=1) of the squared distances, 0 for clusters
-    with fewer than two contributing points.
+    Every statistic is a squared distance from an interaction to a stored
+    representative: a medoid for mds and spline-coef, a mean curve for geo1
+    and geo2.  Variances are sample variances (ddof=1) of the squared
+    distances, 0 for clusters with fewer than two contributing points.
     """
     n = len(data)
     if model.n != n or matrix.n != n:
         raise InvalidInputError(
             f"sizes disagree: {n} interactions, model n={model.n}, matrix n={matrix.n}"
-        )
-    if not use_medoid and model.method in _MEDOID_ONLY:
-        raise InvalidInputError(
-            f"mean interactions are not defined for method {model.method!r}"
         )
     sq = cross_distance_matrix(data, list(model.representatives), mu) ** 2
     total_within = float(sq[np.arange(n), model.assignments].sum())
@@ -223,12 +214,8 @@ class StabilityGrid:
         return out
 
 
-_RUNNERS = {
-    "mds": clustering.cluster_mds,
-    "geo1": clustering.cluster_geo1,
-    "geo2": clustering.cluster_geo2,
-    "spline-coef": clustering.cluster_spline_coef,
-}
+# the same dict object as clustering.ROUTES; bench/layers.py patches its items
+_RUNNERS = clustering.ROUTES
 
 
 def stability_sweep(
@@ -246,52 +233,52 @@ def stability_sweep(
 ) -> StabilityGrid:
     """Rerun one clustering method across a 2-axis grid of tuning parameters.
 
-    Every cell uses the same seed; the statistic is always evaluated on the
-    supplied true distance matrix.  Cells run in row-major order, and those
-    that raise a package error are reported as missing, not fatal.  For mds
-    the embedding depends only on (matrix, beta, seed), so it is computed once
-    per distinct beta, on first use, and each cell only partitions its shared
-    embedding; a beta whose embedding fails marks all of its cells missing.
-    `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
+    Every cell is one `clustering.fit` with the parameters in `base`, the
+    cell's axis values overriding them, and the same seed; the statistic is
+    always evaluated on the supplied true distance matrix.  Cells run in
+    row-major order, and those that raise a package error are reported as
+    missing, not fatal.  For mds the embedding depends only on (matrix, beta,
+    seed), so a memo embeds each distinct beta once, on first use, and keeps
+    the error of a beta whose embedding fails, which marks all of its cells
+    missing.  `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
     """
-    if method not in _RUNNERS:
-        raise InvalidInputError(f"unknown method {method!r}")
+    params = inspect.signature(clustering.route(method)).parameters
     axis1_values, axis2_values = tuple(axis1_values), tuple(axis2_values)
     if not axis1_values or not axis2_values:
         raise InvalidInputError("axis value grids must be nonempty")
     if axis1_name == axis2_name:
         raise InvalidInputError("axes must sweep different parameters")
-    params = set(inspect.signature(_RUNNERS[method]).parameters)
+    inputs = ("data", "matrix", "mu", "seed", "embed")
     for name in (axis1_name, axis2_name):
-        if name not in params or name in ("data", "matrix", "mu", "seed", "embed"):
+        if name not in params or name in inputs:
             raise InvalidInputError(
                 f"{name!r} is not a sweepable parameter of method {method!r}"
             )
-    base = dict(base or {})
-    if method == "mds" and "beta" not in (*base, axis1_name, axis2_name):
-        raise InvalidInputError("an mds sweep needs beta on an axis or in base")
+    base = base or {}
+    given = (*inputs, *base, axis1_name, axis2_name)
+    for name, param in params.items():
+        if param.default is param.empty and name not in given:
+            raise InvalidInputError(f"method {method!r} needs {name!r} on an axis or in base")
+
+    embeddings = {}  # beta -> its embedding, or the PairtrajError embedding it raised
+
+    def embed_once(matrix, beta, seed):
+        if beta not in embeddings:
+            try:
+                embeddings[beta] = (embed or mds.embed)(matrix, beta, seed)
+            except PairtrajError as exc:
+                embeddings[beta] = exc
+        if isinstance(embeddings[beta], PairtrajError):
+            raise embeddings[beta]
+        return embeddings[beta]
 
     values = np.full((len(axis1_values), len(axis2_values)), np.nan)
     missing = np.ones_like(values, dtype=bool)
-    embeddings = {}  # beta -> its embedding, or None when embedding it failed
     for i, v1 in enumerate(axis1_values):
         for j, v2 in enumerate(axis2_values):
-            kwargs = {**base, axis1_name: v1, axis2_name: v2}
+            cell = {**base, axis1_name: v1, axis2_name: v2}
             try:
-                if method == "mds":
-                    beta = kwargs.pop("beta")
-                    if beta not in embeddings:
-                        embeddings[beta] = None  # kept if the embed raises
-                        embeddings[beta] = (embed or mds.embed)(matrix, beta, seed)
-                    if embeddings[beta] is None:
-                        continue
-                    model = clustering._mds_partition(
-                        data, matrix, embeddings[beta], seed=seed, **kwargs
-                    )
-                elif method == "spline-coef":
-                    model = _RUNNERS[method](data, seed=seed, **kwargs)
-                else:
-                    model = _RUNNERS[method](data, mu, seed=seed, **kwargs)
+                model = clustering.fit(method, data, matrix, mu, seed, embed_once, **cell)
                 values[i, j] = stability_statistic(matrix, model.assignments)
             except PairtrajError:
                 continue

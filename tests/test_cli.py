@@ -80,6 +80,10 @@ class TestGenerate:
         for name in ("dataset.csv", "manifest.json"):
             assert body_lines(os.path.join(a, name)) == body_lines(os.path.join(b, name))
 
+    def test_misspelt_kind_is_config_error(self, tmp_path):
+        assert run("generate", "--set", "kind=familes", "--output-dir", str(tmp_path)) == 2
+        assert not os.path.exists(tmp_path / "dataset.csv")
+
     def test_inseparable_families_exit_4(self, tmp_path):
         code = run(
             *GEN_ARGS, "--set", "noise=5.0", "--output-dir", str(tmp_path / "bad")

@@ -14,9 +14,11 @@ from pairtraj.clustering import (
     cluster_geo2,
     cluster_mds,
     cluster_spline_coef,
+    fit,
     read_model_json,
     write_model_json,
 )
+from pairtraj import mds
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import distance, distance_matrix
 from pairtraj.trajectory import Interaction, Trajectory, uniform_measure
@@ -163,6 +165,48 @@ class TestClusterMds:
         D = distance_matrix(data)
         with pytest.raises(InvalidInputError, match="k must lie"):
             cluster_mds(data, D, beta=2, k=4, seed=0)
+
+
+    @pytest.mark.parametrize("k, n_init", [(7, 1), (2, 0)])
+    def test_bad_parameters_rejected_before_embedding(self, k, n_init):
+        data, _ = planted(np.random.default_rng(5), per_family=2)
+        D = distance_matrix(data)
+        calls = []
+
+        def counting_embed(matrix, beta, seed):
+            calls.append(beta)
+            return mds.embed(matrix, beta, seed)
+
+        with pytest.raises(InvalidInputError):
+            cluster_mds(data, D, beta=2, k=k, seed=0, n_init=n_init, embed=counting_embed)
+        assert calls == []
+
+
+class TestFit:
+    def test_each_route_matches_its_direct_call(self):
+        data, _ = planted(np.random.default_rng(22), per_family=3)
+        D = distance_matrix(data)
+        mu = uniform_measure(len(data[0]))
+        for method, direct, kwargs in [
+            ("mds", cluster_mds(data, D, beta=2, k=3, seed=1, n_init=2), {"beta": 2}),
+            ("geo1", cluster_geo1(data, mu, k=3, seed=1, anchor=2, n_init=2), {"anchor": 2}),
+            ("geo2", cluster_geo2(data, mu, k=3, seed=1, n_init=2), {}),
+            ("spline-coef", cluster_spline_coef(data, k=3, seed=1, n_init=2), {}),
+        ]:
+            model = fit(method, data, D, mu, seed=1, k=3, n_init=2, **kwargs)
+            assert model.method == method
+            assert np.array_equal(model.assignments, direct.assignments)
+            assert model.objective == direct.objective
+
+    def test_unknown_method_rejected(self):
+        data, _ = planted(np.random.default_rng(23), per_family=2)
+        with pytest.raises(InvalidInputError, match="unknown method"):
+            fit("pam", data, k=2)
+
+    def test_mds_without_matrix_rejected(self):
+        data, _ = planted(np.random.default_rng(23), per_family=2)
+        with pytest.raises(InvalidInputError, match="distance matrix"):
+            fit("mds", data, beta=2, k=2)
 
 
 class TestClusterGeo1:

@@ -109,3 +109,16 @@ class TestHash:
         for key in ("k", "beta", "epsilons", "families", "normalize"):
             assert f"{key}=" in text
         assert "input=" not in text
+
+    def test_every_field_round_trips_through_its_rendered_text(self):
+        original = RunConfig(
+            normalize=True, method="geo2", k=4, r=1.5, epsilons=(0.1, 2.0),
+            axis1_values=(1.0, 2.5), knots=(10, 20, 30), families=("parallel",),
+            noise=0.25,
+        )
+        copy = RunConfig()
+        for line in original.render().splitlines():
+            key, _, text = line.partition("=")
+            copy.set(key, text)
+        assert copy == original
+        assert copy.sha256() == original.sha256()

@@ -145,22 +145,6 @@ class TestQuality:
         report = quality(data, model, distance_matrix(data))
         assert report.within_variance[0] == 0.0
 
-    def test_mean_evaluation_rejected_for_medoid_methods(self):
-        data, _ = planted(np.random.default_rng(6), per_family=2)
-        D = distance_matrix(data)
-        model = cluster_mds(data, D, beta=2, k=2, seed=0)
-        with pytest.raises(InvalidInputError, match="not defined"):
-            quality(data, model, D, use_medoid=False)
-
-    def test_mean_evaluation_matches_medoid_flag_for_geo2(self):
-        data, _ = planted(np.random.default_rng(7), per_family=2)
-        D = distance_matrix(data)
-        model = cluster_geo2(data, k=2, seed=0)
-        a = quality(data, model, D, use_medoid=True)
-        b = quality(data, model, D, use_medoid=False)
-        assert a.total_within == b.total_within
-        assert np.array_equal(a.per_cluster_within, b.per_cluster_within)
-
     def test_size_mismatch_rejected(self):
         data, _ = planted(np.random.default_rng(8), per_family=2)
         D = distance_matrix(data)
