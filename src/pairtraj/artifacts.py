@@ -1,4 +1,6 @@
-"""The three on-disk layouts of every artifact and cache file.
+"""Every file is opened here: text as UTF-8 whatever the locale, and each
+writer fills `<path>.<pid>.tmp` and moves it into place once complete, so a
+failed write leaves an earlier file intact.  The three layouts:
 
 - JSON: one object, keys sorted, indented by two, metadata under "meta".
 - Rows: an optional `# <json>` metadata line, a header line, then
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from contextlib import contextmanager
 
 from .errors import DataError
@@ -37,34 +40,52 @@ def malformed(where):
         raise DataError(f"{where}: malformed: {exc}") from exc
 
 
-def _read(path, mode: str = "r"):
+def opened(path, mode: str = "r", **kw):
+    """`open(path, mode, **kw)`, UTF-8 in text mode; an OSError becomes DataError."""
+    if "b" not in mode:
+        kw.setdefault("encoding", "utf-8")
     try:
-        with open(path, mode) as handle:
-            return handle.read()
+        return open(path, mode, **kw)
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        verb = "read" if "r" in mode else "write"
+        raise DataError(f"cannot {verb} {path}: {exc}") from exc
+
+
+@contextmanager
+def _replacing(path, mode: str, **kw):
+    """A handle on a temporary name beside `path`, moved onto it if the block completes."""
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        with opened(partial, mode, **kw) as handle:
+            yield handle
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
+def _read(path, mode: str = "r"):
+    with opened(path, mode) as handle:
+        return handle.read()
 
 
 def file_sha256(path):
     """A sha256 hash object fed the file's bytes; DataError if it cannot be
     read.  Reading in chunks keeps a large input out of memory."""
     digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            # chunks under glibc's 128 KiB mmap threshold: freeing a larger
-            # mapped block raises the threshold and leaves the step's later
-            # arrays on the heap, about 2 MB more peak RSS
-            for chunk in iter(lambda: handle.read(1 << 16), b""):
-                digest.update(chunk)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with opened(path, "rb") as handle:
+        # chunks under glibc's 128 KiB mmap threshold: freeing a larger
+        # mapped block raises the threshold and leaves the step's later
+        # arrays on the heap, about 2 MB more peak RSS
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
     return digest
 
 
 def write_json(path, payload: dict, meta: dict | None = None) -> None:
     if meta is not None:
         payload = {**payload, "meta": meta}
-    with open(path, "w") as handle:
+    with _replacing(path, "w") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -80,7 +101,7 @@ def read_json(path) -> dict:
 
 def write_rows(path, header, rows, meta: dict | None = None) -> None:
     """Write the rows layout; `header` and each of `rows` are sequences of text fields."""
-    with open(path, "w", newline="") as handle:
+    with _replacing(path, "w", newline="") as handle:
         if meta is not None:
             handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         handle.write(",".join(header) + "\n")
@@ -119,7 +140,7 @@ def read_rows(path, header) -> tuple[dict | None, list[tuple[int, list[str]]]]:
 
 
 def write_binary(path, magic: bytes, *chunks: bytes) -> None:
-    with open(path, "wb") as handle:
+    with _replacing(path, "wb") as handle:
         handle.writelines((magic, *chunks))
 
 

@@ -5,8 +5,9 @@ wasserstein, transfer.  Configuration comes from a flat key=value file
 (--config) overridden by repeated --set key=value flags and the dedicated
 flags; all randomness flows from the single seed.  Every artifact carries a
 metadata header (tool version, seed, config hash, creation time) and lands in
-the configured output directory, written under a temporary name and moved
-into place, so a failed write leaves the earlier file intact.
+the configured output directory through `pairtraj.artifacts`: UTF-8 whatever
+the locale, written under a temporary name and moved into place, so a failed
+write leaves the earlier file intact.
 
 The output directory's `cache/` holds parsed encounter CSVs, keyed by the
 file's bytes and the tool version, so each input is parsed once per output
@@ -27,6 +28,7 @@ import hashlib
 import inspect
 import os
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from datetime import datetime, timezone
 
@@ -94,25 +96,10 @@ def _load_interactions(config: RunConfig, path=None):
     return ids, data, digest
 
 
-def _write_atomically(path: str, write) -> None:
-    """Run `write(name)` on a temporary name beside `path`, then move it into place.
-
-    A writer that raises leaves an earlier `path` intact and no temporary file.
-    """
-    partial = f"{path}.{os.getpid()}.tmp"
-    try:
-        write(partial)
-        os.replace(partial, path)
-    finally:
-        if os.path.exists(partial):
-            os.remove(partial)
-
-
-def _save(config: RunConfig, name: str, write) -> str:
-    """Write the artifact `name` into the output directory atomically; its path."""
-    os.makedirs(config.output_dir, exist_ok=True)
+def _out(config: RunConfig, name: str) -> str:
+    """The path of `name` under the output directory, its directory created."""
     path = os.path.join(config.output_dir, name)
-    _write_atomically(path, write)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     return path
 
 
@@ -120,22 +107,17 @@ def _cached(config: RunConfig, kind: str, digest, read, build, write):
     """`read` the file `cache/<kind>-<key>.bin`, or `build()` and store it.
 
     The key is `digest` (left as it is) with the tool version appended.  A
-    missing file, or one that `read` rejects with DataError (truncated or
-    foreign), is rebuilt and written atomically; a `build` that raises writes
-    nothing.
+    file that `read` rejects with DataError (missing, truncated or foreign)
+    is rebuilt and written with `write(path, value)`; a `build` that raises
+    writes nothing.
     """
-    cache_dir = os.path.join(config.output_dir, "cache")
-    os.makedirs(cache_dir, exist_ok=True)
     key = digest.copy()
     key.update(f";version={__version__}".encode())
-    path = os.path.join(cache_dir, f"{kind}-{key.hexdigest()[:16]}.bin")
-    if os.path.exists(path):
-        try:
-            return read(path)
-        except DataError:
-            pass  # rebuild and overwrite it below
+    path = _out(config, os.path.join("cache", f"{kind}-{key.hexdigest()[:16]}.bin"))
+    with suppress(DataError):  # rebuilt and overwritten below
+        return read(path)
     value = build()
-    _write_atomically(path, lambda name: write(name, value))
+    write(path, value)
     return value
 
 
@@ -184,10 +166,6 @@ def _embedder(config: RunConfig):
     return embed
 
 
-def _emit(path: str) -> None:
-    print(path)
-
-
 def cmd_generate(config: RunConfig, args) -> None:
     if config.kind == "families":
         encounters, manifest = make_labeled_dataset(
@@ -212,16 +190,12 @@ def cmd_generate(config: RunConfig, args) -> None:
         encounters, manifest = make_encounter_dataset(
             config.seed, config.count, config.knots, config.num_samples, config.box
         )
-    csv_path = _save(
-        config, "dataset.csv",
-        lambda name: write_encounters_csv(name, encounters, meta=_meta(config)),
-    )
-    manifest_path = _save(
-        config, "manifest.json",
-        lambda name: write_json(name, manifest, _meta(config)),
-    )
-    _emit(csv_path)
-    _emit(manifest_path)
+    meta = _meta(config)
+    csv_path = _out(config, "dataset.csv")
+    write_encounters_csv(csv_path, encounters, meta=meta)
+    manifest_path = _out(config, "manifest.json")
+    write_json(manifest_path, manifest, meta)
+    print(csv_path, manifest_path, sep="\n")
 
 
 def cmd_segment(config: RunConfig, args) -> None:
@@ -236,27 +210,21 @@ def cmd_segment(config: RunConfig, args) -> None:
         )
         segmented.append((enc_id, segments))
         knot_entries.append((enc_id, knots))
-    seg_path = _save(
-        config, "segments.csv",
-        lambda name: write_segments_csv(name, segmented, meta=_meta(config)),
-    )
-    knots_path = _save(
-        config, "knots.json",
-        lambda name: write_knots_json(name, knot_entries, meta=_meta(config)),
-    )
-    _emit(seg_path)
-    _emit(knots_path)
+    meta = _meta(config)
+    seg_path = _out(config, "segments.csv")
+    write_segments_csv(seg_path, segmented, meta=meta)
+    knots_path = _out(config, "knots.json")
+    write_knots_json(knots_path, knot_entries, meta=meta)
+    print(seg_path, knots_path, sep="\n")
 
 
 def cmd_distances(config: RunConfig, args) -> None:
     _require_input(config)
     ids, data, digest = _load_interactions(config)
     matrix = _matrix_for(config, digest, data, config.normalize)
-    path = _save(
-        config, "distances.csv",
-        lambda name: write_matrix_csv(name, matrix, meta={**_meta(config), "ids": ids}),
-    )
-    _emit(path)
+    path = _out(config, "distances.csv")
+    write_matrix_csv(path, matrix, meta={**_meta(config), "ids": ids})
+    print(path)
 
 
 def _route_params(config: RunConfig) -> dict:
@@ -277,11 +245,9 @@ def cmd_cluster(config: RunConfig, args) -> None:
         config.method, data, matrix, seed=config.seed, embed=_embedder(config),
         **_route_params(config),
     )
-    path = _save(
-        config, "model.json",
-        lambda name: write_model_json(name, model, meta={**_meta(config), "ids": ids}),
-    )
-    _emit(path)
+    path = _out(config, "model.json")
+    write_model_json(path, model, meta={**_meta(config), "ids": ids})
+    print(path)
 
 
 def cmd_evaluate(config: RunConfig, args) -> None:
@@ -290,17 +256,13 @@ def cmd_evaluate(config: RunConfig, args) -> None:
     ids, data, digest = _load_interactions(config)
     matrix = _matrix_for(config, digest, data, False)
     report = quality(data, model, matrix)
-    quality_path = _save(
-        config, "quality.json",
-        lambda name: write_quality_json(name, report, meta=_meta(config)),
-    )
+    meta = _meta(config)
+    quality_path = _out(config, "quality.json")
+    write_quality_json(quality_path, report, meta=meta)
     sil = silhouette(matrix, model.assignments)
-    sil_path = _save(
-        config, "silhouette.csv",
-        lambda name: write_silhouette_csv(name, ids, model.assignments, sil, _meta(config)),
-    )
-    _emit(quality_path)
-    _emit(sil_path)
+    sil_path = _out(config, "silhouette.csv")
+    write_silhouette_csv(sil_path, ids, model.assignments, sil, meta)
+    print(quality_path, sil_path, sep="\n")
 
 
 def _sweep_values(values) -> tuple:
@@ -328,9 +290,9 @@ def cmd_stability(config: RunConfig, args) -> None:
         config.axis2, _sweep_values(config.axis2_values),
         seed=config.seed, base=_route_params(config), embed=_embedder(config),
     )
-    meta = {**_meta(config), "method": config.method}
-    path = _save(config, "stability.csv", lambda name: write_stability_csv(name, grid, meta))
-    _emit(path)
+    path = _out(config, "stability.csv")
+    write_stability_csv(path, grid, {**_meta(config), "method": config.method})
+    print(path)
 
 
 def _measure_from(path, config: RunConfig):
@@ -345,10 +307,9 @@ def cmd_wasserstein(config: RunConfig, args) -> None:
     second = _measure_from(args.b, config)
     value = wasserstein(first, second, config.r)
     payload = {"a": str(args.a), "b": str(args.b), "r": config.r, "value": value}
-    path = _save(
-        config, "wasserstein.json", lambda name: write_json(name, payload, _meta(config))
-    )
-    _emit(path)
+    path = _out(config, "wasserstein.json")
+    write_json(path, payload, _meta(config))
+    print(path)
 
 
 TRANSFER_HEADER = ("id", "cluster")
@@ -359,11 +320,9 @@ def cmd_transfer(config: RunConfig, args) -> None:
     model = read_model_json(args.primitives)
     ids, data, _ = _load_interactions(config)
     assignments = transfer_primitives(data, list(model.representatives))
-    path = _save(
-        config, "transfer.csv",
-        lambda name: write_transfer_csv(name, ids, assignments, meta=_meta(config)),
-    )
-    _emit(path)
+    path = _out(config, "transfer.csv")
+    write_transfer_csv(path, ids, assignments, meta=_meta(config))
+    print(path)
 
 
 def write_transfer_csv(path, ids, assignments, meta: dict) -> None:

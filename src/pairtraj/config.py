@@ -139,7 +139,7 @@ def load_config(path) -> RunConfig:
     """Read `key = value` lines; '#' comments and blank lines are skipped."""
     config = RunConfig()
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

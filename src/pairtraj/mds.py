@@ -11,6 +11,8 @@ so the reported value is monotone over iterations.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +86,23 @@ def _stress(dist: np.ndarray, deltas: np.ndarray) -> float:
     return float(np.sum(gap * gap))
 
 
+@contextmanager
+def _one_blas_thread():
+    """The OpenBLAS behind `np.linalg` on one thread inside the block, its
+    earlier count restored after; nothing changes where numpy links another BLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # lookups search its BLAS too
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        yield
+        return
+    before = get()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 def _classical_start(deltas: np.ndarray, beta: int) -> np.ndarray:
     n = deltas.shape[0]
     sq = deltas * deltas
@@ -91,7 +110,9 @@ def _classical_start(deltas: np.ndarray, beta: int) -> np.ndarray:
     row = sq.mean(axis=1, keepdims=True)
     col = sq.mean(axis=0, keepdims=True)
     B = -0.5 * (sq - row - col + sq.mean())
-    vals, vecs = np.linalg.eigh(B)
+    # threaded LAPACK rounds eigh differently with each thread count
+    with _one_blas_thread():
+        vals, vecs = np.linalg.eigh(B)
     order = np.argsort(vals)[::-1][:beta]
     lam = np.clip(vals[order], 0.0, None)
     return vecs[:, order] * np.sqrt(lam)

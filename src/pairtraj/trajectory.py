@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .artifacts import fmt, malformed, read_binary, write_binary, write_rows
+from .artifacts import fmt, malformed, opened, read_binary, write_binary, write_rows
 from .errors import DataError, InvalidInputError
 
 CSV_HEADER = ("encounter_id", "t", "x1", "y1", "x2", "y2")
@@ -145,19 +145,16 @@ def _interaction(table: np.ndarray) -> Interaction:
 
 
 def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
-    """Read `encounter_id,t,x1,y1,x2,y2` rows grouped by encounter, sorted by t.
+    """Read UTF-8 `encounter_id,t,x1,y1,x2,y2` rows grouped by encounter, sorted by t.
 
     `#` lines (metadata) and blank lines are skipped.  Malformed rows raise
     DataError with the offending line number, and non-finite values one
     naming the encounter.
     """
     rows: dict[str, list[tuple[float, ...]]] = {}
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    # iterating a newline="" handle ends lines at \n, \r and \r\n only
-    with handle, malformed(path):  # bytes that are not UTF-8 fail as ValueError
+    # iterating a newline="" handle ends lines at \n, \r and \r\n only; bytes
+    # that are not UTF-8 fail as ValueError
+    with opened(path, newline="") as handle, malformed(path):
         lines = enumerate(handle, start=1)
         for lineno, raw in lines:
             line = raw.strip()

@@ -218,3 +218,39 @@ def test_file_sha256(tmp_path):
     assert artifacts.file_sha256(path).hexdigest() == hashlib.sha256(blob).hexdigest()
     with pytest.raises(DataError, match=re.escape(str(tmp_path / "absent"))):
         artifacts.file_sha256(tmp_path / "absent")
+
+
+def _one_row_then_disk_full():
+    yield ["1", "2"]
+    raise OSError("disk full")
+
+
+# each layout writer failing part-way through: the error, and the failing call
+FAILED_WRITES = {
+    "write_json": (TypeError, lambda path: artifacts.write_json(path, {"a": 1, "b": object()})),
+    "write_rows": (
+        OSError, lambda path: artifacts.write_rows(path, ("a", "b"), _one_row_then_disk_full())
+    ),
+    "write_binary": (
+        TypeError, lambda path: artifacts.write_binary(path, b"PTXX", b"\x01", "not bytes")
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(FAILED_WRITES))
+def test_failed_write_keeps_earlier_file(tmp_path, writer):
+    error, write = FAILED_WRITES[writer]
+    path = tmp_path / "artifact"
+    path.write_bytes(b"earlier bytes\n")
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert [leaf.name for leaf in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_unwritable_path_is_data_error(tmp_path):
+    path = tmp_path / "absent" / "a.json"
+    with pytest.raises(DataError, match="cannot write " + re.escape(str(path))):
+        artifacts.write_json(path, {"a": 1})
+    assert not (tmp_path / "absent").exists()
+

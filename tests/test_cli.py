@@ -4,15 +4,20 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from pairtraj import __version__, cli, mds
+import pairtraj
+from pairtraj import __version__, artifacts, cli, mds
 from pairtraj.cli import _build_parser, _resolve_config, main, read_transfer_csv
 from pairtraj.clustering import read_model_json
 from pairtraj.procrustes import read_matrix_csv
-from pairtraj.trajectory import read_encounters_csv
+from pairtraj.segmentation import read_segments_csv
+from pairtraj.synthetic import make_encounter_dataset
+from pairtraj.trajectory import read_encounters_csv, write_encounters_csv
 
 
 def run(*argv):
@@ -418,6 +423,16 @@ class TestEmbeddingCache:
         assert self.embeddings(out) == []
 
 
+def half_then_fail(path, *args, **kwargs):
+    """A schema writer that fails inside the rows layout after one row."""
+
+    def rows():
+        yield ["half"]
+        raise OSError("disk full")
+
+    artifacts.write_rows(path, ("a",), rows())
+
+
 class TestAtomicArtifacts:
     @pytest.mark.parametrize(
         "writer, command, artifact",
@@ -437,11 +452,6 @@ class TestAtomicArtifacts:
         path = os.path.join(out, artifact)
         with open(path, "rb") as handle:
             before = handle.read()
-
-        def half_then_fail(path, *args, **kwargs):
-            with open(path, "w") as handle:
-                handle.write("# {")
-            raise OSError("disk full")
 
         monkeypatch.setattr(cli, writer, half_then_fail)
         assert run(*argv) == 3
@@ -524,16 +534,41 @@ class TestSegmentCommand:
         with open(knots_path, "rb") as handle:
             before = handle.read()
 
-        def half_then_fail(path, entries, meta=None):
-            with open(path, "w") as handle:
-                handle.write('{"encounters": {')
-            raise OSError("disk full")
-
         monkeypatch.setattr(cli, "write_knots_json", half_then_fail)
         assert run(*argv) == 3
         with open(knots_path, "rb") as handle:
             assert handle.read() == before
         assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+    def test_non_ascii_ids_under_the_c_locale(self, tmp_path):
+        # files are UTF-8 whatever the locale: a run under the plain C locale,
+        # with Python's UTF-8 mode and locale coercion off, writes the same
+        # bytes as one under C.UTF-8
+        encounters, _ = make_encounter_dataset(4, count=2)
+        dataset = str(tmp_path / "dataset.csv")
+        write_encounters_csv(dataset, [(f"caf\u00e9-{i}", inter) for i, inter in encounters])
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        files = {}
+        for name, env in [
+            ("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+            ("utf8", {"LC_ALL": "C.UTF-8"}),
+        ]:
+            out = str(tmp_path / name)
+            done = subprocess.run(
+                [sys.executable, "-m", "pairtraj.cli", "segment", "--input", dataset,
+                 "--output-dir", out, "--seed", "4"],
+                env={**os.environ, **env, "PYTHONPATH": src}, capture_output=True,
+            )
+            assert done.returncode == 0, done.stderr
+            files[name] = {
+                os.path.relpath(os.path.join(root, leaf), out):
+                    sans_created(os.path.join(root, leaf))
+                for root, _, leaves in os.walk(out) for leaf in leaves
+            }
+        assert files["c"] == files["utf8"]
+        assert len(files["c"]) == 3  # segments, knots and the encounter cache
+        segmented = read_segments_csv(str(tmp_path / "c" / "segments.csv"))
+        assert [enc_id for enc_id, _ in segmented] == ["caf\u00e9-enc-000", "caf\u00e9-enc-001"]
 
 
 class TestResolution:

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pairtraj
 from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.mds import Embedding, embed, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import DistanceMatrix, distance_matrix
@@ -128,6 +133,30 @@ class TestEmbed:
         emb = embed(frozen_non_euclidean(), 2, seed=0, max_iter=5)
         assert emb.iterations == (5,) * 9  # spectral run, then 8 restarts
         assert 0 <= emb.best_run < 9
+
+    def test_blas_thread_count_does_not_change_output(self):
+        # at n=300 a threaded LAPACK eigh rounds the spectral start differently
+        script = (
+            "import sys\n"
+            "from pairtraj.mds import embed\n"
+            "from pairtraj.procrustes import distance_matrix\n"
+            "from pairtraj.synthetic import make_labeled_dataset\n"
+            "encounters, _ = make_labeled_dataset(0, 100, num_samples=101)\n"
+            "matrix = distance_matrix([inter for _, inter in encounters])\n"
+            "for beta in (2, 3):\n"
+            "    emb = embed(matrix, beta, 0, max_iter=20)\n"
+            "    sys.stdout.buffer.write(emb.points.tobytes() + repr(emb.stress).encode())\n"
+        )
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, check=True
+            )
+            outputs.append(done.stdout)
+        assert len(outputs[0]) > 8 * 300 * 5
+        assert outputs[0] == outputs[1]
 
 
 def planted_sixty():
