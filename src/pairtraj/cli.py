@@ -149,14 +149,14 @@ def _matrix_for(config: RunConfig, input_digest, data, normalize: bool):
 
 def _embedder(config: RunConfig):
     """`mds.embed` behind the cache, keyed by the matrix entries, beta, seed,
-    the SMACOF constants and the tool version, so `cluster` and `stability`
-    share one embedding per (matrix, beta, seed)."""
+    the SMACOF constants, the one-thread BLAS pin and the tool version, so
+    `cluster` and `stability` share one embedding per (matrix, beta, seed)."""
 
     def embed(matrix, beta, seed):
         digest = hashlib.sha256(matrix.entries.astype("<f8").tobytes())
         digest.update(
             f";beta={beta};seed={seed};max_iter={mds._MAX_ITER}"
-            f";restarts={mds._N_RESTARTS}".encode()
+            f";restarts={mds._N_RESTARTS};blas_threads=1".encode()
         )
         return _cached(
             config, "embedding", digest, read_embedding_binary,
@@ -205,9 +205,9 @@ def cmd_segment(config: RunConfig, args) -> None:
     segmented = []
     knot_entries = []
     for enc_id, inter in encounters:
-        segments, knots = segment_with_knots(
-            Encounter(enc_id, inter), epsilons, config.num_samples
-        )
+        with malformed(f"{config.input}: encounter {enc_id!r}"):
+            encounter = Encounter(enc_id, inter)
+        segments, knots = segment_with_knots(encounter, epsilons, config.num_samples)
         segmented.append((enc_id, segments))
         knot_entries.append((enc_id, knots))
     meta = _meta(config)

@@ -110,9 +110,7 @@ def _classical_start(deltas: np.ndarray, beta: int) -> np.ndarray:
     row = sq.mean(axis=1, keepdims=True)
     col = sq.mean(axis=0, keepdims=True)
     B = -0.5 * (sq - row - col + sq.mean())
-    # threaded LAPACK rounds eigh differently with each thread count
-    with _one_blas_thread():
-        vals, vecs = np.linalg.eigh(B)
+    vals, vecs = np.linalg.eigh(B)
     order = np.argsort(vals)[::-1][:beta]
     lam = np.clip(vals[order], 0.0, None)
     return vecs[:, order] * np.sqrt(lam)
@@ -170,18 +168,21 @@ def embed(
     if max_iter < 0 or n_restarts < 0:
         raise InvalidInputError("max_iter and n_restarts must be nonnegative")
     deltas = matrix.entries
-    points, stress, steps = _smacof(_classical_start(deltas, beta), deltas, max_iter)
-    iterations, best_run = [steps], 0
-    positive = deltas[deltas > 0]
-    if max_iter > 0 and stress > 0.0 and positive.size:
-        rng = np.random.default_rng(seed)
-        scale = float(positive.mean())
-        for run in range(1, n_restarts + 1):
-            start = rng.normal(size=(n, beta)) * scale
-            cand_points, cand_stress, steps = _smacof(start, deltas, max_iter)
-            iterations.append(steps)
-            if cand_stress < stress:
-                points, stress, best_run = cand_points, cand_stress, run
+    # threaded BLAS rounds the spectral eigh and every Guttman step's
+    # B @ points differently with each thread count
+    with _one_blas_thread():
+        points, stress, steps = _smacof(_classical_start(deltas, beta), deltas, max_iter)
+        iterations, best_run = [steps], 0
+        positive = deltas[deltas > 0]
+        if max_iter > 0 and stress > 0.0 and positive.size:
+            rng = np.random.default_rng(seed)
+            scale = float(positive.mean())
+            for run in range(1, n_restarts + 1):
+                start = rng.normal(size=(n, beta)) * scale
+                cand_points, cand_stress, steps = _smacof(start, deltas, max_iter)
+                iterations.append(steps)
+                if cand_stress < stress:
+                    points, stress, best_run = cand_points, cand_stress, run
     return Embedding(points, stress, tuple(iterations), best_run)
 
 

@@ -16,10 +16,12 @@ with L the number of surviving change points (penalty applied once, not per
 series) and each observation counted in the unique segment containing it
 (left-closed, right-open; the final point belongs to the last segment).
 
-Each span is fitted once per encounter: the encounter keeps a private memo of
-every (series, lo, hi) fit, shared by the candidate search, the pruning pass
-at every tolerance of the grid and the criterion, and dropped with the
-encounter.
+Each span is fitted once per encounter: one least-squares solve covers all
+four series, and the encounter keeps a private memo of every (lo, hi) fit,
+shared by the candidate search, the pruning pass at every tolerance of the
+grid and the criterion, and dropped with the encounter.  The split slack is
+scaled by the centred sum of squares, so change points do not depend on where
+the data sits.
 """
 
 from __future__ import annotations
@@ -63,9 +65,7 @@ class Encounter:
     def _span_fits(self) -> _SpanFits:
         """This encounter's fit memo over series x1, y1, x2, y2, built on first use."""
         if self._fits is None:
-            series = self.series()
-            columns = tuple(series[:, s] for s in range(4))
-            object.__setattr__(self, "_fits", _SpanFits(self.interaction.grid, columns))
+            object.__setattr__(self, "_fits", _SpanFits(self.interaction.grid, self.series()))
         return self._fits
 
 
@@ -101,6 +101,13 @@ class ChangePointSet:
         return len(self.points)
 
 
+def _cubic_lstsq(t: np.ndarray, values: np.ndarray):
+    """One least-squares cubic in t per column of values: (coef, residuals, rank)."""
+    design = np.vander(t, 4, increasing=True)
+    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    return coef, values - design @ coef, rank
+
+
 def fit_cubic(samples) -> tuple[np.ndarray, float]:
     """Least-squares cubic through (t, value) samples: (coefficients, sse).
 
@@ -110,50 +117,36 @@ def fit_cubic(samples) -> tuple[np.ndarray, float]:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidInputError("samples must be (t, value) pairs")
-    t, y = arr[:, 0], arr[:, 1]
-    design = np.vander(t, 4, increasing=True)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    coef, resid, rank = _cubic_lstsq(arr[:, 0], arr[:, 1])
     if rank < 4:
         raise DegenerateFitError(
             f"cubic design has rank {rank}; need 4 distinct t values"
         )
-    resid = y - design @ coef
     return coef, float(resid @ resid)
 
 
-def _span_residuals(t: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Residuals of one cubic on the inclusive index span [lo, hi].
-
-    Spans with < 4 points are interpolated exactly (residuals 0); t is shifted
-    to start at zero, which changes the coefficients but not the fit.
-    """
-    ts = t[lo : hi + 1] - t[lo]
-    ys = y[lo : hi + 1]
-    design = np.vander(ts, 4, increasing=True)
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return ys - design @ coef
-
-
 class _SpanFits:
-    """One cubic fit per (series index, lo, hi) span, memoised as SSE pairs.
+    """One joint cubic fit of every series column per (lo, hi) span, memoised.
 
-    Each entry holds the SSE of the whole span and the SSE without its last
-    sample (the boundary sample that the criterion counts in the next segment),
-    both from one `_span_residuals` call.
+    Each entry holds the per-series SSE of the inclusive span [lo, hi] and the
+    per-series SSE without its last sample (the boundary sample that the
+    criterion counts in the next segment), from one solve on t shifted to
+    start at zero; spans with < 4 points are interpolated exactly.
     """
 
-    def __init__(self, t: np.ndarray, columns: tuple[np.ndarray, ...]) -> None:
+    def __init__(self, t: np.ndarray, series: np.ndarray) -> None:
         self.t = t
-        self.columns = columns
-        self._sse: dict[tuple[int, int, int], tuple[float, float]] = {}
+        self.series = series
+        self._sse: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def sse(self, s: int, lo: int, hi: int) -> tuple[float, float]:
-        key = (s, lo, hi)
-        hit = self._sse.get(key)
+    def sse(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        hit = self._sse.get((lo, hi))
         if hit is None:
-            resid = _span_residuals(self.t, self.columns[s], lo, hi)
-            head = resid[:-1]
-            hit = self._sse[key] = (float(resid @ resid), float(head @ head))
+            ts = self.t[lo : hi + 1] - self.t[lo]
+            _, resid, _ = _cubic_lstsq(ts, self.series[lo : hi + 1])
+            sq = resid * resid
+            head = sq[:-1].sum(axis=0)
+            hit = self._sse[lo, hi] = (head + sq[-1], head)
         return hit
 
 
@@ -161,8 +154,9 @@ def _find_split(fits: _SpanFits, s: int, lo: int, hi: int) -> int | None:
     """Binary search of Appendix-style step 1 on one segment of one series."""
     if hi - lo + 1 < 2 * _MIN_SIDE - 1:  # both sides need >= 4 samples
         return None
-    base = fits.sse(s, lo, hi)[0]
-    ys = fits.columns[s][lo : hi + 1]
+    base = fits.sse(lo, hi)[0][s]
+    ys = fits.series[lo : hi + 1, s]
+    ys = ys - ys.mean()  # the slack must not grow with the data's offset
     slack = _SPLIT_SLACK * float(ys @ ys)
     a, b = lo, hi
     last = -1
@@ -171,8 +165,8 @@ def _find_split(fits: _SpanFits, s: int, lo: int, hi: int) -> int | None:
         if c == last or c - lo < _MIN_SIDE - 1 or hi - c < _MIN_SIDE - 1:
             return None  # no further candidates in the valid interval
         last = c
-        left = fits.sse(s, lo, c)[0]
-        right = fits.sse(s, c, hi)[0]
+        left = fits.sse(lo, c)[0][s]
+        right = fits.sse(c, hi)[0][s]
         if left + right < base - slack:
             return c
         # rule out the smaller-error half; keep searching the other
@@ -192,13 +186,13 @@ def _series_change_points(fits: _SpanFits, s: int) -> set[int]:
             visit(lo, c)
             visit(c, hi)
 
-    visit(0, len(fits.columns[s]) - 1)
+    visit(0, len(fits.t) - 1)
     return out
 
 
 def add_change_points(traj: Trajectory) -> ChangePointSet:
     """Candidate change points for one trajectory (union over x and y series)."""
-    fits = _SpanFits(traj.grid, (traj.samples[:, 0], traj.samples[:, 1]))
+    fits = _SpanFits(traj.grid, traj.samples)
     found = _series_change_points(fits, 0) | _series_change_points(fits, 1)
     return ChangePointSet(tuple(sorted(found)))
 
@@ -233,8 +227,7 @@ def prune_change_points(
         if hi - lo + 1 <= 4:
             del bounds[i + 1]
             continue
-        total = sum(fits.sse(s, lo, hi)[0] for s in range(4))
-        if total < epsilon:
+        if sum(fits.sse(lo, hi)[0]) < epsilon:  # series in order, one addition each
             del bounds[i + 1]
         else:
             i += 1
@@ -244,14 +237,11 @@ def prune_change_points(
 def _criterion(encounter: Encounter, knots: ChangePointSet) -> float:
     fits = encounter._span_fits()
     bounds = [0, *knots.points, len(encounter.interaction) - 1]
-    last = len(bounds) - 2
-    total = 0.0
-    for s in range(4):
-        for idx in range(len(bounds) - 1):
-            whole, head = fits.sse(s, bounds[idx], bounds[idx + 1])
-            # the boundary sample belongs to the next segment
-            total += whole if idx == last else head
-    return total + len(knots) + 2
+    fitted = [fits.sse(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # the boundary sample belongs to the next segment; the final span keeps it
+    own = np.array([head for _, head in fitted[:-1]] + [fitted[-1][0]])
+    # series-major, one addition at a time
+    return float(sum(own.T.flat)) + len(knots) + 2
 
 
 def default_tolerances(encounter: Encounter, count: int = 10) -> np.ndarray:

@@ -184,7 +184,7 @@ def reference_read_encounters_csv(path) -> list[tuple[str, Interaction]]:
     order: list[str] = []
     rows: dict[str, list[tuple[float, float, float, float, float]]] = {}
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle, malformed(path):

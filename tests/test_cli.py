@@ -632,6 +632,15 @@ class TestExitCodes:
         assert run("distances", "--input", str(path), "--output-dir", str(tmp_path)) == 3
         assert str(path) in capsys.readouterr().err
 
+    def test_short_encounter_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        rows = [f"long,{t},{t},2,3,4" for t in range(8)] + [f"tiny,{t},1,2,3,4" for t in range(3)]
+        path.write_text("encounter_id,t,x1,y1,x2,y2\n" + "\n".join(rows) + "\n")
+        assert run("segment", "--input", str(path), "--output-dir", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "'tiny'" in err and "at least 5 samples" in err
+        assert not os.path.exists(tmp_path / "segments.csv")
+
     def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"\xff\xfek = 3\n")

@@ -135,17 +135,24 @@ class TestEmbed:
         assert 0 <= emb.best_run < 9
 
     def test_blas_thread_count_does_not_change_output(self):
-        # at n=300 a threaded LAPACK eigh rounds the spectral start differently
+        # at n=300 a threaded LAPACK eigh rounds the spectral start differently;
+        # at n=600 and 1200 a threaded B @ points rounds the Guttman steps
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "from pairtraj.mds import embed\n"
-            "from pairtraj.procrustes import distance_matrix\n"
+            "from pairtraj.procrustes import DistanceMatrix, distance_matrix\n"
             "from pairtraj.synthetic import make_labeled_dataset\n"
+            "def emit(emb):\n"
+            "    sys.stdout.buffer.write(emb.points.tobytes() + repr(emb.stress).encode())\n"
             "encounters, _ = make_labeled_dataset(0, 100, num_samples=101)\n"
             "matrix = distance_matrix([inter for _, inter in encounters])\n"
             "for beta in (2, 3):\n"
-            "    emb = embed(matrix, beta, 0, max_iter=20)\n"
-            "    sys.stdout.buffer.write(emb.points.tobytes() + repr(emb.stress).encode())\n"
+            "    emit(embed(matrix, beta, 0, max_iter=20))\n"
+            "for n in (600, 1200):\n"
+            "    points = np.random.default_rng(n).normal(size=(n, 6))\n"
+            "    sq = sum(np.subtract.outer(c, c) ** 2 for c in points.T)\n"
+            "    emit(embed(DistanceMatrix(np.sqrt(sq)), 3, 0, max_iter=2, n_restarts=1))\n"
         )
         src = os.path.dirname(os.path.dirname(pairtraj.__file__))
         outputs = []
@@ -155,7 +162,7 @@ class TestEmbed:
                 [sys.executable, "-c", script], env=env, capture_output=True, check=True
             )
             outputs.append(done.stdout)
-        assert len(outputs[0]) > 8 * 300 * 5
+        assert len(outputs[0]) > 8 * (300 * 5 + 1800 * 3)
         assert outputs[0] == outputs[1]
 
 

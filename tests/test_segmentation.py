@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairtraj import segmentation
+from pairtraj import segmentation, synthetic
 from pairtraj.errors import DataError, DegenerateFitError, InvalidInputError
 from pairtraj.segmentation import (
     ChangePointSet,
@@ -351,20 +351,54 @@ class TestSegment:
             assert np.array_equal(sa.second.samples, sb.second.samples)
 
 
+def noisy_encounters(seed, count, knots, T):
+    return make_encounter_dataset(seed, count, knots, T)[0]
+
+
+def noise_free_encounters(seed, count, knots, T):
+    """Encounters whose four series are exact piecewise cubics cut at `knots`."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(T, dtype=float)
+    return [
+        (
+            f"pc-{i}",
+            Interaction(
+                Trajectory(synthetic._piecewise_cubic(rng, T, knots, 2.0), t),
+                Trajectory(synthetic._piecewise_cubic(rng, T, knots, 2.0), t),
+            ),
+        )
+        for i in range(count)
+    ]
+
+
+def shifted(inter, offset):
+    grid = inter.grid
+    return Interaction(
+        Trajectory(inter.first.samples + offset, grid),
+        Trajectory(inter.second.samples + offset, grid),
+    )
+
+
 class TestSpanFitMemo:
     """Each span is fitted once per encounter, with the refitting code's bits."""
 
     @pytest.mark.parametrize(
-        "seed, count, knots, T, grid",
+        "make, seed, count, knots, T, grid",
         [
-            (0, 4, (40, 80), 121, None),
-            (5, 2, (120, 260, 380), 501, None),
-            (3, 3, (40, 80), 121, [1e-3, 0.5, 0.02, 10.0, 3.0, 1e-6]),
+            pytest.param(noisy_encounters, 0, 4, (40, 80), 121, None, id="0-4-knots0-121-None"),
+            pytest.param(
+                noisy_encounters, 5, 2, (120, 260, 380), 501, None, id="5-2-knots1-501-None"
+            ),
+            pytest.param(
+                noisy_encounters, 3, 3, (40, 80), 121, [1e-3, 0.5, 0.02, 10.0, 3.0, 1e-6],
+                id="3-3-knots2-121-grid2",
+            ),
+            # exact fits: the split test's decision rests on its slack
+            pytest.param(noise_free_encounters, 8, 4, (30, 70, 95), 121, None, id="noise-free"),
         ],
     )
-    def test_matches_frozen_reference_bytes(self, seed, count, knots, T, grid):
-        encounters, _ = make_encounter_dataset(seed, count, knots, T)
-        for enc_id, inter in encounters:
+    def test_matches_frozen_reference_bytes(self, make, seed, count, knots, T, grid):
+        for enc_id, inter in make(seed, count, knots, T):
             segments, cuts = segment_with_knots(Encounter(enc_id, inter), grid, 57)
             ref_segments, ref_points, ref_eps = reference_segment_with_knots(inter, grid, 57)
             assert cuts.points == ref_points
@@ -377,14 +411,17 @@ class TestSpanFitMemo:
 
     def test_each_span_fitted_once(self, monkeypatch):
         fitted: dict = {}
-        original = segmentation._span_residuals
+        original = segmentation._cubic_lstsq
 
-        def counting(t, y, lo, hi):
-            key = (y.__array_interface__["data"][0], lo, hi)
+        def counting(t, values):
+            # a span's block is a view into the series: its address and
+            # length identify (lo, hi); every solve takes all four series
+            assert values.shape[1:] == (4,)
+            key = (values.__array_interface__["data"][0], len(values))
             fitted[key] = fitted.get(key, 0) + 1
-            return original(t, y, lo, hi)
+            return original(t, values)
 
-        monkeypatch.setattr(segmentation, "_span_residuals", counting)
+        monkeypatch.setattr(segmentation, "_cubic_lstsq", counting)
         encounters, _ = make_encounter_dataset(2, 1, (40, 80), 121)
         inter = encounters[0][1]
         enc = Encounter("a", inter)
@@ -398,6 +435,20 @@ class TestSpanFitMemo:
         fitted.clear()
         segment_with_knots(again)
         assert sum(fitted.values()) == calls
+
+
+@pytest.mark.parametrize("offset", [1e5, 4e6])
+def test_change_points_do_not_depend_on_where_the_data_sits(offset):
+    # the split slack scales with the centred, not the raw, sum of squares;
+    # ε is the same grid entry, its scale off by the shifted data's rounding
+    encounters, _ = make_encounter_dataset(0, 40, (40, 80), 121)
+    for enc_id, inter in encounters:
+        here, there = Encounter(enc_id, inter), Encounter(enc_id, shifted(inter, offset))
+        assert combined_candidates(there).points == combined_candidates(here).points
+        _, cuts = segment_with_knots(here)
+        _, moved = segment_with_knots(there)
+        assert moved.points == cuts.points
+        assert moved.tolerance == pytest.approx(cuts.tolerance, rel=1e-9)
 
 
 class TestArtifacts:

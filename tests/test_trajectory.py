@@ -314,7 +314,7 @@ class TestParserMatchesReference:
     def test_generated_files(self, content):
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "enc.csv")
-            with open(path, "w", newline="") as handle:
+            with open(path, "w", newline="", encoding="utf-8") as handle:
                 handle.write(content)
             assert_parses_like_reference(path)
 
@@ -322,7 +322,10 @@ class TestParserMatchesReference:
 class TestEncountersBinary:
     def test_round_trip_is_bit_identical(self, tmp_path):
         path = tmp_path / "enc.csv"
-        path.write_text(PARSER_CASES[1][1] + '"\u00e9,x",0,-0.0,2,3,4\n"\u00e9,x",1e-300,1,2,3,4\n')
+        path.write_text(
+            PARSER_CASES[1][1] + '"\u00e9,x",0,-0.0,2,3,4\n"\u00e9,x",1e-300,1,2,3,4\n',
+            encoding="utf-8",
+        )
         encounters = read_encounters_csv(path)
         cache = tmp_path / "enc.bin"
         write_encounters_binary(cache, encounters)
