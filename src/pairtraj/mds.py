@@ -7,11 +7,19 @@ majorization loop (Guttman transform) then descends the raw stress
 
 over all ordered pairs.  Each majorization step never increases the stress,
 so the reported value is monotone over iterations.
+
+Each run writes its steps into (n, n) buffers of its own.  The random
+restarts are independent, so from `_POOL_MIN_N` points up they run on up to
+one thread per CPU; their starts are drawn, and the winner picked, in run
+order, so the output does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
+import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -21,9 +29,13 @@ from .artifacts import malformed, read_binary, write_binary
 from .errors import DataError, InvalidInputError
 from .procrustes import DistanceMatrix
 
+_log = logging.getLogger(__name__)
 _REL_TOL = 1e-8
 _MAX_ITER = 500
 _N_RESTARTS = 8
+# from this n up the restarts run on up to one thread per CPU; below it the
+# thread start-up and the shared memory bandwidth cost more than they save
+_POOL_MIN_N = 100
 _MAGIC = b"PTEM"
 _HEADER = np.dtype(
     [("n", "<i8"), ("beta", "<i8"), ("stress", "<f8"), ("best_run", "<i8"), ("runs", "<i8")]
@@ -69,21 +81,24 @@ class Embedding:
         return int(self.points.shape[1])
 
 
-def _pairwise(points: np.ndarray) -> np.ndarray:
+def _pairwise(points: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     # one contiguous (n, n) difference per coordinate, squares summed in
     # coordinate order; the Gram form |a|^2 + |b|^2 - 2ab would cancel for
     # near-coincident points and blow up deltas / dist in the Guttman step
-    sq = np.zeros((points.shape[0], points.shape[0]))
-    for coord in points.T:
-        diff = np.subtract.outer(coord, coord)
-        diff *= diff
-        sq += diff
-    return np.sqrt(sq, out=sq)
+    first, *rest = points.T
+    np.subtract(first[:, None], first[None, :], out=work)
+    np.multiply(work, work, out=out)
+    for coord in rest:
+        np.subtract(coord[:, None], coord[None, :], out=work)
+        work *= work
+        out += work
+    return np.sqrt(out, out=out)
 
 
-def _stress(dist: np.ndarray, deltas: np.ndarray) -> float:
-    gap = dist - deltas
-    return float(np.sum(gap * gap))
+def _stress(dist: np.ndarray, deltas: np.ndarray, work: np.ndarray) -> float:
+    gap = np.subtract(dist, deltas, out=work)
+    gap *= gap
+    return float(np.sum(gap))
 
 
 @contextmanager
@@ -119,26 +134,35 @@ def _classical_start(deltas: np.ndarray, beta: int) -> np.ndarray:
 def _smacof(
     points: np.ndarray, deltas: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, float, int]:
-    """Majorize from `points`; returns the points, their stress and the steps taken."""
+    """Majorize from `points`; returns the points, their stress and the steps taken.
+
+    The (n, n) buffers belong to this run alone, so runs may go concurrently.
+    """
     n = points.shape[0]
-    dist = _pairwise(points)
-    stress = _stress(dist, deltas)
+    dist, cand_dist, work = (np.empty((n, n)) for _ in range(3))
+    mask = np.empty((n, n), dtype=bool)
+    _pairwise(points, dist, work)
+    stress = _stress(dist, deltas, work)
     steps = 0
     for _ in range(max_iter):
         if stress == 0.0:
             break
-        # the distances of the accepted points carry over from the last step
-        B = np.divide(deltas, dist, out=np.zeros_like(dist), where=dist > 0)
+        # the distances of the accepted points carry over from the last step;
+        # B shares `work` with the gap, as it is dead once B @ points is taken
+        B = work
+        B.fill(0.0)
+        np.divide(deltas, dist, out=B, where=np.greater(dist, 0, out=mask))
         row_sums = B.sum(axis=1)
         np.negative(B, out=B)
         np.fill_diagonal(B, row_sums)
         candidate = (B @ points) / n
-        cand_dist = _pairwise(candidate)
-        new_stress = _stress(cand_dist, deltas)
+        _pairwise(candidate, cand_dist, work)
+        new_stress = _stress(cand_dist, deltas, work)
         if new_stress > stress:
             # majorization guarantees non-increase; float noise at convergence
             break
-        points, dist, prev, stress = candidate, cand_dist, stress, new_stress
+        points, prev, stress = candidate, stress, new_stress
+        dist, cand_dist = cand_dist, dist
         steps += 1
         if (prev - stress) <= _REL_TOL * prev:
             break
@@ -160,7 +184,14 @@ def embed(
     the lowest-stress result wins (ties keep the spectral run).  Deterministic
     given seed.  max_iter=0 returns the raw spectral coordinates.  Each run
     stops at the relative stress tolerance or after max_iter steps, whichever
-    comes first; `Embedding.iterations` says which.
+    comes first; `Embedding.iterations` says which, and one warning on the
+    `pairtraj.mds` logger names the runs that reached the cap.
+
+    The restarts run only when the refined spectral run has positive stress.
+    For n >= `_POOL_MIN_N` they go on a pool of up to one thread per CPU in
+    this process's affinity mask, all under one pinned BLAS thread count;
+    the points, stress, iterations and best_run are the same bytes as with
+    one worker.
     """
     n = matrix.n
     if not isinstance(beta, (int, np.integer)) or not 1 <= beta <= n - 1:
@@ -169,21 +200,27 @@ def embed(
         raise InvalidInputError("max_iter and n_restarts must be nonnegative")
     deltas = matrix.entries
     # threaded BLAS rounds the spectral eigh and every Guttman step's
-    # B @ points differently with each thread count
+    # B @ points differently with each thread count; the count is
+    # process-global, so one pin covers every restart thread
     with _one_blas_thread():
-        points, stress, steps = _smacof(_classical_start(deltas, beta), deltas, max_iter)
-        iterations, best_run = [steps], 0
+        runs = [_smacof(_classical_start(deltas, beta), deltas, max_iter)]
         positive = deltas[deltas > 0]
-        if max_iter > 0 and stress > 0.0 and positive.size:
+        if max_iter > 0 and runs[0][1] > 0.0 and positive.size:
             rng = np.random.default_rng(seed)
             scale = float(positive.mean())
-            for run in range(1, n_restarts + 1):
-                start = rng.normal(size=(n, beta)) * scale
-                cand_points, cand_stress, steps = _smacof(start, deltas, max_iter)
-                iterations.append(steps)
-                if cand_stress < stress:
-                    points, stress, best_run = cand_points, cand_stress, run
-    return Embedding(points, stress, tuple(iterations), best_run)
+            starts = [rng.normal(size=(n, beta)) * scale for _ in range(n_restarts)]
+            cpus = len(os.sched_getaffinity(0)) if n >= _POOL_MIN_N else 1
+            with ThreadPoolExecutor(max(1, min(n_restarts, cpus))) as pool:
+                runs += pool.map(lambda start: _smacof(start, deltas, max_iter), starts)
+    # the first run of least stress wins, so ties keep the earlier run
+    best_run = min(range(len(runs)), key=lambda run: runs[run][1])
+    points, stress, _ = runs[best_run]
+    iterations = tuple(steps for _, _, steps in runs)
+    capped = [run for run, steps in enumerate(iterations) if steps == max_iter]
+    if max_iter > 0 and capped:
+        _log.warning("embed: run(s) %s of %d stopped at the %d-step cap",
+                     capped, len(runs), max_iter)
+    return Embedding(points, stress, iterations, best_run)
 
 
 def write_embedding_binary(path, embedding: Embedding) -> None:

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import pairtraj
+from pairtraj import mds
 from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.mds import Embedding, embed, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import DistanceMatrix, distance_matrix
@@ -134,9 +136,25 @@ class TestEmbed:
         assert emb.iterations == (5,) * 9  # spectral run, then 8 restarts
         assert 0 <= emb.best_run < 9
 
+    def test_capped_runs_logged_once(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="pairtraj.mds"):
+            embed(frozen_non_euclidean(), 2, seed=0, max_iter=5)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "[0, 1, 2, 3, 4, 5, 6, 7, 8] of 9" in record.getMessage()
+
+    def test_no_cap_warning_when_converged_or_spectral_only(self, caplog):
+        planar = euclidean_matrix(np.random.default_rng(0).normal(size=(12, 2)))
+        with caplog.at_level(logging.WARNING, logger="pairtraj.mds"):
+            converged = embed(planar, 2, seed=0)
+            embed(frozen_non_euclidean(), 2, seed=0, max_iter=0)
+        assert max(converged.iterations) < 500
+        assert caplog.records == []
+
     def test_blas_thread_count_does_not_change_output(self):
         # at n=300 a threaded LAPACK eigh rounds the spectral start differently;
-        # at n=600 and 1200 a threaded B @ points rounds the Guttman steps
+        # at n=600 and 1200 a threaded B @ points rounds the Guttman steps, and
+        # at n=600 restarts on the thread pool call BLAS at the same time
         script = (
             "import sys\n"
             "import numpy as np\n"
@@ -149,10 +167,10 @@ class TestEmbed:
             "matrix = distance_matrix([inter for _, inter in encounters])\n"
             "for beta in (2, 3):\n"
             "    emit(embed(matrix, beta, 0, max_iter=20))\n"
-            "for n in (600, 1200):\n"
+            "for n, restarts in ((600, 3), (1200, 1)):\n"
             "    points = np.random.default_rng(n).normal(size=(n, 6))\n"
             "    sq = sum(np.subtract.outer(c, c) ** 2 for c in points.T)\n"
-            "    emit(embed(DistanceMatrix(np.sqrt(sq)), 3, 0, max_iter=2, n_restarts=1))\n"
+            "    emit(embed(DistanceMatrix(np.sqrt(sq)), 3, 0, max_iter=2, n_restarts=restarts))\n"
         )
         src = os.path.dirname(os.path.dirname(pairtraj.__file__))
         outputs = []
@@ -169,6 +187,18 @@ class TestEmbed:
 def planted_sixty():
     data, _ = planted(np.random.default_rng(21), per_family=20)
     return distance_matrix(data)
+
+
+def planted_150():
+    # above mds._POOL_MIN_N, so the restarts run on the thread pool
+    data, _ = planted(np.random.default_rng(22), per_family=50)
+    return distance_matrix(data)
+
+
+def simplex_150():
+    # all distances equal: the spectral start is degenerate and a random
+    # restart wins, so the winner is picked from the pool's results
+    return DistanceMatrix(1.0 - np.eye(150))
 
 
 class TestMatchesFrozenReference:
@@ -190,6 +220,50 @@ class TestMatchesFrozenReference:
         realized = euclidean_matrix(emb.points).entries
         reference = euclidean_matrix(points).entries
         assert np.max(np.abs(realized - reference)) <= 1e-10
+
+    @pytest.mark.parametrize("make", [planted_150, simplex_150])
+    def test_beta2_byte_identical_on_the_thread_pool(self, make):
+        dm = make()
+        assert dm.n >= mds._POOL_MIN_N
+        emb = embed(dm, 2, seed=0, max_iter=40)
+        points, stress = reference_embed(dm.entries, 2, seed=0, max_iter=40)
+        assert emb.points.tobytes() == points.tobytes()
+        assert emb.stress == stress
+
+
+class TestRestartPool:
+    @pytest.mark.parametrize("make", [planted_150, simplex_150])
+    def test_worker_count_does_not_change_output(self, monkeypatch, make):
+        dm = make()
+        requested = []
+
+        class Recording(mds.ThreadPoolExecutor):
+            def __init__(self, workers):
+                requested.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(mds, "ThreadPoolExecutor", Recording)
+        results = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(mds.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+            emb = embed(dm, 3, seed=5, max_iter=30)
+            results.append((emb.points.tobytes(), emb.stress, emb.iterations, emb.best_run))
+        assert requested == [1, 4]
+        assert results[0] == results[1]
+
+    def test_a_pooled_restart_can_win(self):
+        emb = embed(simplex_150(), 3, seed=5, max_iter=30)
+        assert emb.best_run == 4
+
+    def test_iterations_in_run_order_above_the_gate(self):
+        emb = embed(planted_150(), 2, seed=0, max_iter=5)
+        assert emb.iterations == (5,) * 9
+        assert 0 <= emb.best_run < 9
+
+    def test_all_zero_matrix_runs_once_above_the_gate(self):
+        emb = embed(DistanceMatrix(np.zeros((mds._POOL_MIN_N, mds._POOL_MIN_N))), 2, seed=0)
+        assert emb.iterations == (0,) and emb.best_run == 0
+        assert emb.stress == 0.0
 
 
 class TestSerialization:
