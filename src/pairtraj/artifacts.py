@@ -4,7 +4,9 @@ failed write leaves an earlier file intact.  The three layouts:
 
 - JSON: one object, keys sorted, indented by two, metadata under "meta".
 - Rows: an optional `# <json>` metadata line, a header line, then
-  comma-separated rows.
+  comma-separated rows.  A field holding `,` or `"` is written in double
+  quotes with its quotes doubled, as in RFC 4180; `split_fields` reads a
+  line back.
 - Binary: a 4-byte magic, then a little-endian payload the caller packs.
 
 The schema readers elsewhere are thin layers over these pairs; `malformed`
@@ -14,6 +16,7 @@ for a row, the line.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -25,6 +28,16 @@ from .errors import DataError
 def fmt(value: float) -> str:
     # 17 significant digits round-trip every double
     return format(float(value), ".17g")
+
+
+def split_fields(line: str) -> list[str]:
+    """The comma-separated fields of one line, double-quoted ones unquoted."""
+    # csv.reader splits a line without quotes exactly as str.split does
+    return next(csv.reader([line])) if '"' in line else line.split(",")
+
+
+def _quoted(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"' if "," in field or '"' in field else field
 
 
 @contextmanager
@@ -105,16 +118,21 @@ def write_rows(path, header, rows, meta: dict | None = None) -> None:
         if meta is not None:
             handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(fields) + "\n" for fields in rows)
+        for fields in rows:
+            line = ",".join(fields)
+            # one test per row keeps the common case, nothing to quote, cheap
+            if '"' in line or line.count(",") >= len(fields):
+                line = ",".join(map(_quoted, fields))
+            handle.write(line + "\n")
 
 
 def read_rows(path, header) -> tuple[dict | None, list[tuple[int, list[str]]]]:
     """The metadata (None without a `#` line) and the rows after the header.
 
-    Each row is its line number in the file and its comma-separated fields;
-    blank lines are skipped.  With `header` a tuple of names, the header line
-    must hold exactly those and every row as many fields; with None the
-    header line is returned as the first row.
+    Each row is its line number in the file and its fields, as `split_fields`
+    reads them; blank lines are skipped.  With `header` a tuple of names, the
+    header line must hold exactly those and every row as many fields; with
+    None the header line is returned as the first row.
     """
     with malformed(path):
         numbered = enumerate(_read(path).split("\n"), start=1)
@@ -126,7 +144,7 @@ def read_rows(path, header) -> tuple[dict | None, list[tuple[int, list[str]]]]:
             meta = json.loads(line[1:])
         if not isinstance(meta, dict):
             raise DataError(f"{path}:{no}: metadata is not a JSON object")
-    rows = [(no, line.split(",")) for no, line in lines]
+    rows = [(no, split_fields(line)) for no, line in lines]
     if not rows:
         raise DataError(f"{path}: no header line")
     if header is None:

@@ -70,7 +70,7 @@ from .trajectory import (
     write_encounters_binary,
     write_encounters_csv,
 )
-from .transport import empirical_measure, model_measure, wasserstein
+from .transport import DiscreteMeasure, empirical_measure, model_measure, wasserstein
 
 
 def _meta(config: RunConfig) -> dict:
@@ -303,9 +303,15 @@ def _measure_from(path, config: RunConfig):
 
 
 def cmd_wasserstein(config: RunConfig, args) -> None:
-    first = _measure_from(args.a, config)
-    second = _measure_from(args.b, config)
-    value = wasserstein(first, second, config.r)
+    sides = [_measure_from(path, config) for path in (args.a, args.b)]
+    T = config.num_samples
+    if len({len(side.atoms[0]) for side in sides}) > 1:
+        # a model fitted at another num_samples is resampled onto this one
+        sides = [
+            DiscreteMeasure([a if len(a) == T else resample(a, T) for a in s.atoms], s.weights)
+            for s in sides
+        ]
+    value = wasserstein(*sides, config.r)
     payload = {"a": str(args.a), "b": str(args.b), "r": config.r, "value": value}
     path = _out(config, "wasserstein.json")
     write_json(path, payload, _meta(config))

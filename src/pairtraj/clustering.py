@@ -33,21 +33,22 @@ from .errors import InvalidInputError
 from .procrustes import (
     _pack,
     _residual_sq,
-    _resolve_measure,
     _row_weights,
+    _rows_to_interaction,
     _shared_length,
+    _stack_rows,
     DistanceMatrix,
     align,
 )
+from .segmentation import _cubic_lstsq
 from .trajectory import (
     Interaction,
     TimeMeasure,
-    Trajectory,
     interaction_from_dict,
     interaction_to_dict,
+    to_table,
+    uniform_measure,
 )
-
-METHODS = ("mds", "geo1", "geo2", "spline-coef")
 
 _DEFAULT_MAX_ITER = 300
 _DEFAULT_N_INIT = 8
@@ -190,17 +191,6 @@ def _snap_to_points(centers: np.ndarray, X: np.ndarray) -> list[int]:
     return chosen
 
 
-def _stack_rows(interaction: Interaction) -> np.ndarray:
-    return np.concatenate(
-        [interaction.first.samples, interaction.second.samples]
-    )
-
-
-def _rows_to_interaction(rows: np.ndarray, grid: np.ndarray) -> Interaction:
-    half = rows.shape[0] // 2
-    return Interaction(Trajectory(rows[:half], grid), Trajectory(rows[half:], grid))
-
-
 # ---------------------------------------------------------------------------
 # mds
 
@@ -266,13 +256,7 @@ def align_to_anchor(
     if not 0 <= anchor < len(data):
         raise InvalidInputError(f"anchor must lie in [0, {len(data) - 1}]")
     target = data[anchor]
-    out = []
-    for idx, inter in enumerate(data):
-        if idx == anchor:
-            out.append(inter)
-        else:
-            out.append(align(target, inter, mu)[1])
-    return out
+    return [x if i == anchor else align(target, x, mu)[1] for i, x in enumerate(data)]
 
 
 def cluster_geo1(
@@ -293,9 +277,10 @@ def cluster_geo1(
     sum of squares in that space.
     """
     T = _shared_length(data)
-    mu = _resolve_measure(mu, T)
+    # resolved once here, not in each of the n alignments
+    mu = uniform_measure(T) if mu is None else mu
+    w_row = _row_weights(mu, T)
     aligned = align_to_anchor(data, mu, anchor)
-    w_row = _row_weights(mu)
     root = np.sqrt(w_row)[:, None]
     X = np.stack([(_stack_rows(inter) * root).ravel() for inter in aligned])
     labels, centers, history = _kmeans(X, k, seed, n_init, max_iter)
@@ -303,9 +288,7 @@ def cluster_geo1(
     grid = data[anchor].grid
     reps = []
     for j in range(k):
-        rows = centers[j].reshape(-1, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = np.where(root > 0, rows / np.where(root > 0, root, 1.0), 0.0)
+        rows = centers[j].reshape(-1, 2) / np.where(root > 0, root, 1.0)
         if np.any(w_row == 0):
             # zero-weight samples carry no signal; fall back to the plain mean
             members = [_stack_rows(aligned[i]) for i in np.flatnonzero(labels == j)]
@@ -390,8 +373,7 @@ def cluster_geo2(
     """
     T = _shared_length(data)
     _check_restarts(len(data), k, n_init, max_iter)
-    mu = _resolve_measure(mu, T)
-    w_row = _row_weights(mu)
+    w_row = _row_weights(mu, T)
     packed = _pack(data, w_row)
     labels, centroids, history = _best_of(
         lambda rng: _geo2_run(data, packed, w_row, k, rng, max_iter), seed, n_init
@@ -412,13 +394,9 @@ def cluster_geo2(
 
 
 def _cubic_features(interaction: Interaction) -> np.ndarray:
-    grid = interaction.grid
-    t = (grid - grid[0]) / (grid[-1] - grid[0])
-    design = np.vander(t, 4, increasing=True)
-    series = np.column_stack(
-        [interaction.first.samples, interaction.second.samples]
-    )  # (T, 4): x1, y1, x2, y2
-    coef, *_ = np.linalg.lstsq(design, series, rcond=None)
+    table = to_table(interaction)
+    t = (table[:, 0] - table[0, 0]) / (table[-1, 0] - table[0, 0])
+    coef, _, _ = _cubic_lstsq(t, table[:, 1:])  # series x1, y1, x2, y2
     return coef.T.ravel()  # series-major: 4 coefficients per coordinate series
 
 
@@ -461,6 +439,7 @@ ROUTES = {
     "geo2": cluster_geo2,
     "spline-coef": cluster_spline_coef,
 }
+METHODS = tuple(ROUTES)
 
 
 def route(method: str):

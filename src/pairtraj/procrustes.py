@@ -24,6 +24,10 @@ the smaller branch, and ties keep the unswapped order.
 The subtraction N_s + N_t - 2|G| cancels for near-identical pairs.  Wherever
 it is at most _RECOMPUTE_REL * (N_s + N_t), the residual is recomputed
 directly as sum w |z_t - e^{i phi} z_s|^2 with the same phase.
+
+This module owns the stacked layout of a pair, the (2T, 2) rows of the first
+curve then the second (`_stack_rows`), and the alignment set-up: every entry
+point resolves its time measure (uniform when None) through `_row_weights`.
 """
 
 from __future__ import annotations
@@ -74,12 +78,8 @@ class Alignment:
 
         The swap flag is the caller's business: apply() never reorders the pair.
         """
-        grid = interaction.grid
-        moved = [
-            Trajectory(traj.samples @ self.rotation.T + self.translation, grid)
-            for traj in (interaction.first, interaction.second)
-        ]
-        return Interaction(moved[0], moved[1])
+        moved = _stack_rows(interaction) @ self.rotation.T + self.translation
+        return _rows_to_interaction(moved, interaction.grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,23 +108,27 @@ class DistanceMatrix:
         return int(self.entries.shape[0])
 
 
-def _resolve_measure(mu: TimeMeasure | None, num_samples: int) -> TimeMeasure:
+def _row_weights(mu: TimeMeasure | None, T: int) -> np.ndarray:
+    """Weights of the 2T rows of a stacked pair: mu, uniform when None, on each curve."""
     if mu is None:
-        return uniform_measure(num_samples)
-    if len(mu) != num_samples:
-        raise InvalidInputError(
-            f"measure has {len(mu)} weights but the grid has {num_samples} samples"
-        )
-    return mu
-
-
-def _row_weights(mu: TimeMeasure) -> np.ndarray:
+        mu = uniform_measure(T)
+    elif len(mu) != T:
+        raise InvalidInputError(f"measure has {len(mu)} weights but the grid has {T} samples")
     return np.concatenate([mu.weights, mu.weights])
+
+
+def _stack_rows(interaction: Interaction) -> np.ndarray:
+    return np.concatenate([interaction.first.samples, interaction.second.samples])
+
+
+def _rows_to_interaction(rows: np.ndarray, grid: np.ndarray) -> Interaction:
+    half = rows.shape[0] // 2
+    return Interaction(Trajectory(rows[:half], grid), Trajectory(rows[half:], grid))
 
 
 def _pack(data: list[Interaction], w_row: np.ndarray):
     """Jointly centred complex curves (n, 2T), their means (n,) and norms (n,)."""
-    rows = np.stack([np.concatenate([i.first.samples, i.second.samples]) for i in data])
+    rows = np.stack([_stack_rows(i) for i in data])
     raw = rows[..., 0] + 1j * rows[..., 1]
     # Row-wise sums rather than a BLAS matrix-vector product, so an interaction
     # packs to the same bits in any batch and a coincident-point blob centres to 0.
@@ -132,11 +136,6 @@ def _pack(data: list[Interaction], w_row: np.ndarray):
     mean = 0.5 * (raw * w_row).sum(axis=1)
     z = raw - mean[:, None]
     return z, mean, ((z.real**2 + z.imag**2) * w_row).sum(axis=1)
-
-
-def _swap_halves(z: np.ndarray) -> np.ndarray:
-    half = z.shape[-1] // 2
-    return np.concatenate([z[:, half:], z[:, :half]], axis=1)
 
 
 def _residual_sq(
@@ -168,13 +167,6 @@ def _alignment(phase: complex, mean_s: complex, mean_t: complex, swapped: bool) 
     return Alignment(np.array([[c, -s], [s, c]]), np.array([trans.real, trans.imag]), swapped)
 
 
-def _check_pair(target: Interaction, source: Interaction) -> None:
-    if len(target) != len(source):
-        raise InvalidInputError(
-            f"interactions have different grid lengths ({len(target)} vs {len(source)})"
-        )
-
-
 def _shared_length(data: list[Interaction]) -> int:
     if not data:
         raise InvalidInputError("need at least one interaction")
@@ -187,13 +179,21 @@ def _shared_length(data: list[Interaction]) -> int:
     return T
 
 
+def _both_orders(source: list[Interaction], target: list[Interaction], mu):
+    """Kernel (residual, phase) of every source onto every target, unswapped and
+    swapped, then the source and target means."""
+    w = _row_weights(mu, _shared_length([*source, *target]))
+    zs, mean_s, ns = _pack(source, w)
+    zt, mean_t, nt = _pack(target, w)
+    keep = _residual_sq(zs, ns, zt, nt, w)
+    # rolling by T puts each source's second curve first: the swapped pair order
+    swap = _residual_sq(np.roll(zs, zs.shape[1] // 2, axis=1), ns, zt, nt, w)
+    return keep, swap, mean_s, mean_t
+
+
 def _quotient_sq(source: list[Interaction], target: list[Interaction], mu) -> np.ndarray:
     """Squared quotient distances (both orderings) of every source to every target."""
-    w = _row_weights(_resolve_measure(mu, _shared_length(list(source) + list(target))))
-    zs, _, ns = _pack(source, w)
-    zt, _, nt = _pack(target, w)
-    keep, _ = _residual_sq(zs, ns, zt, nt, w)
-    swap, _ = _residual_sq(_swap_halves(zs), ns, zt, nt, w)
+    (keep, _), (swap, _), _, _ = _both_orders(source, target, mu)
     return np.minimum(keep, swap)
 
 
@@ -205,8 +205,7 @@ def align(
     Pair order is never permuted here; the returned Alignment always has
     swapped=False.  Minimizes rho^2 over SO(2) x R^2 in closed form.
     """
-    _check_pair(target, source)
-    w = _row_weights(_resolve_measure(mu, len(target)))
+    w = _row_weights(mu, _shared_length([target, source]))
     z, mean, norm = _pack([source, target], w)
     _, phase = _residual_sq(z[:1], norm[:1], z[1:], norm[1:], w)
     fit = _alignment(phase[0, 0], mean[0], mean[1], swapped=False)
@@ -215,7 +214,6 @@ def align(
 
 def distance(a: Interaction, b: Interaction, mu: TimeMeasure | None = None) -> float:
     """Quotient distance: rho minimized over rigid motions and the pair-order swap."""
-    _check_pair(a, b)
     return float(np.sqrt(_quotient_sq([b], [a], mu)[0, 0]))
 
 
@@ -226,15 +224,11 @@ def distance_with_alignment(
 
     Ties between the two orderings keep swapped=False.
     """
-    _check_pair(a, b)
-    w = _row_weights(_resolve_measure(mu, len(a)))
-    z, mean, norm = _pack([b, a], w)
-    r_keep, ph_keep = _residual_sq(z[:1], norm[:1], z[1:], norm[1:], w)
-    r_swap, ph_swap = _residual_sq(_swap_halves(z[:1]), norm[:1], z[1:], norm[1:], w)
+    (r_keep, ph_keep), (r_swap, ph_swap), mean_b, mean_a = _both_orders([b], [a], mu)
     swapped = bool(r_swap[0, 0] < r_keep[0, 0])
     phase = ph_swap[0, 0] if swapped else ph_keep[0, 0]
     dist = float(np.sqrt(min(r_keep[0, 0], r_swap[0, 0])))
-    return dist, _alignment(phase, mean[0], mean[1], swapped)
+    return dist, _alignment(phase, mean_b[0], mean_a[0], swapped)
 
 
 def distance_matrix(

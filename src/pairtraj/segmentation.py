@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import fmt, malformed, read_json, read_rows, write_json, write_rows
 from .errors import DegenerateFitError, InvalidInputError
-from .trajectory import Interaction, Trajectory, resample
+from .trajectory import Interaction, Trajectory, from_table, resample, to_table
 
 _MIN_SEGMENT = 5  # raw samples; enough for one cubic fit plus a residual
 _MIN_SIDE = 4  # samples on each side of a split, shared endpoint included
@@ -57,10 +57,8 @@ class Encounter:
             )
 
     def series(self) -> np.ndarray:
-        """(T, 4) columns x1, y1, x2, y2."""
-        return np.column_stack(
-            [self.interaction.first.samples, self.interaction.second.samples]
-        )
+        """(T, 4) columns x1, y1, x2, y2, C-contiguous for the span fits' slices."""
+        return to_table(self.interaction)[:, 1:].copy()
 
     def _span_fits(self) -> _SpanFits:
         """This encounter's fit memo over series x1, y1, x2, y2, built on first use."""
@@ -288,14 +286,6 @@ def _merge_short_spans(bounds: list[int]) -> list[tuple[int, int]]:
     return merged
 
 
-def _slice_interaction(inter: Interaction, lo: int, hi: int) -> Interaction:
-    grid = inter.grid[lo : hi + 1]
-    return Interaction(
-        Trajectory(inter.first.samples[lo : hi + 1], grid),
-        Trajectory(inter.second.samples[lo : hi + 1], grid),
-    )
-
-
 def segment_with_knots(
     encounter: Encounter,
     candidate_epsilons=None,
@@ -309,10 +299,8 @@ def segment_with_knots(
     pruned = prune_change_points(encounter, candidates, eps)
     T = len(encounter.interaction)
     spans = _merge_short_spans([0, *pruned.points, T - 1])
-    segments = [
-        resample(_slice_interaction(encounter.interaction, lo, hi), num_samples)
-        for lo, hi in spans
-    ]
+    table = to_table(encounter.interaction)
+    segments = [resample(from_table(table[lo : hi + 1]), num_samples) for lo, hi in spans]
     knots = ChangePointSet(tuple(hi for _, hi in spans[:-1]), tolerance=eps)
     return segments, knots
 
@@ -336,8 +324,7 @@ def write_segments_csv(path, segmented, meta: dict | None = None) -> None:
     def rows():
         for enc_id, segments in segmented:
             for index, inter in enumerate(segments):
-                table = np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
-                for row in table.tolist():
+                for row in to_table(inter).tolist():
                     yield [enc_id, str(index), *map(fmt, row)]
 
     write_rows(path, SEGMENT_HEADER, rows(), meta)
@@ -353,10 +340,8 @@ def read_segments_csv(path) -> list[tuple[str, list[Interaction]]]:
             groups.setdefault(key, (no, []))[1].append([float(v) for v in fields[2:]])
     out: list[tuple[str, list[Interaction]]] = []
     for key, (first, values) in groups.items():
-        table = np.array(values)
-        grid = table[:, 0]
         with malformed(f"{path}:{first}"):
-            inter = Interaction(Trajectory(table[:, 1:3], grid), Trajectory(table[:, 3:5], grid))
+            inter = from_table(np.array(values))
         if out and out[-1][0] == key[0]:
             out[-1][1].append(inter)
         else:

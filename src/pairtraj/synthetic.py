@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
+from .procrustes import _rows_to_interaction, _stack_rows, distance_matrix
 from .trajectory import Interaction, Trajectory
 
 FAMILIES = ("parallel", "opposing", "crossing", "stationary-near")
@@ -46,11 +47,9 @@ def _rigid_noisy_copy(rng: np.random.Generator, base: Interaction, noise: float)
     shift = rng.uniform(-5.0, 5.0, 2)
     # pair order stays fixed: the anchor-alignment methods are deliberately
     # not order-invariant, and planted recovery is their benchmark
-    curves = [base.first.samples, base.second.samples]
-    moved = [c @ rot.T + shift + rng.normal(0.0, noise, c.shape) for c in curves]
-    return Interaction(
-        Trajectory(moved[0], base.grid), Trajectory(moved[1], base.grid)
-    )
+    rows = _stack_rows(base)
+    moved = rows @ rot.T + shift + rng.normal(0.0, noise, rows.shape)
+    return _rows_to_interaction(moved, base.grid)
 
 
 def make_family_dataset(
@@ -78,8 +77,6 @@ def make_family_dataset(
 
 def within_between_ratio(data, labels, mu=None) -> float:
     """Mean within-family distance over mean between-family distance."""
-    from .procrustes import distance_matrix
-
     labels = np.asarray(labels)
     if len(data) != labels.shape[0]:
         raise InvalidInputError("data and labels sizes disagree")

@@ -1,14 +1,17 @@
-"""Core types for planar trajectory pairs sampled on shared time grids."""
+"""Core types for planar trajectory pairs sampled on shared time grids.
+
+It owns the (T, 5) table layout of an interaction, one row `t, x1, y1, x2, y2`
+per sample; every module converts through `to_table` and `from_table`.
+"""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .artifacts import fmt, malformed, opened, read_binary, write_binary, write_rows
+from .artifacts import fmt, malformed, opened, read_binary, split_fields, write_binary, write_rows
 from .errors import DataError, InvalidInputError
 
 CSV_HEADER = ("encounter_id", "t", "x1", "y1", "x2", "y2")
@@ -98,6 +101,17 @@ def uniform_measure(num_samples: int) -> TimeMeasure:
     return TimeMeasure(np.full(num_samples, 1.0 / num_samples))
 
 
+def to_table(inter: Interaction) -> np.ndarray:
+    """The (T, 5) table of rows (t, x1, y1, x2, y2)."""
+    return np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
+
+
+def from_table(table: np.ndarray) -> Interaction:
+    """The interaction in a (T, 5) table of rows (t, x1, y1, x2, y2)."""
+    grid = table[:, 0]
+    return Interaction(Trajectory(table[:, 1:3], grid), Trajectory(table[:, 3:5], grid))
+
+
 def resample(interaction: Interaction, num_samples: int = 101) -> Interaction:
     """Linearly interpolate both curves onto the uniform grid over [0, 1].
 
@@ -133,17 +147,6 @@ def interaction_from_dict(payload: dict) -> Interaction:
     return Interaction(Trajectory(payload["first"], grid), Trajectory(payload["second"], grid))
 
 
-def _fields(line: str) -> list[str]:
-    # csv.reader splits a line without quotes exactly as str.split does
-    return next(csv.reader([line])) if '"' in line else line.split(",")
-
-
-def _interaction(table: np.ndarray) -> Interaction:
-    """The encounter in rows of (t, x1, y1, x2, y2)."""
-    grid = table[:, 0]
-    return Interaction(Trajectory(table[:, 1:3], grid), Trajectory(table[:, 3:5], grid))
-
-
 def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
     """Read UTF-8 `encounter_id,t,x1,y1,x2,y2` rows grouped by encounter, sorted by t.
 
@@ -162,7 +165,7 @@ def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
                 break
         else:
             raise DataError(f"{path}: empty file, expected header row")
-        if tuple(f.strip() for f in _fields(line)) != CSV_HEADER:
+        if tuple(f.strip() for f in split_fields(line)) != CSV_HEADER:
             raise DataError(f"{path}:{lineno}: expected header {','.join(CSV_HEADER)}")
         last_id = None
         for lineno, raw in lines:
@@ -171,7 +174,7 @@ def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
             line = raw.strip()
             if not line:
                 continue
-            fields = _fields(line)
+            fields = split_fields(line)
             if len(fields) != 6:
                 raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
             enc_id = fields[0]
@@ -195,7 +198,7 @@ def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
         if len(table) < 2:
             raise DataError(f"{path}: encounter {enc_id!r} has fewer than 2 samples")
         with malformed(f"{path}: encounter {enc_id!r}"):
-            encounters.append((enc_id, _interaction(np.array(table))))
+            encounters.append((enc_id, from_table(np.array(table))))
     return encounters
 
 
@@ -205,8 +208,7 @@ def write_encounters_csv(path, encounters, meta: dict | None = None) -> None:
     def rows():
         for enc_id, inter in encounters:
             enc_id = str(enc_id)
-            table = np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
-            for row in table.tolist():
+            for row in to_table(inter).tolist():
                 yield [enc_id, *map(fmt, row)]
 
     write_rows(path, CSV_HEADER, rows(), meta)
@@ -218,11 +220,7 @@ def write_encounters_binary(path, encounters) -> None:
     float64 (t, x1, y1, x2, y2) rows in turn."""
     ids = [enc_id.encode() for enc_id, _ in encounters]
     head = [len(ids), *(len(inter) for _, inter in encounters), *map(len, ids)]
-    rows = (
-        np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
-        .astype("<f8").tobytes()
-        for _, inter in encounters
-    )
+    rows = (to_table(inter).astype("<f8").tobytes() for _, inter in encounters)
     write_binary(path, _MAGIC, np.array(head, dtype="<i8").tobytes(), *ids, *rows)
 
 
@@ -244,4 +242,4 @@ def read_encounters_binary(path) -> list[tuple[str, Interaction]]:
             raise DataError(f"{path}: repeated encounter id")
         table = np.frombuffer(payload, dtype="<f8", offset=id_cuts[-1]).reshape(-1, 5)
         cuts = list(accumulate(lengths, initial=0))
-        return [(enc_id, _interaction(table[a:b])) for enc_id, a, b in zip(ids, cuts, cuts[1:])]
+        return [(enc_id, from_table(table[a:b])) for enc_id, a, b in zip(ids, cuts, cuts[1:])]

@@ -327,8 +327,8 @@ def test_criterion_11_segmentation():
 
 def _normalized(path: str) -> bytes:
     """Artifact bytes with the creation timestamp blanked out."""
-    raw = open(path, "rb").read()
-    return re.sub(rb'"created": "[^"]*"', b'"created": "-"', raw)
+    with open(path, "rb") as handle:
+        return re.sub(rb'"created": "[^"]*"', b'"created": "-"', handle.read())
 
 
 def _pipeline(out: str) -> None:

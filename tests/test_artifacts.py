@@ -13,17 +13,25 @@ import numpy as np
 import pytest
 
 from pairtraj import artifacts
-from pairtraj.cli import read_transfer_csv
+from pairtraj.cli import read_transfer_csv, write_transfer_csv
 from pairtraj.clustering import read_model_json
 from pairtraj.errors import DataError
-from pairtraj.evaluation import read_quality_json, read_silhouette_csv, read_stability_csv
+from pairtraj.evaluation import (
+    read_quality_json,
+    read_silhouette_csv,
+    read_stability_csv,
+    write_silhouette_csv,
+)
 from pairtraj.mds import Embedding, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
-from pairtraj.segmentation import read_knots_json, read_segments_csv
+from pairtraj.segmentation import read_knots_json, read_segments_csv, write_segments_csv
 from pairtraj.trajectory import (
+    Interaction,
+    Trajectory,
     read_encounters_binary,
     read_encounters_csv,
     write_encounters_binary,
+    write_encounters_csv,
 )
 
 READERS = {
@@ -218,6 +226,54 @@ def test_file_sha256(tmp_path):
     assert artifacts.file_sha256(path).hexdigest() == hashlib.sha256(blob).hexdigest()
     with pytest.raises(DataError, match=re.escape(str(tmp_path / "absent"))):
         artifacts.file_sha256(tmp_path / "absent")
+
+
+def test_rows_quote_commas_and_quotes(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = [["b,c", "1"], ['e"f', "2"], ['"g"', "3"], ["plain", 'x,"y"']]
+    artifacts.write_rows(path, ("id", "v"), rows)
+    assert path.read_text() == (
+        'id,v\n"b,c",1\n"e""f",2\n"""g""",3\nplain,"x,""y"""\n'
+    )
+    assert [fields for _, fields in artifacts.read_rows(path, ("id", "v"))[1]] == rows
+
+
+# ids the encounter reader accepts in quotes; every rows writer must quote them back
+AWKWARD_IDS = ["plain", "b,c", 'e"f', '"g"', 'h,"i"']
+
+
+def _inter(T, offset):
+    grid = np.linspace(0.0, 1.0, T)
+    curve = np.column_stack([grid, grid**2]) + offset
+    return Interaction(Trajectory(curve, grid), Trajectory(-curve, grid))
+
+
+def test_encounters_round_trip_awkward_ids(tmp_path):
+    path = tmp_path / "enc.csv"
+    encounters = [(enc_id, _inter(5, i)) for i, enc_id in enumerate(AWKWARD_IDS)]
+    write_encounters_csv(path, encounters, meta={"seed": 1})
+    back = read_encounters_csv(path)
+    assert [enc_id for enc_id, _ in back] == AWKWARD_IDS
+    for (_, a), (_, b) in zip(back, encounters):
+        assert a.first.samples.tolist() == b.first.samples.tolist()
+
+
+def test_segments_round_trip_awkward_ids(tmp_path):
+    path = tmp_path / "segments.csv"
+    segmented = [(enc_id, [_inter(4, i), _inter(6, -i)]) for i, enc_id in enumerate(AWKWARD_IDS)]
+    write_segments_csv(path, segmented, meta={"seed": 1})
+    back = read_segments_csv(path)
+    assert [(enc_id, len(segs)) for enc_id, segs in back] == [(i, 2) for i in AWKWARD_IDS]
+    assert back[1][1][1].second.samples.tolist() == segmented[1][1][1].second.samples.tolist()
+
+
+def test_silhouette_and_transfer_round_trip_awkward_ids(tmp_path):
+    labels = [0, 1, 0, 1, 1]
+    write_silhouette_csv(tmp_path / "sil.csv", AWKWARD_IDS, labels, [0.5] * 5, {"seed": 1})
+    ids, clusters, _ = read_silhouette_csv(tmp_path / "sil.csv")
+    assert sorted(zip(ids, clusters.tolist())) == sorted(zip(AWKWARD_IDS, labels))
+    write_transfer_csv(tmp_path / "transfer.csv", AWKWARD_IDS, labels, {"seed": 1})
+    assert read_transfer_csv(tmp_path / "transfer.csv") == list(zip(AWKWARD_IDS, labels))
 
 
 def _one_row_then_disk_full():

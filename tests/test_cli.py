@@ -17,7 +17,8 @@ from pairtraj.clustering import read_model_json
 from pairtraj.procrustes import read_matrix_csv
 from pairtraj.segmentation import read_segments_csv
 from pairtraj.synthetic import make_encounter_dataset
-from pairtraj.trajectory import read_encounters_csv, write_encounters_csv
+from pairtraj.trajectory import read_encounters_csv, resample, write_encounters_csv
+from pairtraj.transport import DiscreteMeasure, empirical_measure, model_measure, wasserstein
 
 
 def run(*argv):
@@ -115,10 +116,8 @@ class TestClusterEvaluate:
             report = json.load(handle)
         assert len(report["cluster_sizes"]) == 3
         assert report["total_within"] >= 0.0
-        rows = [
-            ln for ln in open(os.path.join(workdir, "silhouette.csv"))
-            if ln.strip() and not ln.startswith("#")
-        ]
+        with open(os.path.join(workdir, "silhouette.csv")) as handle:
+            rows = [ln for ln in handle if ln.strip() and not ln.startswith("#")]
         assert rows[0].strip() == "id,cluster,silhouette"
         assert len(rows) == 13
 
@@ -298,7 +297,8 @@ class TestStability:
             "--grid", "k=2,3;beta=2,3", "--set", "num_samples=31",
             "--set", "n_init=2", "--seed", "3",
         ) == 0
-        lines = [ln.strip() for ln in open(os.path.join(out, "stability.csv")) if ln.strip()]
+        with open(os.path.join(out, "stability.csv")) as handle:
+            lines = [ln.strip() for ln in handle if ln.strip()]
         meta = json.loads(lines[0][2:])
         assert meta["axis1_name"] == "k" and meta["axis2_name"] == "beta"
         assert lines[1] == "axis1,axis2,value,delta1,delta2"
@@ -313,7 +313,8 @@ class TestStability:
             "stability", "--method", "mds", "--input", dataset, "--output-dir", out,
             "--grid", "k=2,3;beta=2.5", "--set", "num_samples=31", "--seed", "3",
         ) == 0
-        lines = [ln.strip() for ln in open(os.path.join(out, "stability.csv")) if ln.strip()]
+        with open(os.path.join(out, "stability.csv")) as handle:
+            lines = [ln.strip() for ln in handle if ln.strip()]
         assert [row.split(",")[:3] for row in lines[2:]] == [
             ["2", "2.5", "nan"], ["3", "2.5", "nan"]
         ]
@@ -383,7 +384,8 @@ class TestEmbeddingCache:
         blob = (tmp_path / "shared" / "cache" / name).read_bytes()
         for cold in (cold_fit, cold_sweep):
             assert self.embeddings(cold) == [name]
-            assert open(os.path.join(cold, "cache", name), "rb").read() == blob
+            with open(os.path.join(cold, "cache", name), "rb") as handle:
+                assert handle.read() == blob
 
     def test_key_covers_seed_and_beta(self, workdir, tmp_path, counted):
         out = str(tmp_path / "k")
@@ -484,6 +486,24 @@ class TestWassersteinTransfer:
         with open(os.path.join(out, "wasserstein.json")) as handle:
             assert json.load(handle)["value"] > 0.0
 
+    def test_model_at_another_num_samples_is_resampled(self, workdir, tmp_path):
+        # the model was fitted at num_samples=31; the data is read at the default 101
+        model_path = os.path.join(workdir, "model.json")
+        dataset = os.path.join(workdir, "dataset.csv")
+        out = str(tmp_path / "w")
+        assert run(
+            "wasserstein", "--a", model_path, "--b", dataset, "--output-dir", out, "--seed", "3",
+        ) == 0
+        with open(os.path.join(out, "wasserstein.json")) as handle:
+            value = json.load(handle)["value"]
+        model = read_model_json(model_path)
+        reps = tuple(resample(rep, 101) for rep in model.representatives)
+        data = [resample(inter, 101) for _, inter in read_encounters_csv(dataset)]
+        expected = wasserstein(
+            DiscreteMeasure(reps, model_measure(model).weights), empirical_measure(data)
+        )
+        assert value == expected
+
     def test_transfer_recovers_training_labels(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")
         out = str(tmp_path / "t")
@@ -520,6 +540,17 @@ class TestSegmentCommand:
             for got, planted in zip(entry["knots"], (40, 80)):
                 assert abs(got - planted) <= 2
         assert os.path.exists(os.path.join(out, "segments.csv"))
+
+    def test_quoted_ids_round_trip(self, tmp_path):
+        encounters, _ = make_encounter_dataset(4, count=2)
+        ids = ["b,c", 'e"f']
+        dataset = str(tmp_path / "dataset.csv")
+        write_encounters_csv(dataset, [(i, inter) for i, (_, inter) in zip(ids, encounters)])
+        assert [enc_id for enc_id, _ in read_encounters_csv(dataset)] == ids
+        out = str(tmp_path / "seg")
+        assert run("segment", "--input", dataset, "--output-dir", out, "--seed", "4") == 0
+        segmented = read_segments_csv(os.path.join(out, "segments.csv"))
+        assert [enc_id for enc_id, _ in segmented] == ids
 
     def test_failed_write_keeps_earlier_artifact(self, tmp_path, monkeypatch):
         out = str(tmp_path / "seg")

@@ -21,7 +21,7 @@ from pairtraj.clustering import (
 from pairtraj import mds
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import distance, distance_matrix
-from pairtraj.trajectory import Interaction, Trajectory, uniform_measure
+from pairtraj.trajectory import Interaction, TimeMeasure, Trajectory, uniform_measure
 
 from oracles import (
     match_rate,
@@ -259,6 +259,22 @@ class TestClusterGeo1:
             for j in range(i + 1, len(data)):
                 upper = np.sqrt(rho_sq(aligned[i], aligned[j], mu.weights))
                 assert upper >= distance(data[i], data[j]) - 1e-8
+
+    def test_zero_weight_samples_take_the_plain_mean(self):
+        data, _ = planted(np.random.default_rng(12), per_family=3)
+        T = len(data[0])
+        zero = np.array([0, T // 2, T - 1])
+        weights = np.ones(T)
+        weights[zero] = 0.0
+        mu = TimeMeasure(weights / weights.sum())
+        model = cluster_geo1(data, mu, k=3, seed=1)
+        aligned = align_to_anchor(data, mu)
+        rows = np.concatenate([zero, zero + T])  # those samples on both curves
+        for j, rep in enumerate(model.representatives):
+            got = stack_rows(rep)
+            assert np.all(np.isfinite(got))
+            members = [stack_rows(aligned[i]) for i in np.flatnonzero(model.assignments == j)]
+            assert np.array_equal(got[rows], np.mean(members, axis=0)[rows])
 
     def test_anchor_out_of_range(self):
         data, _ = planted(np.random.default_rng(11), per_family=1)
