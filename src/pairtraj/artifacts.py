@@ -4,9 +4,9 @@ failed write leaves an earlier file intact.  The three layouts:
 
 - JSON: one object, keys sorted, indented by two, metadata under "meta".
 - Rows: an optional `# <json>` metadata line, a header line, then
-  comma-separated rows.  A field holding `,` or `"` is written in double
-  quotes with its quotes doubled, as in RFC 4180; `split_fields` reads a
-  line back.
+  comma-separated rows.  A field holding `,` or `"`, or starting with `#`
+  (which would start a comment line), is written in double quotes with its
+  quotes doubled, as in RFC 4180; `split_fields` reads a line back.
 - Binary: a 4-byte magic, then a little-endian payload the caller packs.
 
 The schema readers elsewhere are thin layers over these pairs; `malformed`
@@ -37,7 +37,9 @@ def split_fields(line: str) -> list[str]:
 
 
 def _quoted(field: str) -> str:
-    return '"' + field.replace('"', '""') + '"' if "," in field or '"' in field else field
+    if "," in field or '"' in field or field.startswith("#"):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 @contextmanager
@@ -121,7 +123,7 @@ def write_rows(path, header, rows, meta: dict | None = None) -> None:
         for fields in rows:
             line = ",".join(fields)
             # one test per row keeps the common case, nothing to quote, cheap
-            if '"' in line or line.count(",") >= len(fields):
+            if '"' in line or "#" in line or line.count(",") >= len(fields):
                 line = ",".join(map(_quoted, fields))
             handle.write(line + "\n")
 

@@ -17,6 +17,12 @@ seed, the SMACOF constants and the tool version, so `cluster` and
 `stability` share one embedding per (matrix, beta, seed).  Cache files are
 written atomically and rebuilt when unreadable.
 
+`segment` cuts the encounters on up to one process per CPU in the affinity
+mask: this one and workers forked from it, which the kernel kills if it
+dies.  Each encounter's result is deterministic, so the output does not
+depend on the process count.  Python 3.12 and later emit a
+DeprecationWarning when a process holding OpenBLAS threads forks.
+
 Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
 4 numerical failure.
 """
@@ -24,10 +30,12 @@ Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import inspect
 import os
 import sys
+from concurrent.futures import Future
 from contextlib import suppress
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -198,23 +206,85 @@ def cmd_generate(config: RunConfig, args) -> None:
     print(csv_path, manifest_path, sep="\n")
 
 
+# from this many raw samples in all, `segment` forks its workers; below it
+# forking and joining them costs about what they save
+_POOL_MIN_SAMPLES = 2000
+_PR_SET_PDEATHSIG = 1  # linux/prctl.h
+
+
+def _segment_one(where, enc_id, inter, epsilons, num_samples):
+    """The segments and knots of one raw encounter of the input `where`."""
+    with malformed(f"{where}: encounter {enc_id!r}"):
+        encounter = Encounter(enc_id, inter)
+    return segment_with_knots(encounter, epsilons, num_samples)
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: the kernel SIGKILLs this worker when the thread that
+    forked it exits, so a killed `segment` leaves no worker behind (Linux)."""
+    import signal  # here, not at the top: 1 ms of every CLI start
+
+    if sys.platform == "linux":
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # the parent died before the prctl
+            os._exit(1)
+
+
+def _run_here(job) -> Future:
+    """`_segment_one(*job)` run in this process, as a finished future."""
+    done = Future()
+    try:
+        done.set_result(_segment_one(*job))
+    except Exception as exc:  # raised in input order by the caller
+        done.set_exception(exc)
+    return done
+
+
+def _segment_all(where, encounters, epsilons, num_samples) -> list:
+    """The segments and knots of every (id, interaction) encounter, in input
+    order; the error of the first failing encounter is raised.
+
+    From `_POOL_MIN_SAMPLES` samples up the encounters go to one process per
+    CPU in the affinity mask: this one and workers forked from its calling
+    thread.  The workers take jobs from the front and this process takes,
+    from the back, each job no worker has started.  Every encounter's result
+    is deterministic, so the output does not depend on the process count.
+    """
+    jobs = [(where, enc_id, inter, epsilons, num_samples) for enc_id, inter in encounters]
+    workers = min(len(jobs), len(os.sched_getaffinity(0))) - 1
+    if workers < 1 or sum(len(inter) for _, inter in encounters) < _POOL_MIN_SAMPLES:
+        return [_segment_one(*job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker pays a fresh numpy import; the
+    # processes start in this thread, on the first submit
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_die_with_parent, initargs=(os.getpid(),),
+    )
+    try:
+        futures = [pool.submit(_segment_one, *job) for job in jobs]
+        for index in reversed(range(len(jobs))):
+            if not futures[index].cancel():  # a worker started it, and every earlier job
+                break
+            futures[index] = _run_here(jobs[index])
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_segment(config: RunConfig, args) -> None:
     _require_input(config)
     encounters, _ = _read_input(config, config.input)
     epsilons = config.epsilons if config.epsilons else None
-    segmented = []
-    knot_entries = []
-    for enc_id, inter in encounters:
-        with malformed(f"{config.input}: encounter {enc_id!r}"):
-            encounter = Encounter(enc_id, inter)
-        segments, knots = segment_with_knots(encounter, epsilons, config.num_samples)
-        segmented.append((enc_id, segments))
-        knot_entries.append((enc_id, knots))
+    results = _segment_all(config.input, encounters, epsilons, config.num_samples)
+    ids = [enc_id for enc_id, _ in encounters]
     meta = _meta(config)
     seg_path = _out(config, "segments.csv")
-    write_segments_csv(seg_path, segmented, meta=meta)
+    write_segments_csv(seg_path, [(i, segs) for i, (segs, _) in zip(ids, results)], meta=meta)
     knots_path = _out(config, "knots.json")
-    write_knots_json(knots_path, knot_entries, meta=meta)
+    write_knots_json(knots_path, [(i, knots) for i, (_, knots) in zip(ids, results)], meta=meta)
     print(seg_path, knots_path, sep="\n")
 
 

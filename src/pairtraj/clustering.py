@@ -23,6 +23,7 @@ inputs (the distance matrix, an embedder, a time measure) that route takes.
 from __future__ import annotations
 
 import inspect
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ from .trajectory import (
     uniform_measure,
 )
 
+_log = logging.getLogger(__name__)
 _DEFAULT_MAX_ITER = 300
 _DEFAULT_N_INIT = 8
 _REL_TOL = 1e-10
@@ -317,7 +319,9 @@ def _geo2_run(
     k: int,
     rng: np.random.Generator,
     max_iter: int,
-) -> tuple[np.ndarray, list[Interaction], list[float]]:
+) -> tuple[np.ndarray, list[Interaction], bool, list[float]]:
+    """Labels, centroids, whether the run stopped before `max_iter` steps
+    ran out, and the objective history."""
     z, mean, norm = packed
     n = len(data)
     labels = rng.integers(0, k, size=n)
@@ -352,7 +356,9 @@ def _geo2_run(
             history[-2], 1e-300
         ):
             break
-    return labels, centroids, history
+    else:  # max_iter steps ran out before either stopping rule held
+        return labels, centroids, False, history
+    return labels, centroids, True, history
 
 
 def cluster_geo2(
@@ -369,15 +375,26 @@ def cluster_geo2(
     members after aligning them to the cluster's lowest-index member; each
     interaction then moves to the centroid with the smallest aligned mismatch
     (no pair-order swap).  Emptied clusters are re-seeded with the point
-    farthest from its current centroid.  Restarts keep the best objective.
+    farthest from its current centroid.  Restarts keep the best objective;
+    one warning on the `pairtraj.clustering` logger names the restarts that
+    ran out of max_iter steps without converging.
     """
     T = _shared_length(data)
     _check_restarts(len(data), k, n_init, max_iter)
     w_row = _row_weights(mu, T)
     packed = _pack(data, w_row)
-    labels, centroids, history = _best_of(
-        lambda rng: _geo2_run(data, packed, w_row, k, rng, max_iter), seed, n_init
-    )
+    converged: list[bool] = []
+
+    def run(rng: np.random.Generator) -> tuple:
+        result = _geo2_run(data, packed, w_row, k, rng, max_iter)
+        converged.append(result[2])
+        return result
+
+    labels, centroids, _, history = _best_of(run, seed, n_init)
+    capped = [restart for restart, done in enumerate(converged) if not done]
+    if capped:
+        _log.warning("cluster_geo2: restart(s) %s of %d stopped at the %d-iteration cap",
+                     capped, n_init, max_iter)
     return ClusterModel(
         method="geo2",
         k=k,

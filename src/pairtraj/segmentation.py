@@ -21,7 +21,8 @@ four series, and the encounter keeps a private memo of every (lo, hi) fit,
 shared by the candidate search, the pruning pass at every tolerance of the
 grid and the criterion, and dropped with the encounter.  The split slack is
 scaled by the centred sum of squares, so change points do not depend on where
-the data sits.
+the data sits.  Encounters share nothing, so `pairtraj segment` spreads them
+over up to one process per CPU; the output does not depend on that count.
 """
 
 from __future__ import annotations

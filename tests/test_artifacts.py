@@ -230,16 +230,19 @@ def test_file_sha256(tmp_path):
 
 def test_rows_quote_commas_and_quotes(tmp_path):
     path = tmp_path / "rows.csv"
-    rows = [["b,c", "1"], ['e"f', "2"], ['"g"', "3"], ["plain", 'x,"y"']]
+    rows = [
+        ["b,c", "1"], ['e"f', "2"], ['"g"', "3"], ["plain", 'x,"y"'], ["#a", "4"], ["b#c", "#5"]
+    ]
     artifacts.write_rows(path, ("id", "v"), rows)
+    # a line starting with `#` is a comment to the encounter reader
     assert path.read_text() == (
-        'id,v\n"b,c",1\n"e""f",2\n"""g""",3\nplain,"x,""y"""\n'
+        'id,v\n"b,c",1\n"e""f",2\n"""g""",3\nplain,"x,""y"""\n"#a",4\nb#c,"#5"\n'
     )
     assert [fields for _, fields in artifacts.read_rows(path, ("id", "v"))[1]] == rows
 
 
 # ids the encounter reader accepts in quotes; every rows writer must quote them back
-AWKWARD_IDS = ["plain", "b,c", 'e"f', '"g"', 'h,"i"']
+AWKWARD_IDS = ["plain", "b,c", 'e"f', '"g"', 'h,"i"', "#j", "k#l"]
 
 
 def _inter(T, offset):
@@ -268,8 +271,8 @@ def test_segments_round_trip_awkward_ids(tmp_path):
 
 
 def test_silhouette_and_transfer_round_trip_awkward_ids(tmp_path):
-    labels = [0, 1, 0, 1, 1]
-    write_silhouette_csv(tmp_path / "sil.csv", AWKWARD_IDS, labels, [0.5] * 5, {"seed": 1})
+    labels = [0, 1, 0, 1, 1, 0, 1]
+    write_silhouette_csv(tmp_path / "sil.csv", AWKWARD_IDS, labels, [0.5] * 7, {"seed": 1})
     ids, clusters, _ = read_silhouette_csv(tmp_path / "sil.csv")
     assert sorted(zip(ids, clusters.tolist())) == sorted(zip(AWKWARD_IDS, labels))
     write_transfer_csv(tmp_path / "transfer.csv", AWKWARD_IDS, labels, {"seed": 1})

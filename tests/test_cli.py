@@ -1,11 +1,16 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -600,6 +605,124 @@ class TestSegmentCommand:
         assert len(files["c"]) == 3  # segments, knots and the encounter cache
         segmented = read_segments_csv(str(tmp_path / "c" / "segments.csv"))
         assert [enc_id for enc_id, _ in segmented] == ["caf\u00e9-enc-000", "caf\u00e9-enc-001"]
+
+
+def _pooled_input(path, count=20, num_samples=121, short=()):
+    """An encounter CSV above the segment pool's sample gate; the encounters
+    at the indices in `short` have 3 samples, too few to segment."""
+    encounters, _ = make_encounter_dataset(5, count=count, num_samples=num_samples)
+    encounters = [
+        (enc_id, resample(inter, 3) if i in short else inter)
+        for i, (enc_id, inter) in enumerate(encounters)
+    ]
+    assert sum(len(inter) for _, inter in encounters) >= cli._POOL_MIN_SAMPLES
+    write_encounters_csv(path, encounters)
+    return str(path)
+
+
+def _live(pid):
+    """Whether `pid` runs and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
+class TestSegmentPool:
+    def test_segment_forks_from_the_main_thread_and_reaps(self, tmp_path, monkeypatch):
+        # PR_SET_PDEATHSIG fires when the forking thread exits, so the workers
+        # must come from the calling thread, not the executor's manager thread;
+        # two CPUs seen make one worker whatever the host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(threading.current_thread() is threading.main_thread())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        dataset = _pooled_input(tmp_path / "enc.csv")
+        assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "a")) == 0
+        assert forks == [True]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "fork", real_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "b")) == 0
+        for name in ("segments.csv", "knots.json"):
+            assert sans_created(tmp_path / "a" / name) == sans_created(tmp_path / "b" / name)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_segment_names_the_first_short_encounter(self, tmp_path, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        dataset = _pooled_input(tmp_path / "enc.csv", short=(7, 13))
+        assert run("segment", "--input", dataset, "--output-dir", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert dataset in err and "'enc-007'" in err and "at least 5 samples" in err
+        assert "enc-013" not in err
+        assert not os.path.exists(tmp_path / "segments.csv")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_segment_bytes_do_not_depend_on_processes_or_blas_threads(self, tmp_path):
+        dataset = _pooled_input(tmp_path / "enc.csv")
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        first_two = sorted(os.sched_getaffinity(0))[:2]
+        files = {}
+        for cpus in (first_two[:1], first_two):
+            for blas in ("1", "2"):
+                out = str(tmp_path / f"cpus{len(cpus)}-blas{blas}")
+                launcher = (
+                    f"import os, sys; os.sched_setaffinity(0, {cpus}); "
+                    "from pairtraj.cli import main; sys.exit(main(sys.argv[1:]))"
+                )
+                done = subprocess.run(
+                    [sys.executable, "-c", launcher, "segment", "--input", dataset,
+                     "--output-dir", out, "--seed", "5"],
+                    env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas},
+                    capture_output=True,
+                )
+                assert done.returncode == 0, done.stderr
+                files[out] = [sans_created(os.path.join(out, name))
+                              for name in ("segments.csv", "knots.json")]
+        first, *rest = files.values()
+        assert all(other == first for other in rest)
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2 or not os.path.exists(f"/proc/{os.getpid()}/task"),
+        reason="needs two CPUs and Linux /proc",
+    )
+    def test_segment_workers_die_with_a_killed_cli(self, tmp_path):
+        dataset = _pooled_input(tmp_path / "enc.csv", count=40, num_samples=501)
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pairtraj.cli", "segment", "--input", dataset,
+             "--output-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        try:
+            # the main thread's own children: the workers it forked
+            children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+            deadline = time.monotonic() + 20
+            while not workers and proc.poll() is None and time.monotonic() < deadline:
+                with contextlib.suppress(OSError), open(children) as handle:
+                    workers = [int(pid) for pid in handle.read().split()]
+                time.sleep(0.005)
+            assert workers, "no worker was forked before the run ended"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 2
+            while any(map(_live, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(_live, workers))
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in workers:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestResolution:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -283,11 +284,13 @@ class TestClusterGeo1:
 
 
 class TestClusterGeo2:
-    def test_planted_recovery_and_monotone_history(self):
+    def test_planted_recovery_and_monotone_history(self, caplog):
         data, truth = planted(np.random.default_rng(12), per_family=5)
-        model = cluster_geo2(data, k=3, seed=0)
+        with caplog.at_level(logging.WARNING, logger="pairtraj.clustering"):
+            model = cluster_geo2(data, k=3, seed=0)
         assert match_rate(model.assignments, truth, 3) >= 0.95
         assert np.all(np.diff(model.objective_history) <= 1e-9)
+        assert caplog.records == []  # every restart converged
 
     def test_identical_inputs_zero_objective(self):
         rng = np.random.default_rng(13)
@@ -327,6 +330,14 @@ class TestClusterGeo2:
         data, _ = planted(np.random.default_rng(17), per_family=1)
         with pytest.raises(InvalidInputError, match="k must lie"):
             cluster_geo2(data, k=4, seed=0)
+
+    def test_capped_restarts_logged_once(self, caplog):
+        data, _ = planted(np.random.default_rng(12), per_family=5)
+        with caplog.at_level(logging.WARNING, logger="pairtraj.clustering"):
+            cluster_geo2(data, k=3, seed=0, n_init=3, max_iter=1)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "restart(s) [0, 1, 2] of 3 stopped at the 1-iteration cap" in record.getMessage()
 
 
 class TestRigidEquivariance:
