@@ -30,13 +30,20 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def fmt_row(values: list[float]) -> str:
+    """`fmt` of each value, comma-joined, in one format call for the row;
+    `"%.17g" % v` writes the same text as `fmt(v)` for every float v."""
+    return ",".join(["%.17g"] * len(values)) % tuple(values)
+
+
 def split_fields(line: str) -> list[str]:
     """The comma-separated fields of one line, double-quoted ones unquoted."""
     # csv.reader splits a line without quotes exactly as str.split does
     return next(csv.reader([line])) if '"' in line else line.split(",")
 
 
-def _quoted(field: str) -> str:
+def quoted(field: str) -> str:
+    """The field as the rows layout writes it, in double quotes where needed."""
     if "," in field or '"' in field or field.startswith("#"):
         return '"' + field.replace('"', '""') + '"'
     return field
@@ -115,16 +122,19 @@ def read_json(path) -> dict:
 
 
 def write_rows(path, header, rows, meta: dict | None = None) -> None:
-    """Write the rows layout; `header` and each of `rows` are sequences of text fields."""
+    """Write the rows layout; `header` is a sequence of text fields, and so is
+    each of `rows`, or else a `str` holding the whole line, already quoted
+    (`quoted`) and joined, such as a text field then `fmt_row` of numbers."""
     with _replacing(path, "w", newline="") as handle:
         if meta is not None:
             handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         handle.write(",".join(header) + "\n")
-        for fields in rows:
-            line = ",".join(fields)
-            # one test per row keeps the common case, nothing to quote, cheap
-            if '"' in line or "#" in line or line.count(",") >= len(fields):
-                line = ",".join(map(_quoted, fields))
+        for line in rows:
+            if not isinstance(line, str):
+                fields, line = line, ",".join(line)
+                # one test per row keeps the common case, nothing to quote, cheap
+                if '"' in line or "#" in line or line.count(",") >= len(fields):
+                    line = ",".join(map(quoted, fields))
             handle.write(line + "\n")
 
 

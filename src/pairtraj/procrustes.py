@@ -16,7 +16,9 @@ and the residual is N_s + N_t - 2|G|.  Every alignment in the package goes
 through one kernel, `_residual_sq`, which takes a stack of sources against a
 stack of targets and forms all the G at once as one complex matrix product.
 That product runs in numpy's own einsum loop rather than BLAS, because
-OpenBLAS rounds differently with one thread than with several.
+OpenBLAS rounds differently with one thread than with several; the loop sums
+each entry over k the same way whatever the stack sizes, so an entry has the
+same bits in any block.
 When G = 0 every rotation ties and the identity is used.  The swap branch is
 the same call with the two halves of each source exchanged; the distance is
 the smaller branch, and ties keep the unswapped order.
@@ -24,6 +26,12 @@ the smaller branch, and ties keep the unswapped order.
 The subtraction N_s + N_t - 2|G| cancels for near-identical pairs.  Wherever
 it is at most _RECOMPUTE_REL * (N_s + N_t), the residual is recomputed
 directly as sum w |z_t - e^{i phi} z_s|^2 with the same phase.
+
+The matrices run the kernel on row blocks of _BLOCK sources at a time
+(`_min_sq_rows`), which bounds the temporaries to a few (_BLOCK, n) arrays.
+`distance_matrix` matches each block only against the targets from the
+block's own first row on, fills the strict upper triangle and mirrors it;
+`cross_distance_matrix` takes whole rows.
 
 This module owns the stacked layout of a pair, the (2T, 2) rows of the first
 curve then the second (`_stack_rows`), and the alignment set-up: every entry
@@ -38,7 +46,7 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
-from .artifacts import fmt, malformed, read_binary, read_rows, write_binary, write_rows
+from .artifacts import fmt_row, malformed, read_binary, read_rows, write_binary, write_rows
 from .errors import DataError, InvalidInputError
 from .trajectory import Interaction, TimeMeasure, Trajectory, uniform_measure
 
@@ -47,6 +55,8 @@ _MAGIC = b"PTDM"
 _RECOMPUTE_REL = 1e-3
 # Near pairs are recomputed this many at a time, bounding the temporaries
 _RECOMPUTE_CHUNK = 256
+# Sources per kernel call in the matrices
+_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,22 +189,31 @@ def _shared_length(data: list[Interaction]) -> int:
     return T
 
 
-def _both_orders(source: list[Interaction], target: list[Interaction], mu):
-    """Kernel (residual, phase) of every source onto every target, unswapped and
-    swapped, then the source and target means."""
+def _packed(source: list[Interaction], target: list[Interaction], mu):
+    """The row weights, then `_pack` of the sources and of the targets."""
     w = _row_weights(mu, _shared_length([*source, *target]))
-    zs, mean_s, ns = _pack(source, w)
-    zt, mean_t, nt = _pack(target, w)
-    keep = _residual_sq(zs, ns, zt, nt, w)
+    return w, _pack(source, w), _pack(target, w)
+
+
+def _both_orders(zs, ns, zt, nt, w_row):
+    """Kernel (residual, phase) of every source onto every target, unswapped
+    and swapped."""
+    keep = _residual_sq(zs, ns, zt, nt, w_row)
     # rolling by T puts each source's second curve first: the swapped pair order
-    swap = _residual_sq(np.roll(zs, zs.shape[1] // 2, axis=1), ns, zt, nt, w)
-    return keep, swap, mean_s, mean_t
+    swap = _residual_sq(np.roll(zs, zs.shape[1] // 2, axis=1), ns, zt, nt, w_row)
+    return keep, swap
 
 
-def _quotient_sq(source: list[Interaction], target: list[Interaction], mu) -> np.ndarray:
-    """Squared quotient distances (both orderings) of every source to every target."""
-    (keep, _), (swap, _), _, _ = _both_orders(source, target, mu)
-    return np.minimum(keep, swap)
+def _min_sq_rows(zs, ns, zt, nt, w_row, upper: bool = False):
+    """Squared quotient distances, _BLOCK sources at a time.
+
+    Yields (lo, block): block[r, c] belongs to source lo + r and target c, or
+    with `upper` to target lo + c, the targets before lo being skipped.
+    """
+    for lo in range(0, len(zs), _BLOCK):
+        rows, cols = slice(lo, lo + _BLOCK), slice(lo if upper else 0, None)
+        (keep, _), (swap, _) = _both_orders(zs[rows], ns[rows], zt[cols], nt[cols], w_row)
+        yield lo, np.minimum(keep, swap)
 
 
 def align(
@@ -214,7 +233,7 @@ def align(
 
 def distance(a: Interaction, b: Interaction, mu: TimeMeasure | None = None) -> float:
     """Quotient distance: rho minimized over rigid motions and the pair-order swap."""
-    return float(np.sqrt(_quotient_sq([b], [a], mu)[0, 0]))
+    return float(cross_distance_matrix([b], [a], mu)[0, 0])
 
 
 def distance_with_alignment(
@@ -224,7 +243,8 @@ def distance_with_alignment(
 
     Ties between the two orderings keep swapped=False.
     """
-    (r_keep, ph_keep), (r_swap, ph_swap), mean_b, mean_a = _both_orders([b], [a], mu)
+    w, (zb, mean_b, nb), (za, mean_a, na) = _packed([b], [a], mu)
+    (r_keep, ph_keep), (r_swap, ph_swap) = _both_orders(zb, nb, za, na, w)
     swapped = bool(r_swap[0, 0] < r_keep[0, 0])
     phase = ph_swap[0, 0] if swapped else ph_keep[0, 0]
     dist = float(np.sqrt(min(r_keep[0, 0], r_swap[0, 0])))
@@ -240,16 +260,23 @@ def distance_matrix(
     """All pairwise quotient distances.
 
     With normalize=True the matrix is rescaled so its largest entry is 1
-    (no-op on an all-zero matrix).  The strict upper triangle is mirrored and
-    the diagonal is exactly 0.  `workers` is accepted for compatibility and
-    changes nothing: the matrix is two complex matrix products.
+    (no-op on an all-zero matrix).  Each block of _BLOCK rows is matched
+    against the columns from its own first row on; the strict upper triangle
+    is kept and mirrored, and the diagonal is exactly 0.  `workers` changes
+    nothing; it stays only while the benchmark (`bench/run.py`) still passes
+    it, and goes together with that call.
     """
-    upper = np.triu(np.sqrt(_quotient_sq(data, data, mu)), 1)
-    out = upper + upper.T
+    w = _row_weights(mu, _shared_length(data))
+    z, _, norm = _pack(data, w)
+    out = np.zeros((len(data), len(data)))
+    for lo, block in _min_sq_rows(z, norm, z, norm, w, upper=True):
+        upper = np.triu(np.sqrt(block, out=block), 1)
+        out[lo : lo + len(upper), lo:] = upper
+        out[lo:, lo : lo + len(upper)] += upper.T
     if normalize:
         top = out.max()
         if top > 0:
-            out = out / top
+            out /= top
     return DistanceMatrix(out)
 
 
@@ -258,15 +285,22 @@ def cross_distance_matrix(
     right: list[Interaction],
     mu: TimeMeasure | None = None,
 ) -> np.ndarray:
-    """Rectangular matrix of quotient distances d(left[i], right[j])."""
+    """Rectangular matrix of quotient distances d(left[i], right[j]).
+
+    The rows are computed _BLOCK at a time, which bounds the temporaries only:
+    every entry has the bits of one whole-matrix kernel call."""
     if not left or not right:
         raise InvalidInputError("need at least one interaction on each side")
-    return np.sqrt(_quotient_sq(left, right, mu))
+    w, (zs, _, ns), (zt, _, nt) = _packed(left, right, mu)
+    out = np.empty((len(left), len(right)))
+    for lo, block in _min_sq_rows(zs, ns, zt, nt, w):
+        np.sqrt(block, out=out[lo : lo + len(block)])
+    return out
 
 
 def write_matrix_csv(path, matrix: DistanceMatrix, meta: dict | None = None) -> None:
     """Text form: optional `#` metadata line, a header line holding n, then n rows."""
-    rows = ([fmt(v) for v in row] for row in matrix.entries.tolist())
+    rows = (fmt_row(row.tolist()) for row in matrix.entries)
     write_rows(path, [str(matrix.n)], rows, meta)
 
 

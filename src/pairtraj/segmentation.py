@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import fmt, malformed, read_json, read_rows, write_json, write_rows
+from .artifacts import fmt_row, malformed, quoted, read_json, read_rows, write_json, write_rows
 from .errors import DegenerateFitError, InvalidInputError
 from .trajectory import Interaction, Trajectory, from_table, resample, to_table
 
@@ -325,8 +325,9 @@ def write_segments_csv(path, segmented, meta: dict | None = None) -> None:
     def rows():
         for enc_id, segments in segmented:
             for index, inter in enumerate(segments):
+                lead = f"{quoted(enc_id)},{index},"
                 for row in to_table(inter).tolist():
-                    yield [enc_id, str(index), *map(fmt, row)]
+                    yield lead + fmt_row(row)
 
     write_rows(path, SEGMENT_HEADER, rows(), meta)
 

@@ -11,7 +11,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .artifacts import fmt, malformed, opened, read_binary, split_fields, write_binary, write_rows
+from .artifacts import (
+    fmt_row, malformed, opened, quoted, read_binary, split_fields, write_binary, write_rows,
+)
 from .errors import DataError, InvalidInputError
 
 CSV_HEADER = ("encounter_id", "t", "x1", "y1", "x2", "y2")
@@ -115,14 +117,18 @@ def from_table(table: np.ndarray) -> Interaction:
 def resample(interaction: Interaction, num_samples: int = 101) -> Interaction:
     """Linearly interpolate both curves onto the uniform grid over [0, 1].
 
-    The raw grid is first mapped affinely onto [0, 1]; already-uniform input
-    of matching length passes through unchanged.
+    The raw grid is first mapped affinely onto [0, 1].  An interaction whose
+    grid already equals that target grid is returned itself: interpolating
+    it would give back the same samples, as `np.interp` returns `fp[j]`
+    exactly where `x == xp[j]`.
     """
     if num_samples < 2:
         raise InvalidInputError("num_samples must be at least 2")
     old = interaction.grid
-    scaled = (old - old[0]) / (old[-1] - old[0])
     target = np.linspace(0.0, 1.0, num_samples)
+    if np.array_equal(old, target):
+        return interaction
+    scaled = (old - old[0]) / (old[-1] - old[0])
     curves = []
     for traj in (interaction.first, interaction.second):
         pts = np.column_stack(
@@ -207,9 +213,9 @@ def write_encounters_csv(path, encounters, meta: dict | None = None) -> None:
 
     def rows():
         for enc_id, inter in encounters:
-            enc_id = str(enc_id)
+            lead = quoted(str(enc_id)) + ","
             for row in to_table(inter).tolist():
-                yield [enc_id, *map(fmt, row)]
+                yield lead + fmt_row(row)
 
     write_rows(path, CSV_HEADER, rows(), meta)
 

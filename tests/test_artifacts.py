@@ -24,8 +24,14 @@ from pairtraj.evaluation import (
 )
 from pairtraj.mds import Embedding, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
-from pairtraj.segmentation import read_knots_json, read_segments_csv, write_segments_csv
+from pairtraj.segmentation import (
+    SEGMENT_HEADER,
+    read_knots_json,
+    read_segments_csv,
+    write_segments_csv,
+)
 from pairtraj.trajectory import (
+    CSV_HEADER,
     Interaction,
     Trajectory,
     read_encounters_binary,
@@ -241,6 +247,14 @@ def test_rows_quote_commas_and_quotes(tmp_path):
     assert [fields for _, fields in artifacts.read_rows(path, ("id", "v"))[1]] == rows
 
 
+def test_fmt_row_matches_fmt_per_field():
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-300, 1 / 3, 1e16]
+    bits = rng.integers(0, 2**63, size=4000, dtype=np.uint64).view(np.float64)
+    for values in (special, bits.tolist(), rng.normal(size=500).tolist(), []):
+        assert artifacts.fmt_row(values) == ",".join(map(artifacts.fmt, values))
+
+
 # ids the encounter reader accepts in quotes; every rows writer must quote them back
 AWKWARD_IDS = ["plain", "b,c", 'e"f', '"g"', 'h,"i"', "#j", "k#l"]
 
@@ -259,6 +273,24 @@ def test_encounters_round_trip_awkward_ids(tmp_path):
     assert [enc_id for enc_id, _ in back] == AWKWARD_IDS
     for (_, a), (_, b) in zip(back, encounters):
         assert a.first.samples.tolist() == b.first.samples.tolist()
+
+
+def test_numeric_writers_match_per_field_rows(tmp_path):
+    # a row of `quoted` ids and `fmt_row` numbers is what write_rows makes of
+    # the same row given field by field
+    encounters = [(enc_id, _inter(3, -i / 3)) for i, enc_id in enumerate(AWKWARD_IDS)]
+    write_encounters_csv(tmp_path / "a.csv", encounters, meta={"seed": 1})
+    rows = [
+        [enc_id, *map(artifacts.fmt, row)]
+        for enc_id, inter in encounters
+        for row in np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
+    ]
+    artifacts.write_rows(tmp_path / "b.csv", CSV_HEADER, rows, meta={"seed": 1})
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    write_segments_csv(tmp_path / "c.csv", [(i, [inter]) for i, inter in encounters])
+    rows = [[row[0], "0", *row[1:]] for row in rows]
+    artifacts.write_rows(tmp_path / "d.csv", SEGMENT_HEADER, rows)
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
 
 def test_segments_round_trip_awkward_ids(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pairtraj
+from pairtraj.artifacts import fmt
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import (
     Alignment,
@@ -19,7 +20,12 @@ from pairtraj.procrustes import (
     read_matrix_csv,
     write_matrix_binary,
     write_matrix_csv,
+    _BLOCK,
+    _both_orders,
+    _pack,
+    _row_weights,
 )
+from pairtraj.synthetic import family_interaction
 from pairtraj.trajectory import Interaction, Trajectory, uniform_measure
 
 from oracles import (
@@ -282,6 +288,17 @@ class TestDistanceMatrix:
         back = read_matrix_csv(path)
         assert np.array_equal(back.entries, mat.entries)
 
+    def test_csv_bytes_match_per_field_format(self, tmp_path):
+        # one format per row writes what `fmt` writes field by field
+        entries = np.zeros((4, 4))
+        entries[np.triu_indices(4, 1)] = [5e-324, 1e-300, 1 / 3, 1e16, 2.5, 7.0]
+        mat = DistanceMatrix(entries + entries.T)
+        path = tmp_path / "d.csv"
+        write_matrix_csv(path, mat, meta={"k": 1})
+        rows = (",".join(fmt(v) for v in row) for row in mat.entries)
+        assert path.read_text() == '# {"k": 1}\n4\n' + "".join(r + "\n" for r in rows)
+        assert read_matrix_csv(path).entries.tobytes() == mat.entries.tobytes()
+
     def test_binary_round_trip_bit_exact(self, tmp_path):
         mat = distance_matrix(self.build())
         path = tmp_path / "d.bin"
@@ -354,3 +371,55 @@ class TestFrozenReference:
             cross_distance_matrix([a], [b])[0, 0],
         ):
             assert got == pytest.approx(ref, rel=1e-6)
+
+
+class TestRowBlocks:
+    """The blocked matrices against one kernel call over every row, byte for byte."""
+
+    T = 9
+    # each later index holds a rigid copy, perturbed by 1e-9, of the earlier
+    # one: pairs inside one block and across each block edge, so the
+    # near-identical recompute runs in diagonal and off-diagonal blocks
+    NEAR = ((0, 1), (_BLOCK - 1, _BLOCK), (_BLOCK, _BLOCK + 1), (1, 2 * _BLOCK))
+
+    def build(self, n):
+        rng = np.random.default_rng(n)
+        near = family_interaction("stationary-near", self.T)
+        data = [near if i % 3 == 0 else random_interaction(rng, self.T) for i in range(n)]
+        for src, dst in self.NEAR:
+            if dst < n:
+                noisy = Interaction(
+                    *(
+                        Trajectory(c.samples + 1e-9 * rng.normal(size=(self.T, 2)), c.grid)
+                        for c in (data[src].first, data[src].second)
+                    )
+                )
+                data[dst] = rigid_copy(noisy, random_rotation(rng), rng.uniform(-2, 2, 2))
+        return data
+
+    def unblocked(self, source, target):
+        w = _row_weights(None, self.T)
+        zs, _, ns = _pack(source, w)
+        zt, _, nt = _pack(target, w)
+        (keep, _), (swap, _) = _both_orders(zs, ns, zt, nt, w)
+        return np.sqrt(np.minimum(keep, swap))
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_matrix_matches_unblocked_upper_triangle(self, n):
+        data = self.build(n)
+        upper = np.triu(self.unblocked(data, data), 1)
+        got = distance_matrix(data).entries
+        assert got.tobytes() == (upper + upper.T).tobytes()
+        w = uniform_measure(self.T).weights
+        for i, j in self.NEAR:
+            if j < n:
+                ref = reference_distance(data[i], data[j], w)
+                assert 1e-11 < ref < 1e-7
+                assert got[i, j] == pytest.approx(ref, rel=1e-6)
+
+    def test_cross_matrix_matches_one_kernel_call(self):
+        data = self.build(2 * _BLOCK + 3)
+        left, right = data, data[_BLOCK - 3 : _BLOCK + 4]
+        got = cross_distance_matrix(left, right)
+        assert got.shape == (2 * _BLOCK + 3, 7)
+        assert got.tobytes() == self.unblocked(left, right).tobytes()

@@ -70,10 +70,32 @@ class TestResample:
         T = 101
         grid = np.linspace(0, 1, T)
         rng = np.random.default_rng(0)
-        inter = make_interaction(grid, rng.normal(size=(T, 2)), rng.normal(size=(T, 2)))
+        first, second = rng.normal(size=(T, 2)), rng.normal(size=(T, 2))
+        first[3], second[-1] = -0.0, [5e-324, -1e300]
+        inter = make_interaction(grid, first, second)
         out = resample(inter, T)
+        assert out.first.samples.tobytes() == inter.first.samples.tobytes()
+        assert out.second.samples.tobytes() == inter.second.samples.tobytes()
+        # the interpolation the pass-through skips would give the same bits
+        for values in (*first.T, *second.T):
+            assert np.interp(grid, grid, values).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("T", [2, 3, 101, 501])
+    def test_on_grid_input_is_returned_itself(self, T):
+        grid = np.linspace(0, 1, T)
+        inter = make_interaction(grid, np.ones((T, 2)), np.zeros((T, 2)))
+        assert resample(inter, T) is inter
+
+    def test_same_length_grid_in_seconds_is_interpolated(self):
+        grid = np.linspace(3, 13, 101)
+        rng = np.random.default_rng(1)
+        inter = make_interaction(grid, rng.normal(size=(101, 2)), rng.normal(size=(101, 2)))
+        out = resample(inter, 101)
+        assert out is not inter
+        assert np.array_equal(out.grid, np.linspace(0, 1, 101))
         assert np.max(np.abs(out.first.samples - inter.first.samples)) <= 1e-12
-        assert np.max(np.abs(out.second.samples - inter.second.samples)) <= 1e-12
+        # another length on the unit grid is interpolated too
+        assert len(resample(out, 51)) == 51
 
     def test_kink_is_preserved_at_matching_node(self):
         # piecewise-linear with a kink at t=0.5 resampled to T=3: the middle
