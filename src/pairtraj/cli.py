@@ -32,25 +32,23 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
-import inspect
 import os
 import sys
 from concurrent.futures import Future
 from contextlib import suppress
-from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__, mds
 from .artifacts import file_sha256, malformed, read_rows, write_json, write_rows
-from .clustering import METHODS, fit, read_model_json, route, write_model_json
+from .clustering import METHODS, fit, read_model_json, tuning_parameters, write_model_json
 # not used here; bench/layers.py patches these names when it traces a run
 from .clustering import cluster_geo1, cluster_geo2, cluster_mds  # noqa: F401
 from .clustering import cluster_spline_coef  # noqa: F401
+from .evaluation import silhouette  # noqa: F401
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericalError, PairtrajError
 from .evaluation import (
     quality,
-    silhouette,
     stability_sweep,
     transfer_primitives,
     write_quality_json,
@@ -298,11 +296,9 @@ def cmd_distances(config: RunConfig, args) -> None:
 
 
 def _route_params(config: RunConfig) -> dict:
-    """The RunConfig fields that the clustering route of `config.method` takes,
-    seed apart."""
-    taken = inspect.signature(route(config.method)).parameters
-    names = {f.name for f in fields(config)} - {"seed"}
-    return {name: getattr(config, name) for name in taken if name in names}
+    """The RunConfig values of the tuning parameters of `config.method`'s route."""
+    values = vars(config)
+    return {name: values[name] for name in tuning_parameters(config.method) if name in values}
 
 
 def cmd_cluster(config: RunConfig, args) -> None:
@@ -329,9 +325,8 @@ def cmd_evaluate(config: RunConfig, args) -> None:
     meta = _meta(config)
     quality_path = _out(config, "quality.json")
     write_quality_json(quality_path, report, meta=meta)
-    sil = silhouette(matrix, model.assignments)
     sil_path = _out(config, "silhouette.csv")
-    write_silhouette_csv(sil_path, ids, model.assignments, sil, meta)
+    write_silhouette_csv(sil_path, ids, model.assignments, report.silhouettes, meta)
     print(quality_path, sil_path, sep="\n")
 
 

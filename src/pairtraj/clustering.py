@@ -13,11 +13,12 @@ Four methods share one model type:
 
 All Euclidean k-means stages use k-means++ seeding, Lloyd iteration, and a
 handful of seeded restarts keeping the best objective, so every run is
-deterministic given its seed.
+deterministic given its seed.  Every route logs one warning naming the
+restarts that ran out of `max_iter` steps before they converged.
 
-`ROUTES` maps each method to its function.  `fit`, the one entry point for
-the CLI and the stability sweep, reads from a route's signature which of the
-inputs (the distance matrix, an embedder, a time measure) that route takes.
+`ROUTES` maps each method to its function.  Only this module reads a route's
+signature: `fit`, the one entry point for the CLI and the stability sweep,
+passes a route the inputs it takes, and `tuning_parameters` lists the rest.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .procrustes import (
 )
 from .segmentation import _cubic_lstsq
 from .trajectory import (
+    _store,
     Interaction,
     TimeMeasure,
     interaction_from_dict,
@@ -81,12 +83,10 @@ class ClusterModel:
             raise InvalidInputError("need exactly k representatives")
         if not (np.isfinite(self.objective) and self.objective >= 0):
             raise InvalidInputError("objective must be finite and nonnegative")
-        labels.setflags(write=False)
-        object.__setattr__(self, "assignments", labels)
-        object.__setattr__(self, "representatives", tuple(self.representatives))
-        object.__setattr__(self, "objective", float(self.objective))
-        object.__setattr__(
-            self, "objective_history", tuple(float(v) for v in self.objective_history)
+        _store(
+            self, assignments=labels, representatives=tuple(self.representatives),
+            objective=float(self.objective),
+            objective_history=tuple(float(v) for v in self.objective_history),
         )
 
     @property
@@ -129,7 +129,8 @@ def _repair_empty(labels: np.ndarray, point_d2: np.ndarray, k: int) -> None:
 
 def _lloyd(
     X: np.ndarray, centers: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, bool, list[float]]:
+    """Labels, centers, whether it converged within `max_iter` steps, and the history."""
     n, k = X.shape[0], centers.shape[0]
     labels = None
     history: list[float] = []
@@ -150,7 +151,9 @@ def _lloyd(
             history[-2], 1e-300
         ):
             break
-    return labels, centers, history
+    else:  # max_iter steps ran out before either stopping rule held
+        return labels, centers, False, history
+    return labels, centers, True, history
 
 
 def _check_restarts(n: int, k: int, n_init: int, max_iter: int) -> None:
@@ -160,25 +163,30 @@ def _check_restarts(n: int, k: int, n_init: int, max_iter: int) -> None:
         raise InvalidInputError("n_init and max_iter must be positive")
 
 
-def _best_of(run, seed: int, n_init: int) -> tuple:
+def _best_of(run, seed: int, n_init: int, max_iter: int, name: str) -> tuple:
     """The result of `run(rng)` with the lowest final objective over n_init restarts.
 
     Each restart draws from its own child of the seed; results are tuples
-    ending in the objective history, and the earliest restart wins ties.
+    ending in the converged flag and the objective history, and the earliest
+    restart wins ties.  One warning, prefixed with `name`, lists the restarts
+    that did not converge within `max_iter` steps.
     """
-    best = None
-    for child in np.random.default_rng(seed).spawn(n_init):
-        result = run(child)
-        if best is None or result[-1][-1] < best[-1][-1]:
-            best = result
-    return best
+    results = [run(child) for child in np.random.default_rng(seed).spawn(n_init)]
+    capped = [restart for restart, result in enumerate(results) if not result[-2]]
+    if capped:
+        _log.warning("%s: restart(s) %s of %d stopped at the %d-iteration cap",
+                     name, capped, n_init, max_iter)
+    return min(results, key=lambda result: result[-1][-1])
 
 
 def _kmeans(
-    X: np.ndarray, k: int, seed: int, n_init: int, max_iter: int
+    X: np.ndarray, k: int, seed: int, n_init: int, max_iter: int, name: str = "k-means"
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     _check_restarts(X.shape[0], k, n_init, max_iter)
-    return _best_of(lambda rng: _lloyd(X, _kmeans_pp(X, k, rng), max_iter), seed, n_init)
+    labels, centers, _, history = _best_of(
+        lambda rng: _lloyd(X, _kmeans_pp(X, k, rng), max_iter), seed, n_init, max_iter, name
+    )
+    return labels, centers, history
 
 
 def _snap_to_points(centers: np.ndarray, X: np.ndarray) -> list[int]:
@@ -225,7 +233,7 @@ def cluster_mds(
         raise InvalidInputError(f"mds needs the {n}x{n} distance matrix of its data")
     _check_restarts(n, k, n_init, max_iter)
     embedding = (embed or mds.embed)(matrix, beta, seed)
-    labels, _, history = _kmeans(embedding.points, k, seed, n_init, max_iter)
+    labels, _, history = _kmeans(embedding.points, k, seed, n_init, max_iter, "cluster_mds")
     d2 = matrix.entries**2
     medoids = []
     for j in range(k):
@@ -285,7 +293,7 @@ def cluster_geo1(
     aligned = align_to_anchor(data, mu, anchor)
     root = np.sqrt(w_row)[:, None]
     X = np.stack([(_stack_rows(inter) * root).ravel() for inter in aligned])
-    labels, centers, history = _kmeans(X, k, seed, n_init, max_iter)
+    labels, centers, history = _kmeans(X, k, seed, n_init, max_iter, "cluster_geo1")
 
     grid = data[anchor].grid
     reps = []
@@ -375,26 +383,16 @@ def cluster_geo2(
     members after aligning them to the cluster's lowest-index member; each
     interaction then moves to the centroid with the smallest aligned mismatch
     (no pair-order swap).  Emptied clusters are re-seeded with the point
-    farthest from its current centroid.  Restarts keep the best objective;
-    one warning on the `pairtraj.clustering` logger names the restarts that
-    ran out of max_iter steps without converging.
+    farthest from its current centroid.  Restarts keep the best objective.
     """
     T = _shared_length(data)
     _check_restarts(len(data), k, n_init, max_iter)
     w_row = _row_weights(mu, T)
     packed = _pack(data, w_row)
-    converged: list[bool] = []
-
-    def run(rng: np.random.Generator) -> tuple:
-        result = _geo2_run(data, packed, w_row, k, rng, max_iter)
-        converged.append(result[2])
-        return result
-
-    labels, centroids, _, history = _best_of(run, seed, n_init)
-    capped = [restart for restart, done in enumerate(converged) if not done]
-    if capped:
-        _log.warning("cluster_geo2: restart(s) %s of %d stopped at the %d-iteration cap",
-                     capped, n_init, max_iter)
+    labels, centroids, _, history = _best_of(
+        lambda rng: _geo2_run(data, packed, w_row, k, rng, max_iter),
+        seed, n_init, max_iter, "cluster_geo2",
+    )
     return ClusterModel(
         method="geo2",
         k=k,
@@ -434,7 +432,7 @@ def cluster_spline_coef(
     if T < 4:
         raise InvalidInputError("cubic features need grids of at least 4 samples")
     X = np.stack([_cubic_features(inter) for inter in data])
-    labels, centers, history = _kmeans(X, k, seed, n_init, max_iter)
+    labels, centers, history = _kmeans(X, k, seed, n_init, max_iter, "cluster_spline_coef")
     reps = [data[i] for i in _snap_to_points(centers, X)]
     return ClusterModel(
         method="spline-coef",
@@ -457,6 +455,8 @@ ROUTES = {
     "spline-coef": cluster_spline_coef,
 }
 METHODS = tuple(ROUTES)
+# what `fit` supplies to a route; every other parameter is a tuning parameter
+_INPUTS = ("data", "matrix", "mu", "seed", "embed")
 
 
 def route(method: str):
@@ -464,6 +464,12 @@ def route(method: str):
     if method not in ROUTES:
         raise InvalidInputError(f"unknown method {method!r}")
     return ROUTES[method]
+
+
+def tuning_parameters(method: str) -> dict[str, bool]:
+    """Each tuning parameter of `method`'s route, mapped to whether it is required."""
+    params = inspect.signature(route(method)).parameters
+    return {name: p.default is p.empty for name, p in params.items() if name not in _INPUTS}
 
 
 def fit(

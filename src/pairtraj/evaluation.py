@@ -13,7 +13,6 @@ differences.
 
 from __future__ import annotations
 
-import inspect
 # not used here; bench/layers.py patches this name when it traces a run
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, fields
@@ -25,7 +24,7 @@ from .artifacts import fmt, malformed, read_json, read_rows, write_json, write_r
 from .clustering import ClusterModel
 from .errors import DataError, InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
-from .trajectory import Interaction, TimeMeasure, resample
+from .trajectory import _store, Interaction, TimeMeasure, resample
 
 
 def silhouette(matrix: DistanceMatrix, assignments) -> np.ndarray:
@@ -73,14 +72,10 @@ class QualityReport:
     cluster_sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        per = [
-            np.array(self.per_cluster_within, dtype=float),
-            np.array(self.per_cluster_between, dtype=float),
-            np.array(self.within_variance, dtype=float),
-            np.array(self.between_variance, dtype=float),
-        ]
-        k = per[0].size
-        if any(arr.shape != (k,) for arr in per):
+        per = {name: np.array(getattr(self, name), dtype=float) for name in (
+            "per_cluster_within", "per_cluster_between", "within_variance", "between_variance")}
+        k = per["per_cluster_within"].size
+        if any(arr.shape != (k,) for arr in per.values()):
             raise InvalidInputError("per-cluster arrays must share length k")
         sil = np.array(self.silhouettes, dtype=float)
         if np.any(sil < -1 - 1e-12) or np.any(sil > 1 + 1e-12):
@@ -88,22 +83,10 @@ class QualityReport:
         sizes = np.array(self.cluster_sizes, dtype=int)
         if sizes.shape != (k,):
             raise InvalidInputError("cluster_sizes must have length k")
-        for name, arr in zip(
-            (
-                "per_cluster_within",
-                "per_cluster_between",
-                "within_variance",
-                "between_variance",
-            ),
-            per,
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        sil.setflags(write=False)
-        sizes.setflags(write=False)
-        object.__setattr__(self, "silhouettes", sil)
-        object.__setattr__(self, "cluster_sizes", sizes)
-        object.__setattr__(self, "total_within", float(self.total_within))
+        _store(
+            self, **per, silhouettes=sil, cluster_sizes=sizes,
+            total_within=float(self.total_within),
+        )
 
     @property
     def k(self) -> int:
@@ -194,12 +177,10 @@ class StabilityGrid:
             raise InvalidInputError("present cells must be finite and nonnegative")
         if not np.all(np.isnan(vals[miss])):
             raise InvalidInputError("missing cells must carry NaN")
-        vals.setflags(write=False)
-        miss.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "missing", miss)
-        object.__setattr__(self, "axis1_values", tuple(self.axis1_values))
-        object.__setattr__(self, "axis2_values", tuple(self.axis2_values))
+        _store(
+            self, values=vals, missing=miss,
+            axis1_values=tuple(self.axis1_values), axis2_values=tuple(self.axis2_values),
+        )
 
     @property
     def delta1(self) -> np.ndarray:
@@ -242,22 +223,20 @@ def stability_sweep(
     the error of a beta whose embedding fails, which marks all of its cells
     missing.  `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
     """
-    params = inspect.signature(clustering.route(method)).parameters
+    params = clustering.tuning_parameters(method)
     axis1_values, axis2_values = tuple(axis1_values), tuple(axis2_values)
     if not axis1_values or not axis2_values:
         raise InvalidInputError("axis value grids must be nonempty")
     if axis1_name == axis2_name:
         raise InvalidInputError("axes must sweep different parameters")
-    inputs = ("data", "matrix", "mu", "seed", "embed")
     for name in (axis1_name, axis2_name):
-        if name not in params or name in inputs:
+        if name not in params:
             raise InvalidInputError(
                 f"{name!r} is not a sweepable parameter of method {method!r}"
             )
     base = base or {}
-    given = (*inputs, *base, axis1_name, axis2_name)
-    for name, param in params.items():
-        if param.default is param.empty and name not in given:
+    for name, required in params.items():
+        if required and name not in (*base, axis1_name, axis2_name):
             raise InvalidInputError(f"method {method!r} needs {name!r} on an axis or in base")
 
     embeddings = {}  # beta -> its embedding, or the PairtrajError embedding it raised

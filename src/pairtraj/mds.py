@@ -28,6 +28,7 @@ import numpy as np
 from .artifacts import malformed, read_binary, write_binary
 from .errors import DataError, InvalidInputError
 from .procrustes import DistanceMatrix
+from .trajectory import _store
 
 _log = logging.getLogger(__name__)
 _REL_TOL = 1e-8
@@ -66,11 +67,10 @@ class Embedding:
             raise InvalidInputError("embedding contains non-finite values")
         if not (np.isfinite(self.stress) and self.stress >= 0):
             raise InvalidInputError("stress must be finite and nonnegative")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "stress", float(self.stress))
-        object.__setattr__(self, "iterations", tuple(int(i) for i in self.iterations))
-        object.__setattr__(self, "best_run", int(self.best_run))
+        _store(
+            self, points=pts, stress=float(self.stress),
+            iterations=tuple(int(i) for i in self.iterations), best_run=int(self.best_run),
+        )
 
     @property
     def n(self) -> int:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .artifacts import fmt_row, malformed, read_binary, read_rows, write_binary, write_rows
 from .errors import DataError, InvalidInputError
-from .trajectory import Interaction, TimeMeasure, Trajectory, uniform_measure
+from .trajectory import _store, Interaction, TimeMeasure, Trajectory, uniform_measure
 
 _MAGIC = b"PTDM"
 # Residuals at most this fraction of N_s + N_t are summed directly instead
@@ -78,10 +78,7 @@ class Alignment:
             raise InvalidInputError("rotation is not orthogonal within 1e-10")
         if abs(np.linalg.det(rot) - 1.0) > 1e-10:
             raise InvalidInputError("rotation must be proper (det +1 within 1e-10)")
-        rot.setflags(write=False)
-        trans.setflags(write=False)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", trans)
+        _store(self, rotation=rot, translation=trans)
 
     def apply(self, interaction: Interaction) -> Interaction:
         """Move both curves of an interaction by this rigid motion.
@@ -106,12 +103,15 @@ class DistanceMatrix:
             raise InvalidInputError("distance matrix contains non-finite values")
         if np.any(ent < 0):
             raise InvalidInputError("distances must be nonnegative")
-        if np.max(np.abs(ent - ent.T)) > 1e-10:
+        # row blocks against the matching column blocks: no (n, n) temporaries
+        if any(
+            np.max(np.abs(ent[lo : lo + _BLOCK] - ent[:, lo : lo + _BLOCK].T)) > 1e-10
+            for lo in range(0, ent.shape[0], _BLOCK)
+        ):
             raise InvalidInputError("distance matrix must be symmetric within 1e-10")
         if np.max(np.abs(np.diag(ent))) > 1e-10:
             raise InvalidInputError("diagonal must be zero within 1e-10")
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
+        _store(self, entries=ent)
 
     @property
     def n(self) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .artifacts import fmt_row, malformed, quoted, read_json, read_rows, write_json, write_rows
 from .errors import DegenerateFitError, InvalidInputError
-from .trajectory import Interaction, Trajectory, from_table, resample, to_table
+from .trajectory import _store, Interaction, Trajectory, from_table, resample, to_table
 
 _MIN_SEGMENT = 5  # raw samples; enough for one cubic fit plus a residual
 _MIN_SIDE = 4  # samples on each side of a split, shared endpoint included
@@ -64,7 +64,7 @@ class Encounter:
     def _span_fits(self) -> _SpanFits:
         """This encounter's fit memo over series x1, y1, x2, y2, built on first use."""
         if self._fits is None:
-            object.__setattr__(self, "_fits", _SpanFits(self.interaction.grid, self.series()))
+            _store(self, _fits=_SpanFits(self.interaction.grid, self.series()))
         return self._fits
 
 
@@ -89,12 +89,10 @@ class ChangePointSet:
             raise InvalidInputError("change points must be strictly increasing")
         if pts and pts[0] < 1:
             raise InvalidInputError("change points must be interior indices")
-        if self.tolerance is not None:
-            tol = float(self.tolerance)
-            if np.isnan(tol) or tol < 0:
-                raise InvalidInputError("tolerance must be nonnegative")
-            object.__setattr__(self, "tolerance", tol)
-        object.__setattr__(self, "points", tuple(pts))
+        tol = None if self.tolerance is None else float(self.tolerance)
+        if tol is not None and (np.isnan(tol) or tol < 0):
+            raise InvalidInputError("tolerance must be nonnegative")
+        _store(self, points=tuple(pts), tolerance=tol)
 
     def __len__(self) -> int:
         return len(self.points)

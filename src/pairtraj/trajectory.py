@@ -20,10 +20,12 @@ CSV_HEADER = ("encounter_id", "t", "x1", "y1", "x2", "y2")
 _MAGIC = b"PTEC"
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
+def _store(obj, **fields) -> None:
+    """Set a frozen dataclass's fields in __post_init__; its own array copies go read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +36,8 @@ class Trajectory:
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = _frozen_array(self.samples)
-        grid = _frozen_array(self.grid)
+        samples = np.array(self.samples, dtype=float)
+        grid = np.array(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise InvalidInputError("grid must be 1-d with at least two samples")
         if samples.shape != (grid.size, 2):
@@ -46,8 +48,7 @@ class Trajectory:
             raise InvalidInputError("trajectory contains non-finite values")
         if not np.all(np.diff(grid) > 0):
             raise InvalidInputError("time grid must be strictly increasing")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "grid", grid)
+        _store(self, samples=samples, grid=grid)
 
     def __len__(self) -> int:
         return int(self.grid.size)
@@ -83,14 +84,14 @@ class TimeMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _frozen_array(self.weights)
+        w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise InvalidInputError("weights must be a nonempty 1-d array")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise InvalidInputError("weights must be finite and nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise InvalidInputError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", w)
+        _store(self, weights=w)
 
     def __len__(self) -> int:
         return int(self.weights.size)

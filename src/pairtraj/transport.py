@@ -16,7 +16,7 @@ import numpy as np
 from .clustering import ClusterModel
 from .errors import InvalidInputError, NumericalError
 from .procrustes import cross_distance_matrix
-from .trajectory import Interaction, TimeMeasure
+from .trajectory import _store, Interaction, TimeMeasure
 
 _WEIGHT_TOL = 1e-12
 
@@ -41,9 +41,7 @@ class DiscreteMeasure:
             raise InvalidInputError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise InvalidInputError(f"weights sum to {w.sum()!r}, expected 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", w)
+        _store(self, atoms=atoms, weights=w)
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -340,6 +340,33 @@ class TestClusterGeo2:
         assert "restart(s) [0, 1, 2] of 3 stopped at the 1-iteration cap" in record.getMessage()
 
 
+@pytest.mark.parametrize(
+    "method, name, params",
+    [
+        ("mds", "cluster_mds", {"beta": 2}),
+        ("geo1", "cluster_geo1", {}),
+        ("spline-coef", "cluster_spline_coef", {}),
+    ],
+)
+class TestKmeansCapWarning:
+    def cap_records(self, caplog, method, params):
+        data, _ = planted(np.random.default_rng(12), per_family=5)
+        matrix = distance_matrix(data) if method == "mds" else None
+        with caplog.at_level(logging.WARNING, logger="pairtraj.clustering"):
+            fit(method, data, matrix, seed=0, k=3, **params)
+        return [r for r in caplog.records if r.name == "pairtraj.clustering"]
+
+    def test_capped_restarts_logged_once(self, caplog, method, name, params):
+        [record] = self.cap_records(caplog, method, {**params, "n_init": 3, "max_iter": 1})
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            f"{name}: restart(s) [0, 1, 2] of 3 stopped at the 1-iteration cap"
+        )
+
+    def test_silent_when_restarts_converge(self, caplog, method, name, params):
+        assert self.cap_records(caplog, method, params) == []
+
+
 class TestRigidEquivariance:
     def test_assignments_survive_global_rigid_motion(self):
         rng = np.random.default_rng(18)

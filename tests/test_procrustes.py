@@ -281,6 +281,18 @@ class TestDistanceMatrix:
         with pytest.raises(InvalidInputError):
             DistanceMatrix(bad)
 
+    @pytest.mark.parametrize("i, j", [(0, _BLOCK + 2), (_BLOCK, _BLOCK + 2), (_BLOCK + 2, 1)])
+    def test_symmetry_checked_across_row_blocks(self, i, j):
+        # the check compares row blocks against column blocks; a mismatch
+        # outside the first block, or in a block's far columns, still fails
+        n = _BLOCK + 3
+        entries = np.ones((n, n)) - np.eye(n)
+        entries[i, j] = 1 + 5e-11  # within the 1e-10 bound
+        assert DistanceMatrix(entries).n == n
+        entries[i, j] = 1 + 2e-10
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            DistanceMatrix(entries)
+
     def test_csv_round_trip_exact(self, tmp_path):
         mat = distance_matrix(self.build())
         path = tmp_path / "d.csv"
