@@ -5,8 +5,9 @@ failed write leaves an earlier file intact.  The three layouts:
 - JSON: one object, keys sorted, indented by two, metadata under "meta".
 - Rows: an optional `# <json>` metadata line, a header line, then
   comma-separated rows.  A field holding `,` or `"`, or starting with `#`
-  (which would start a comment line), is written in double quotes with its
-  quotes doubled, as in RFC 4180; `split_fields` reads a line back.
+  (which would start a comment line) or with whitespace (which a reader that
+  strips its lines would drop), is written in double quotes with its quotes
+  doubled, as in RFC 4180; `split_fields` reads a line back.
 - Binary: a 4-byte magic, then a little-endian payload the caller packs.
 
 The schema readers elsewhere are thin layers over these pairs; `malformed`
@@ -44,7 +45,7 @@ def split_fields(line: str) -> list[str]:
 
 def quoted(field: str) -> str:
     """The field as the rows layout writes it, in double quotes where needed."""
-    if "," in field or '"' in field or field.startswith("#"):
+    if "," in field or '"' in field or field.startswith("#") or field[:1].isspace():
         return '"' + field.replace('"', '""') + '"'
     return field
 
@@ -131,10 +132,7 @@ def write_rows(path, header, rows, meta: dict | None = None) -> None:
         handle.write(",".join(header) + "\n")
         for line in rows:
             if not isinstance(line, str):
-                fields, line = line, ",".join(line)
-                # one test per row keeps the common case, nothing to quote, cheap
-                if '"' in line or "#" in line or line.count(",") >= len(fields):
-                    line = ",".join(map(quoted, fields))
+                line = ",".join(map(quoted, line))
             handle.write(line + "\n")
 
 

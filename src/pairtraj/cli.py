@@ -1,13 +1,12 @@
-"""Pipeline driver.
+"""Pipeline driver: one subcommand per entry of `_COMMANDS`.
 
-Subcommands: generate, segment, distances, cluster, evaluate, stability,
-wasserstein, transfer.  Configuration comes from a flat key=value file
-(--config) overridden by repeated --set key=value flags and the dedicated
-flags; all randomness flows from the single seed.  Every artifact carries a
-metadata header (tool version, seed, config hash, creation time) and lands in
-the configured output directory through `pairtraj.artifacts`: UTF-8 whatever
-the locale, written under a temporary name and moved into place, so a failed
-write leaves the earlier file intact.
+Configuration comes from a flat key=value file (--config) overridden by
+repeated --set key=value flags and the dedicated flags; all randomness flows
+from the single seed.  Every artifact carries a metadata header (tool
+version, seed, config hash, creation time) and lands in the configured output
+directory through `pairtraj.artifacts`: UTF-8 whatever the locale, written
+under a temporary name and moved into place, so a failed write leaves the
+earlier file intact.
 
 The output directory's `cache/` holds parsed encounter CSVs, keyed by the
 file's bytes and the tool version, so each input is parsed once per output
@@ -88,11 +87,6 @@ def _meta(config: RunConfig) -> dict:
     }
 
 
-def _require_input(config: RunConfig) -> None:
-    if not config.input:
-        raise ConfigError("no input file; set input= in the config or pass --input")
-
-
 def _load_interactions(config: RunConfig, path=None):
     """Encounters resampled onto the common uniform grid, their ids, and the
     sha256 of the input's bytes."""
@@ -155,15 +149,12 @@ def _matrix_for(config: RunConfig, input_digest, data, normalize: bool):
 
 def _embedder(config: RunConfig):
     """`mds.embed` behind the cache, keyed by the matrix entries, beta, seed,
-    the SMACOF constants, the one-thread BLAS pin and the tool version, so
-    `cluster` and `stability` share one embedding per (matrix, beta, seed)."""
+    `mds.cache_tag()` and the tool version, so `cluster` and `stability`
+    share one embedding per (matrix, beta, seed)."""
 
     def embed(matrix, beta, seed):
         digest = hashlib.sha256(matrix.entries.astype("<f8").tobytes())
-        digest.update(
-            f";beta={beta};seed={seed};max_iter={mds._MAX_ITER}"
-            f";restarts={mds._N_RESTARTS};blas_threads=1".encode()
-        )
+        digest.update(f";beta={beta};seed={seed}{mds.cache_tag()}".encode())
         return _cached(
             config, "embedding", digest, read_embedding_binary,
             lambda: mds.embed(matrix, beta, seed), write_embedding_binary,
@@ -273,7 +264,6 @@ def _segment_all(where, encounters, epsilons, num_samples) -> list:
 
 
 def cmd_segment(config: RunConfig, args) -> None:
-    _require_input(config)
     encounters, _ = _read_input(config, config.input)
     epsilons = config.epsilons if config.epsilons else None
     results = _segment_all(config.input, encounters, epsilons, config.num_samples)
@@ -287,7 +277,6 @@ def cmd_segment(config: RunConfig, args) -> None:
 
 
 def cmd_distances(config: RunConfig, args) -> None:
-    _require_input(config)
     ids, data, digest = _load_interactions(config)
     matrix = _matrix_for(config, digest, data, config.normalize)
     path = _out(config, "distances.csv")
@@ -302,7 +291,6 @@ def _route_params(config: RunConfig) -> dict:
 
 
 def cmd_cluster(config: RunConfig, args) -> None:
-    _require_input(config)
     ids, data, digest = _load_interactions(config)
     # the objective contract needs raw distances, so the matrix for mds is
     # always unnormalized regardless of the distances-artifact flag
@@ -317,7 +305,6 @@ def cmd_cluster(config: RunConfig, args) -> None:
 
 
 def cmd_evaluate(config: RunConfig, args) -> None:
-    _require_input(config)
     model = read_model_json(args.model)
     ids, data, digest = _load_interactions(config)
     matrix = _matrix_for(config, digest, data, False)
@@ -336,7 +323,6 @@ def _sweep_values(values) -> tuple:
 
 
 def cmd_stability(config: RunConfig, args) -> None:
-    _require_input(config)
     if args.grid:
         axes = args.grid.split(";")
         if len(axes) != 2:
@@ -387,7 +373,6 @@ TRANSFER_HEADER = ("id", "cluster")
 
 
 def cmd_transfer(config: RunConfig, args) -> None:
-    _require_input(config)
     model = read_model_json(args.primitives)
     ids, data, _ = _load_interactions(config)
     assignments = transfer_primitives(data, list(model.representatives))
@@ -410,25 +395,36 @@ def read_transfer_csv(path) -> list[tuple[str, int]]:
     return out
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "segment": cmd_segment,
-    "distances": cmd_distances,
-    "cluster": cmd_cluster,
-    "evaluate": cmd_evaluate,
-    "stability": cmd_stability,
-    "wasserstein": cmd_wasserstein,
-    "transfer": cmd_transfer,
+_COMMON_FLAGS = {
+    "--config": {"help": "key=value configuration file"},
+    "--set": {"action": "append", "default": [], "metavar": "KEY=VALUE",
+              "help": "override one config key (repeatable)"},
+    "--input": {"help": "encounter CSV"},
+    "--output-dir": {"help": "artifact directory"},
+    "--seed": {"type": int, "help": "seed for all randomness"},
 }
+_METHOD = {"choices": METHODS}
+_MODEL = {"required": True, "help": "model.json path"}
+_MEASURE = {"required": True, "help": "model.json or encounter CSV"}
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value configuration file")
-    sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override one config key (repeatable)")
-    sub.add_argument("--input", help="encounter CSV")
-    sub.add_argument("--output-dir", help="artifact directory")
-    sub.add_argument("--seed", type=int, help="seed for all randomness")
+# each subcommand: its function, its help line, whether it needs an input
+# file, and its flags beside _COMMON_FLAGS
+_COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic dataset and its ground-truth manifest",
+                 False, {}),
+    "segment": (cmd_segment, "cut raw encounters at fitted change points", True, {}),
+    "distances": (cmd_distances, "pairwise distance matrix with a binary cache", True, {}),
+    "cluster": (cmd_cluster, "fit one clustering method", True, {"--method": _METHOD}),
+    "evaluate": (cmd_evaluate, "quality report and silhouettes for a fitted model", True,
+                 {"--model": _MODEL}),
+    "stability": (cmd_stability, "stability statistic over a 2-axis parameter grid", True,
+                  {"--method": _METHOD,
+                   "--grid": {"help": "two sweep axes, like k=2,3,4;beta=2,3"}}),
+    "wasserstein": (cmd_wasserstein, "distance between two interaction distributions", False,
+                    {"--a": _MEASURE, "--b": _MEASURE}),
+    "transfer": (cmd_transfer, "assign new interactions to existing primitives", True,
+                 {"--primitives": _MODEL}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,31 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, text in [
-        ("generate", "write a synthetic dataset and its ground-truth manifest"),
-        ("segment", "cut raw encounters at fitted change points"),
-        ("distances", "pairwise distance matrix with a binary cache"),
-        ("cluster", "fit one clustering method"),
-        ("evaluate", "quality report and silhouettes for a fitted model"),
-        ("stability", "stability statistic over a 2-axis parameter grid"),
-        ("wasserstein", "distance between two interaction distributions"),
-        ("transfer", "assign new interactions to existing primitives"),
-    ]:
+    for name, (_, text, _, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=text)
-        _add_common(sub)
-        if name == "cluster":
-            sub.add_argument("--method", choices=METHODS)
-        if name == "stability":
-            sub.add_argument("--method", choices=METHODS)
-            sub.add_argument("--grid", help="two sweep axes, like k=2,3,4;beta=2,3")
-        if name == "evaluate":
-            sub.add_argument("--model", required=True, help="model.json path")
-        if name == "wasserstein":
-            sub.add_argument("--a", required=True, help="model.json or encounter CSV")
-            sub.add_argument("--b", required=True, help="model.json or encounter CSV")
-        if name == "transfer":
-            sub.add_argument("--primitives", required=True, help="model.json path")
+        for flag, options in {**_COMMON_FLAGS, **flags}.items():
+            sub.add_argument(flag, **options)
     return parser
 
 
@@ -473,23 +448,21 @@ def _resolve_config(args) -> RunConfig:
         if not sep:
             raise ConfigError(f"--set needs KEY=VALUE, got {pair!r}")
         config.set(key.strip(), value)
-    if args.input is not None:
-        config.input = args.input
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
-    if args.seed is not None:
-        config.seed = args.seed
-    if getattr(args, "method", None):
-        config.method = args.method
+    for key in ("input", "output_dir", "seed", "method"):
+        if getattr(args, key, None) is not None:
+            setattr(config, key, getattr(args, key))
     return config
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, _, needs_input, _ = _COMMANDS[args.command]
     try:
         config = _resolve_config(args)
         config.validate()
-        _COMMANDS[args.command](config, args)
+        if needs_input and not config.input:
+            raise ConfigError("no input file; set input= in the config or pass --input")
+        command(config, args)
         return 0
     except PairtrajError as exc:
         print(f"pairtraj: {exc}", file=sys.stderr)

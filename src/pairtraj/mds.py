@@ -34,6 +34,14 @@ _log = logging.getLogger(__name__)
 _REL_TOL = 1e-8
 _MAX_ITER = 500
 _N_RESTARTS = 8
+
+
+def cache_tag() -> str:
+    """The constants above that decide an embedding's bits, and the one-thread
+    BLAS pin of `embed`, as text for a cache key."""
+    return f";max_iter={_MAX_ITER};restarts={_N_RESTARTS};rel_tol={_REL_TOL!r};blas_threads=1"
+
+
 # from this n up the restarts run on up to one thread per CPU; below it the
 # thread start-up and the shared memory bandwidth cost more than they save
 _POOL_MIN_N = 100
@@ -48,8 +56,9 @@ class Embedding:
     """Embedded coordinates (n, beta) plus the realized raw stress.
 
     `iterations` holds the accepted majorization steps of each run, the
-    spectral run first and then the random restarts; a count equal to
-    `max_iter` means the run reached the iteration cap.  `best_run` indexes
+    spectral run first and then the random restarts; a run can meet the
+    stress tolerance on its last allowed step, so a count equal to `max_iter`
+    does not by itself mean the run was capped.  `best_run` indexes
     the run whose result was kept.  Both survive a round trip through
     `write_embedding_binary` and `read_embedding_binary`.
     """
@@ -133,8 +142,9 @@ def _classical_start(deltas: np.ndarray, beta: int) -> np.ndarray:
 
 def _smacof(
     points: np.ndarray, deltas: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, float, int]:
-    """Majorize from `points`; returns the points, their stress and the steps taken.
+) -> tuple[np.ndarray, float, int, bool]:
+    """Majorize from `points`; returns the points, their stress, the steps
+    taken and whether a stopping rule held within `max_iter` steps.
 
     The (n, n) buffers belong to this run alone, so runs may go concurrently.
     """
@@ -166,7 +176,9 @@ def _smacof(
         steps += 1
         if (prev - stress) <= _REL_TOL * prev:
             break
-    return points, stress, steps
+    else:  # max_iter steps ran out before any stopping rule held
+        return points, stress, steps, False
+    return points, stress, steps, True
 
 
 def embed(
@@ -184,8 +196,8 @@ def embed(
     the lowest-stress result wins (ties keep the spectral run).  Deterministic
     given seed.  max_iter=0 returns the raw spectral coordinates.  Each run
     stops at the relative stress tolerance or after max_iter steps, whichever
-    comes first; `Embedding.iterations` says which, and one warning on the
-    `pairtraj.mds` logger names the runs that reached the cap.
+    comes first; one warning on the `pairtraj.mds` logger names the runs that
+    reached the cap unconverged.
 
     The restarts run only when the refined spectral run has positive stress.
     For n >= `_POOL_MIN_N` they go on a pool of up to one thread per CPU in
@@ -214,9 +226,9 @@ def embed(
                 runs += pool.map(lambda start: _smacof(start, deltas, max_iter), starts)
     # the first run of least stress wins, so ties keep the earlier run
     best_run = min(range(len(runs)), key=lambda run: runs[run][1])
-    points, stress, _ = runs[best_run]
-    iterations = tuple(steps for _, _, steps in runs)
-    capped = [run for run, steps in enumerate(iterations) if steps == max_iter]
+    points, stress, _, _ = runs[best_run]
+    iterations = tuple(steps for _, _, steps, _ in runs)
+    capped = [run for run, (*_, converged) in enumerate(runs) if not converged]
     if max_iter > 0 and capped:
         _log.warning("embed: run(s) %s of %d stopped at the %d-step cap",
                      capped, len(runs), max_iter)

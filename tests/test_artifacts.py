@@ -256,7 +256,7 @@ def test_fmt_row_matches_fmt_per_field():
 
 
 # ids the encounter reader accepts in quotes; every rows writer must quote them back
-AWKWARD_IDS = ["plain", "b,c", 'e"f', '"g"', 'h,"i"', "#j", "k#l"]
+AWKWARD_IDS = ["plain", "b,c", 'e"f', '"g"', 'h,"i"', "#j", "k#l", " m"]
 
 
 def _inter(T, offset):
@@ -303,8 +303,8 @@ def test_segments_round_trip_awkward_ids(tmp_path):
 
 
 def test_silhouette_and_transfer_round_trip_awkward_ids(tmp_path):
-    labels = [0, 1, 0, 1, 1, 0, 1]
-    write_silhouette_csv(tmp_path / "sil.csv", AWKWARD_IDS, labels, [0.5] * 7, {"seed": 1})
+    labels = [0, 1, 0, 1, 1, 0, 1, 0]
+    write_silhouette_csv(tmp_path / "sil.csv", AWKWARD_IDS, labels, [0.5] * 8, {"seed": 1})
     ids, clusters, _ = read_silhouette_csv(tmp_path / "sil.csv")
     assert sorted(zip(ids, clusters.tolist())) == sorted(zip(AWKWARD_IDS, labels))
     write_transfer_csv(tmp_path / "transfer.csv", AWKWARD_IDS, labels, {"seed": 1})

@@ -30,6 +30,7 @@ def run(*argv):
     return main(list(argv))
 
 
+# no --input: generate reads none
 GEN_ARGS = (
     "generate",
     "--set", "kind=families",
@@ -418,6 +419,14 @@ class TestEmbeddingCache:
         with open(path, "rb") as handle:
             assert handle.read() == blob
 
+    def test_key_covers_the_stopping_tolerance(self, workdir, tmp_path, counted, monkeypatch):
+        out = str(tmp_path / "t")
+        assert self.cluster(workdir, out) == 0
+        monkeypatch.setattr(mds, "_REL_TOL", mds._REL_TOL / 10)
+        assert self.cluster(workdir, out) == 0
+        assert len(counted) == 2
+        assert len(self.embeddings(out)) == 2
+
     def test_failed_beta_is_not_cached(self, workdir, tmp_path):
         out = str(tmp_path / "f")
         assert self.cluster(workdir, out, "--set", "beta=12") == 2  # n = 12
@@ -469,6 +478,7 @@ class TestAtomicArtifacts:
 
 class TestWassersteinTransfer:
     def test_model_vs_itself_is_zero(self, workdir, tmp_path):
+        # no --input: wasserstein reads only --a and --b
         model = os.path.join(workdir, "model.json")
         out = str(tmp_path / "w")
         assert run(
@@ -740,6 +750,165 @@ class TestResolution:
         assert config.seed == 9
 
 
+# `--help` of the top level and of each subcommand at COLUMNS=80
+HELP = {
+    "": """\
+usage: pairtraj [-h] [--version]
+                {generate,segment,distances,cluster,evaluate,stability,wasserstein,transfer}
+                ...
+
+cluster paired-trajectory interactions and score the results
+
+positional arguments:
+  {generate,segment,distances,cluster,evaluate,stability,wasserstein,transfer}
+    generate            write a synthetic dataset and its ground-truth
+                        manifest
+    segment             cut raw encounters at fitted change points
+    distances           pairwise distance matrix with a binary cache
+    cluster             fit one clustering method
+    evaluate            quality report and silhouettes for a fitted model
+    stability           stability statistic over a 2-axis parameter grid
+    wasserstein         distance between two interaction distributions
+    transfer            assign new interactions to existing primitives
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "generate": """\
+usage: pairtraj generate [-h] [--config CONFIG] [--set KEY=VALUE]
+                         [--input INPUT] [--output-dir OUTPUT_DIR]
+                         [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value configuration file
+  --set KEY=VALUE       override one config key (repeatable)
+  --input INPUT         encounter CSV
+  --output-dir OUTPUT_DIR
+                        artifact directory
+  --seed SEED           seed for all randomness
+""",
+    "segment": """\
+usage: pairtraj segment [-h] [--config CONFIG] [--set KEY=VALUE]
+                        [--input INPUT] [--output-dir OUTPUT_DIR]
+                        [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value configuration file
+  --set KEY=VALUE       override one config key (repeatable)
+  --input INPUT         encounter CSV
+  --output-dir OUTPUT_DIR
+                        artifact directory
+  --seed SEED           seed for all randomness
+""",
+    "distances": """\
+usage: pairtraj distances [-h] [--config CONFIG] [--set KEY=VALUE]
+                          [--input INPUT] [--output-dir OUTPUT_DIR]
+                          [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value configuration file
+  --set KEY=VALUE       override one config key (repeatable)
+  --input INPUT         encounter CSV
+  --output-dir OUTPUT_DIR
+                        artifact directory
+  --seed SEED           seed for all randomness
+""",
+    "cluster": """\
+usage: pairtraj cluster [-h] [--config CONFIG] [--set KEY=VALUE]
+                        [--input INPUT] [--output-dir OUTPUT_DIR]
+                        [--seed SEED] [--method {mds,geo1,geo2,spline-coef}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value configuration file
+  --set KEY=VALUE       override one config key (repeatable)
+  --input INPUT         encounter CSV
+  --output-dir OUTPUT_DIR
+                        artifact directory
+  --seed SEED           seed for all randomness
+  --method {mds,geo1,geo2,spline-coef}
+""",
+    "evaluate": """\
+usage: pairtraj evaluate [-h] [--config CONFIG] [--set KEY=VALUE]
+                         [--input INPUT] [--output-dir OUTPUT_DIR]
+                         [--seed SEED] --model MODEL
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value configuration file
+  --set KEY=VALUE       override one config key (repeatable)
+  --input INPUT         encounter CSV
+  --output-dir OUTPUT_DIR
+                        artifact directory
+  --seed SEED           seed for all randomness
+  --model MODEL         model.json path
+""",
+    "stability": """\
+usage: pairtraj stability [-h] [--config CONFIG] [--set KEY=VALUE]
+                          [--input INPUT] [--output-dir OUTPUT_DIR]
+                          [--seed SEED] [--method {mds,geo1,geo2,spline-coef}]
+                          [--grid GRID]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value configuration file
+  --set KEY=VALUE       override one config key (repeatable)
+  --input INPUT         encounter CSV
+  --output-dir OUTPUT_DIR
+                        artifact directory
+  --seed SEED           seed for all randomness
+  --method {mds,geo1,geo2,spline-coef}
+  --grid GRID           two sweep axes, like k=2,3,4;beta=2,3
+""",
+    "wasserstein": """\
+usage: pairtraj wasserstein [-h] [--config CONFIG] [--set KEY=VALUE]
+                            [--input INPUT] [--output-dir OUTPUT_DIR]
+                            [--seed SEED] --a A --b B
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value configuration file
+  --set KEY=VALUE       override one config key (repeatable)
+  --input INPUT         encounter CSV
+  --output-dir OUTPUT_DIR
+                        artifact directory
+  --seed SEED           seed for all randomness
+  --a A                 model.json or encounter CSV
+  --b B                 model.json or encounter CSV
+""",
+    "transfer": """\
+usage: pairtraj transfer [-h] [--config CONFIG] [--set KEY=VALUE]
+                         [--input INPUT] [--output-dir OUTPUT_DIR]
+                         [--seed SEED] --primitives PRIMITIVES
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value configuration file
+  --set KEY=VALUE       override one config key (repeatable)
+  --input INPUT         encounter CSV
+  --output-dir OUTPUT_DIR
+                        artifact directory
+  --seed SEED           seed for all randomness
+  --primitives PRIMITIVES
+                        model.json path
+""",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"] if command else ["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+
 class TestExitCodes:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -771,8 +940,14 @@ class TestExitCodes:
     def test_set_without_equals(self, tmp_path):
         assert run("generate", "--set", "k", "--output-dir", str(tmp_path)) == 2
 
-    def test_missing_input_is_config_error(self, tmp_path):
-        assert run("cluster", "--method", "mds", "--output-dir", str(tmp_path)) == 2
+    def test_missing_input_is_config_error(self, tmp_path, capsys):
+        for argv in (
+            ("segment",), ("distances",), ("cluster", "--method", "mds"),
+            ("evaluate", "--model", "model.json"), ("stability",),
+            ("transfer", "--primitives", "model.json"),
+        ):
+            assert run(*argv, "--output-dir", str(tmp_path)) == 2, argv
+            assert "no input file" in capsys.readouterr().err
 
     def test_unreadable_input_is_data_error(self, tmp_path):
         assert run(

@@ -151,6 +151,22 @@ class TestEmbed:
         assert max(converged.iterations) < 500
         assert caplog.records == []
 
+    def test_tolerance_met_on_the_last_allowed_step_is_no_cap(self, caplog):
+        rng = np.random.default_rng(0)
+        planar = euclidean_matrix(rng.normal(size=(12, 2))).entries
+        noise = rng.uniform(-0.02, 0.02, size=(12, 12))
+        near = DistanceMatrix(planar + (noise + noise.T) / 2 * (planar > 0))
+        free = embed(near, 2, n_restarts=0)
+        (steps,) = free.iterations
+        with caplog.at_level(logging.WARNING, logger="pairtraj.mds"):
+            last_step = embed(near, 2, max_iter=steps, n_restarts=0)
+            assert caplog.records == []
+            embed(near, 2, max_iter=steps - 1, n_restarts=0)
+        assert last_step.iterations == (steps,) and steps < 500
+        assert last_step.points.tobytes() == free.points.tobytes()
+        [record] = caplog.records
+        assert f"of 1 stopped at the {steps - 1}-step cap" in record.getMessage()
+
     def test_blas_thread_count_does_not_change_output(self):
         # at n=300 a threaded LAPACK eigh rounds the spectral start differently;
         # at n=600 and 1200 a threaded B @ points rounds the Guttman steps, and
