@@ -17,10 +17,11 @@ seed, the SMACOF constants and the tool version, so `cluster` and
 written atomically and rebuilt when unreadable.
 
 `segment` cuts the encounters on up to one process per CPU in the affinity
-mask: this one and workers forked from it, which the kernel kills if it
-dies.  Each encounter's result is deterministic, so the output does not
-depend on the process count.  Python 3.12 and later emit a
-DeprecationWarning when a process holding OpenBLAS threads forks.
+mask (`mds.cpu_count`): this one and workers forked from it, which the
+kernel kills if it dies; where the platform cannot fork, this one alone.
+Each encounter's result is deterministic, so the output does not depend on
+the process count.  Python 3.12 and later emit a DeprecationWarning when a
+process holding OpenBLAS threads forks.
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
 4 numerical failure.
@@ -233,24 +234,33 @@ def _segment_all(where, encounters, epsilons, num_samples) -> list:
     """The segments and knots of every (id, interaction) encounter, in input
     order; the error of the first failing encounter is raised.
 
-    From `_POOL_MIN_SAMPLES` samples up the encounters go to one process per
-    CPU in the affinity mask: this one and workers forked from its calling
-    thread.  The workers take jobs from the front and this process takes,
-    from the back, each job no worker has started.  Every encounter's result
-    is deterministic, so the output does not depend on the process count.
+    From `_POOL_MIN_SAMPLES` samples up, where the platform can fork, the
+    encounters go to one process per CPU (`mds.cpu_count`): this one and
+    workers forked from its calling thread.  The workers take jobs from the
+    front and this process takes, from the back, each job no worker has
+    started.  Every encounter's result is deterministic, so the output does
+    not depend on the process count.
     """
     jobs = [(where, enc_id, inter, epsilons, num_samples) for enc_id, inter in encounters]
-    workers = min(len(jobs), len(os.sched_getaffinity(0))) - 1
-    if workers < 1 or sum(len(inter) for _, inter in encounters) < _POOL_MIN_SAMPLES:
-        return [_segment_one(*job) for job in jobs]
-    import multiprocessing
+    workers = min(len(jobs), mds.cpu_count()) - 1
+    if workers >= 1 and sum(len(inter) for _, inter in encounters) >= _POOL_MIN_SAMPLES:
+        import multiprocessing
+
+        # fork, not spawn: a spawned worker pays a fresh numpy import; where
+        # the platform cannot fork, every encounter is cut in this process
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _segment_on_pool(jobs, workers, multiprocessing.get_context("fork"))
+    return [_segment_one(*job) for job in jobs]
+
+
+def _segment_on_pool(jobs, workers, context) -> list:
+    """`_segment_one` of every job, on `workers` processes started from this
+    thread by `context` and on this process."""
     from concurrent.futures.process import ProcessPoolExecutor
 
-    # fork, not spawn: a spawned worker pays a fresh numpy import; the
-    # processes start in this thread, on the first submit
+    # the processes start in this thread, on the first submit
     pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_die_with_parent, initargs=(os.getpid(),),
+        workers, mp_context=context, initializer=_die_with_parent, initargs=(os.getpid(),),
     )
     try:
         futures = [pool.submit(_segment_one, *job) for job in jobs]

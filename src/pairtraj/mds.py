@@ -110,6 +110,14 @@ def _stress(dist: np.ndarray, deltas: np.ndarray, work: np.ndarray) -> float:
     return float(np.sum(gap))
 
 
+def cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (Linux), else every CPU of the host; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextmanager
 def _one_blas_thread():
     """The OpenBLAS behind `np.linalg` on one thread inside the block, its
@@ -201,9 +209,9 @@ def embed(
 
     The restarts run only when the refined spectral run has positive stress.
     For n >= `_POOL_MIN_N` they go on a pool of up to one thread per CPU in
-    this process's affinity mask, all under one pinned BLAS thread count;
-    the points, stress, iterations and best_run are the same bytes as with
-    one worker.
+    this process's affinity mask (`cpu_count`), all under one pinned BLAS
+    thread count; the points, stress, iterations and best_run are the same
+    bytes as with one worker.
     """
     n = matrix.n
     if not isinstance(beta, (int, np.integer)) or not 1 <= beta <= n - 1:
@@ -221,7 +229,7 @@ def embed(
             rng = np.random.default_rng(seed)
             scale = float(positive.mean())
             starts = [rng.normal(size=(n, beta)) * scale for _ in range(n_restarts)]
-            cpus = len(os.sched_getaffinity(0)) if n >= _POOL_MIN_N else 1
+            cpus = cpu_count() if n >= _POOL_MIN_N else 1
             with ThreadPoolExecutor(max(1, min(n_restarts, cpus))) as pool:
                 runs += pool.map(lambda start: _smacof(start, deltas, max_iter), starts)
     # the first run of least stress wins, so ties keep the earlier run

@@ -519,6 +519,34 @@ class TestWassersteinTransfer:
         )
         assert value == expected
 
+    def test_only_the_lp_imports_scipy_optimize(self, workdir, tmp_path):
+        # two equal-size samples are matched without scipy.optimize, whose
+        # import costs about half a second; a model-vs-data run still uses it
+        other = str(tmp_path / "other")
+        # GEN_ARGS ends with its seed, 3; this dataset is drawn with seed 4
+        assert run(*GEN_ARGS[:-1], "4", "--output-dir", other) == 0
+        dataset = os.path.join(workdir, "dataset.csv")
+        common = f"'--output-dir', {str(tmp_path / 'w')!r}, '--set', 'num_samples=31'"
+        script = (
+            "import sys\n"
+            "from pairtraj.cli import main\n"
+            f"assert main(['wasserstein', '--a', {dataset!r},"
+            f" '--b', {os.path.join(other, 'dataset.csv')!r}, {common}]) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            f"assert main(['wasserstein', '--a', {os.path.join(workdir, 'model.json')!r},"
+            f" '--b', {dataset!r}, {common}]) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        # each run also prints the path of its artifact
+        assert [word for word in done.stdout.split() if word in ("False", "True")] == [
+            "False", "True",
+        ]
+
     def test_transfer_recovers_training_labels(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")
         out = str(tmp_path / "t")
@@ -662,6 +690,26 @@ class TestSegmentPool:
         for name in ("segments.csv", "knots.json"):
             assert sans_created(tmp_path / "a" / name) == sans_created(tmp_path / "b" / name)
 
+    def test_segment_without_an_affinity_mask_or_fork(self, tmp_path, monkeypatch):
+        # os.sched_getaffinity is Linux-only, and some platforms cannot fork:
+        # without the one the CPU count comes from os.cpu_count, without the
+        # other every encounter is cut in this process, and the bytes hold
+        dataset = _pooled_input(tmp_path / "enc.csv")
+        assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "a")) == 0
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "b")) == 0
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+        def no_fork():
+            raise AssertionError("segment forked where fork is not a start method")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "c")) == 0
+        for name in ("segments.csv", "knots.json"):
+            first = sans_created(tmp_path / "a" / name)
+            assert sans_created(tmp_path / "b" / name) == first
+            assert sans_created(tmp_path / "c" / name) == first
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_segment_names_the_first_short_encounter(self, tmp_path, capsys, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -673,7 +721,10 @@ class TestSegmentPool:
         assert not os.path.exists(tmp_path / "segments.csv")
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or mds.cpu_count() < 2,
+        reason="needs two CPUs in an affinity mask",
+    )
     def test_segment_bytes_do_not_depend_on_processes_or_blas_threads(self, tmp_path):
         dataset = _pooled_input(tmp_path / "enc.csv")
         src = os.path.dirname(os.path.dirname(pairtraj.__file__))
@@ -699,7 +750,7 @@ class TestSegmentPool:
         assert all(other == first for other in rest)
 
     @pytest.mark.skipif(
-        len(os.sched_getaffinity(0)) < 2 or not os.path.exists(f"/proc/{os.getpid()}/task"),
+        mds.cpu_count() < 2 or not os.path.exists(f"/proc/{os.getpid()}/task"),
         reason="needs two CPUs and Linux /proc",
     )
     def test_segment_workers_die_with_a_killed_cli(self, tmp_path):

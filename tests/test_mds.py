@@ -267,6 +267,18 @@ class TestRestartPool:
         assert requested == [1, 4]
         assert results[0] == results[1]
 
+    def test_no_affinity_mask_same_bytes(self, monkeypatch):
+        # os.sched_getaffinity is Linux-only; elsewhere the pool is sized by
+        # os.cpu_count
+        dm = planted_150()
+        results = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.delattr(mds.os, "sched_getaffinity")
+            emb = embed(dm, 2, seed=0, max_iter=30)
+            results.append((emb.points.tobytes(), emb.stress, emb.iterations, emb.best_run))
+        assert results[0] == results[1]
+
     def test_a_pooled_restart_can_win(self):
         emb = embed(simplex_150(), 3, seed=5, max_iter=30)
         assert emb.best_run == 4

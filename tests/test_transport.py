@@ -4,12 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import pairtraj
 from pairtraj.clustering import ClusterModel, cluster_mds
-from pairtraj.errors import InvalidInputError
+from pairtraj.errors import InvalidInputError, NumericalError
 from pairtraj.procrustes import distance, distance_matrix
 from pairtraj.transport import (
+    _OWN_ASSIGNMENT_MAX,
+    _assignment,
     DiscreteMeasure,
     empirical_measure,
     ground_cost,
@@ -112,14 +115,25 @@ class TestWasserstein:
                 assert wasserstein(F, G, r) == pytest.approx(oracle, abs=1e-9)
 
     def test_uniform_equal_size_assignment_matches_enumeration(self):
-        # uniform measures of equal size are solved as an assignment problem
-        for seed in (22, 23):
-            F = empirical_measure(list(atoms(seed, 6)))
-            G = empirical_measure(list(atoms(seed + 50, 6)))
-            dists = np.array([[distance(a, b) for b in G.atoms] for a in F.atoms])
-            for r in (1.0, 2.0, 3.0):
-                oracle = enumerate_uniform_wasserstein(dists, r)
-                assert wasserstein(F, G, r) == pytest.approx(oracle, rel=1e-12)
+        # uniform measures of equal size are solved as an assignment problem:
+        # enumeration bounds the small sizes, and at every size, on both
+        # sides of the size gate, scipy's solver gives the same permutation,
+        # so the value has the same bits
+        for m in (1, 2, 3, 6, 17, 150, _OWN_ASSIGNMENT_MAX, _OWN_ASSIGNMENT_MAX + 1):
+            F = empirical_measure(list(atoms(m, m)))
+            G = empirical_measure(list(atoms(m + 50, m)))
+            random_cost = np.random.default_rng(m).random((m, m))
+            assert np.array_equal(_assignment(random_cost), linear_sum_assignment(random_cost)[1])
+            # a solve at the largest sizes takes 0.2-0.3 s
+            for r in (1.0, 2.0, 3.0) if m <= 150 else (2.0,):
+                cost = ground_cost(F, G, r)
+                rows, cols = linear_sum_assignment(cost)
+                assert np.array_equal(_assignment(cost), cols)
+                assert wasserstein(F, G, r) == float((cost[rows, cols].sum() / m) ** (1 / r))
+                if m <= 6:
+                    dists = np.array([[distance(a, b) for b in G.atoms] for a in F.atoms])
+                    oracle = enumerate_uniform_wasserstein(dists, r)
+                    assert wasserstein(F, G, r) == pytest.approx(oracle, rel=1e-12)
 
     def test_symmetry_and_triangle(self):
         F = random_measure(14, 2)
@@ -183,3 +197,51 @@ class TestWasserstein:
         value, peak_kib = done.stdout.split()
         assert float(value) > 0
         assert int(peak_kib) < 1024 * 1024  # ru_maxrss is in KiB on Linux
+
+
+class _RowReads(np.ndarray):
+    """A cost matrix that counts its reads: `_assignment` reads one row of
+    it per scan."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _RowReads.reads += 1
+        return np.asarray(super().__getitem__(key))
+
+
+class TestAssignment:
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            np.ones((150, 150)),
+            np.random.default_rng(40).integers(0, 3, (150, 150)).astype(float),
+            np.repeat(np.random.default_rng(41).integers(0, 3, (30, 150)), 5, axis=0) * 1.0,
+            np.repeat(np.random.default_rng(42).random((30, 150)), 5, axis=0),
+        ],
+        ids=["all-equal", "integers-0-2", "duplicated-integer-rows", "duplicated-rows"],
+    )
+    def test_ties_give_a_permutation_of_least_cost(self, cost):
+        cols = _assignment(cost)
+        assert sorted(cols.tolist()) == list(range(len(cost)))
+        rows = np.arange(len(cost))
+        best = cost[linear_sum_assignment(cost)].sum()
+        if np.array_equal(cost, np.round(cost)):
+            assert cost[rows, cols].sum() == best
+        else:
+            assert cost[rows, cols].sum() == pytest.approx(best, rel=1e-12)
+
+    def test_all_equal_costs_take_one_scan_per_row(self):
+        # the tie rule ends each path at its first scan; without it an
+        # all-equal matrix takes O(n^3) scans
+        cost = np.ones((150, 150)).view(_RowReads)
+        _RowReads.reads = 0
+        _assignment(cost)
+        assert _RowReads.reads == 150
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_raises(self, bad):
+        cost = np.ones((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(NumericalError, match="NaN or infinite"):
+            _assignment(cost)
