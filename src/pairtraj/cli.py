@@ -16,30 +16,30 @@ seed, the SMACOF constants and the tool version, so `cluster` and
 `stability` share one embedding per (matrix, beta, seed).  Cache files are
 written atomically and rebuilt when unreadable.
 
-`segment` cuts the encounters on up to one process per CPU in the affinity
-mask (`mds.cpu_count`): this one and workers forked from it, which the
-kernel kills if it dies; where the platform cannot fork, this one alone.
-Each encounter's result is deterministic, so the output does not depend on
-the process count.  Python 3.12 and later emit a DeprecationWarning when a
-process holding OpenBLAS threads forks.
+Three subcommands fork through `workers.fork_map`, up to one process per
+CPU in the affinity mask (`workers.cpu_count`): `segment` cuts its
+encounters that way, and `cluster --method mds` and `stability --method mds`
+run the SMACOF runs of each embedding that way.  Each job's result is
+deterministic, so every artifact is the same bytes at any CPU count.
+Python 3.12 and later emit a DeprecationWarning when a process holding
+OpenBLAS threads forks.
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
-4 numerical failure.
+4 numerical failure or out of memory, 130 interrupted (Ctrl-C).  Each
+failure prints one line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import os
 import sys
-from concurrent.futures import Future
 from contextlib import suppress
 from datetime import datetime, timezone
 
 from . import __version__, mds
-from .artifacts import file_sha256, malformed, read_rows, write_json, write_rows
+from .artifacts import file_sha256, malformed, write_json
 from .clustering import METHODS, fit, read_model_json, tuning_parameters, write_model_json
 # not used here; bench/layers.py patches these names when it traces a run
 from .clustering import cluster_geo1, cluster_geo2, cluster_mds  # noqa: F401
@@ -54,6 +54,7 @@ from .evaluation import (
     write_quality_json,
     write_silhouette_csv,
     write_stability_csv,
+    write_transfer_csv,
 )
 from .mds import read_embedding_binary, write_embedding_binary
 from .procrustes import (
@@ -77,6 +78,7 @@ from .trajectory import (
     write_encounters_csv,
 )
 from .transport import DiscreteMeasure, empirical_measure, model_measure, wasserstein
+from .workers import cpu_count, fork_map
 
 
 def _meta(config: RunConfig) -> dict:
@@ -199,7 +201,6 @@ def cmd_generate(config: RunConfig, args) -> None:
 # from this many raw samples in all, `segment` forks its workers; below it
 # forking and joining them costs about what they save
 _POOL_MIN_SAMPLES = 2000
-_PR_SET_PDEATHSIG = 1  # linux/prctl.h
 
 
 def _segment_one(where, enc_id, inter, epsilons, num_samples):
@@ -209,68 +210,15 @@ def _segment_one(where, enc_id, inter, epsilons, num_samples):
     return segment_with_knots(encounter, epsilons, num_samples)
 
 
-def _die_with_parent(parent: int) -> None:
-    """Pool initializer: the kernel SIGKILLs this worker when the thread that
-    forked it exits, so a killed `segment` leaves no worker behind (Linux)."""
-    import signal  # here, not at the top: 1 ms of every CLI start
-
-    if sys.platform == "linux":
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:  # the parent died before the prctl
-            os._exit(1)
-
-
-def _run_here(job) -> Future:
-    """`_segment_one(*job)` run in this process, as a finished future."""
-    done = Future()
-    try:
-        done.set_result(_segment_one(*job))
-    except Exception as exc:  # raised in input order by the caller
-        done.set_exception(exc)
-    return done
-
-
 def _segment_all(where, encounters, epsilons, num_samples) -> list:
     """The segments and knots of every (id, interaction) encounter, in input
-    order; the error of the first failing encounter is raised.
-
-    From `_POOL_MIN_SAMPLES` samples up, where the platform can fork, the
-    encounters go to one process per CPU (`mds.cpu_count`): this one and
-    workers forked from its calling thread.  The workers take jobs from the
-    front and this process takes, from the back, each job no worker has
-    started.  Every encounter's result is deterministic, so the output does
-    not depend on the process count.
-    """
-    jobs = [(where, enc_id, inter, epsilons, num_samples) for enc_id, inter in encounters]
-    workers = min(len(jobs), mds.cpu_count()) - 1
-    if workers >= 1 and sum(len(inter) for _, inter in encounters) >= _POOL_MIN_SAMPLES:
-        import multiprocessing
-
-        # fork, not spawn: a spawned worker pays a fresh numpy import; where
-        # the platform cannot fork, every encounter is cut in this process
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _segment_on_pool(jobs, workers, multiprocessing.get_context("fork"))
-    return [_segment_one(*job) for job in jobs]
-
-
-def _segment_on_pool(jobs, workers, context) -> list:
-    """`_segment_one` of every job, on `workers` processes started from this
-    thread by `context` and on this process."""
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    # the processes start in this thread, on the first submit
-    pool = ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_die_with_parent, initargs=(os.getpid(),),
+    order; the error of the first failing encounter is raised.  From
+    `_POOL_MIN_SAMPLES` samples up they go on `workers.fork_map`."""
+    pooled = sum(len(inter) for _, inter in encounters) >= _POOL_MIN_SAMPLES
+    return fork_map(
+        lambda encounter: _segment_one(where, *encounter, epsilons, num_samples),
+        encounters, cpu_count() if pooled else 1,
     )
-    try:
-        futures = [pool.submit(_segment_one, *job) for job in jobs]
-        for index in reversed(range(len(jobs))):
-            if not futures[index].cancel():  # a worker started it, and every earlier job
-                break
-            futures[index] = _run_here(jobs[index])
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def cmd_segment(config: RunConfig, args) -> None:
@@ -379,9 +327,6 @@ def cmd_wasserstein(config: RunConfig, args) -> None:
     print(path)
 
 
-TRANSFER_HEADER = ("id", "cluster")
-
-
 def cmd_transfer(config: RunConfig, args) -> None:
     model = read_model_json(args.primitives)
     ids, data, _ = _load_interactions(config)
@@ -389,20 +334,6 @@ def cmd_transfer(config: RunConfig, args) -> None:
     path = _out(config, "transfer.csv")
     write_transfer_csv(path, ids, assignments, meta=_meta(config))
     print(path)
-
-
-def write_transfer_csv(path, ids, assignments, meta: dict) -> None:
-    rows = ([str(enc_id), str(int(label))] for enc_id, label in zip(ids, assignments))
-    write_rows(path, TRANSFER_HEADER, rows, meta)
-
-
-def read_transfer_csv(path) -> list[tuple[str, int]]:
-    _, rows = read_rows(path, TRANSFER_HEADER)
-    out = []
-    for no, (enc_id, label) in rows:
-        with malformed(f"{path}:{no}"):
-            out.append((enc_id, int(label)))
-    return out
 
 
 _COMMON_FLAGS = {
@@ -480,6 +411,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pairtraj: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"pairtraj {args.command}: out of memory{detail}", file=sys.stderr)
+        return 4
+    except KeyboardInterrupt:
+        print(f"pairtraj {args.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

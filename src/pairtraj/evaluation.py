@@ -362,3 +362,21 @@ def read_stability_csv(path) -> StabilityGrid:
             meta["axis1_name"], meta["axis2_name"], tuple(axis1), tuple(axis2),
             values, np.isnan(values),
         )
+
+
+TRANSFER_HEADER = ("id", "cluster")
+
+
+def write_transfer_csv(path, ids, assignments, meta: dict | None = None) -> None:
+    """Rows `id,cluster`, one per encounter in input order."""
+    rows = ([str(enc_id), str(int(label))] for enc_id, label in zip(ids, assignments))
+    write_rows(path, TRANSFER_HEADER, rows, meta)
+
+
+def read_transfer_csv(path) -> list[tuple[str, int]]:
+    _, rows = read_rows(path, TRANSFER_HEADER)
+    out = []
+    for no, (enc_id, label) in rows:
+        with malformed(f"{path}:{no}"):
+            out.append((enc_id, int(label)))
+    return out

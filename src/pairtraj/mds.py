@@ -8,27 +8,25 @@ majorization loop (Guttman transform) then descends the raw stress
 over all ordered pairs.  Each majorization step never increases the stress,
 so the reported value is monotone over iterations.
 
-Each run writes its steps into (n, n) buffers of its own.  The random
-restarts are independent, so from `_POOL_MIN_N` points up they run on up to
-one thread per CPU; their starts are drawn, and the winner picked, in run
-order, so the output does not depend on the thread count.
+Each run writes its steps into (n, n) buffers of its own and reads one
+shared, read-only -D.  The runs are independent, so from `_POOL_MIN_N` points
+up they go on `workers.fork_map`, up to one process per CPU; their starts are
+drawn, and the winner picked, in run order, so the output is the same bytes
+at any CPU count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .artifacts import malformed, read_binary, write_binary
-from .errors import DataError, InvalidInputError
+from .errors import DataError, InvalidInputError, NumericalError
 from .procrustes import DistanceMatrix
 from .trajectory import _store
+from .workers import cpu_count, fork_map, one_blas_thread
 
 _log = logging.getLogger(__name__)
 _REL_TOL = 1e-8
@@ -42,8 +40,8 @@ def cache_tag() -> str:
     return f";max_iter={_MAX_ITER};restarts={_N_RESTARTS};rel_tol={_REL_TOL!r};blas_threads=1"
 
 
-# from this n up the restarts run on up to one thread per CPU; below it the
-# thread start-up and the shared memory bandwidth cost more than they save
+# from this n up the runs go on up to one process per CPU; below it forking
+# and joining the workers cost more than they save
 _POOL_MIN_N = 100
 _MAGIC = b"PTEM"
 _HEADER = np.dtype(
@@ -104,35 +102,10 @@ def _pairwise(points: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarr
     return np.sqrt(out, out=out)
 
 
-def _stress(dist: np.ndarray, deltas: np.ndarray, work: np.ndarray) -> float:
-    gap = np.subtract(dist, deltas, out=work)
+def _stress(dist: np.ndarray, neg_deltas: np.ndarray, work: np.ndarray) -> float:
+    gap = np.add(dist, neg_deltas, out=work)  # dist - deltas, the same bits
     gap *= gap
     return float(np.sum(gap))
-
-
-def cpu_count() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one (Linux), else every CPU of the host; at least 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """The OpenBLAS behind `np.linalg` on one thread inside the block, its
-    earlier count restored after; nothing changes where numpy links another BLAS."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # lookups search its BLAS too
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    if get is None:
-        yield
-        return
-    before = get()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _classical_start(deltas: np.ndarray, beta: int) -> np.ndarray:
@@ -142,40 +115,57 @@ def _classical_start(deltas: np.ndarray, beta: int) -> np.ndarray:
     row = sq.mean(axis=1, keepdims=True)
     col = sq.mean(axis=0, keepdims=True)
     B = -0.5 * (sq - row - col + sq.mean())
-    vals, vecs = np.linalg.eigh(B)
+    try:
+        vals, vecs = np.linalg.eigh(B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"spectral start of the {n}-point embedding: {exc}") from exc
     order = np.argsort(vals)[::-1][:beta]
     lam = np.clip(vals[order], 0.0, None)
     return vecs[:, order] * np.sqrt(lam)
 
 
-def _smacof(
-    points: np.ndarray, deltas: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, float, int, bool]:
-    """Majorize from `points`; returns the points, their stress, the steps
-    taken and whether a stopping rule held within `max_iter` steps.
+def _guttman_matrix(neg_deltas: np.ndarray, dist: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The Guttman transform's B(X) into `B`: -deltas / dist off the
+    diagonal, 0 where dist is 0, and minus each row's sum on the diagonal."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(neg_deltas, dist, out=B)
+    diagonal = B.reshape(-1)[:: B.shape[0] + 1]
+    diagonal[:] = 0.0
+    row_sums = B.sum(axis=1)
+    if not np.isfinite(row_sums).all():
+        # a zero or NaN distance off the diagonal: its entry becomes -0.0,
+        # the negation of the 0.0 that the masked divide leaves there
+        B.fill(-0.0)
+        np.divide(neg_deltas, dist, out=B, where=np.greater(dist, 0))
+        row_sums = B.sum(axis=1)
+    # 0.0 - s, not -s: a row of zeros keeps +0.0 on the diagonal
+    np.subtract(0.0, row_sums, out=diagonal)
+    return B
 
-    The (n, n) buffers belong to this run alone, so runs may go concurrently.
+
+def _smacof(
+    points: np.ndarray, neg_deltas: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, float, int, bool]:
+    """Majorize from `points` against the negated dissimilarities; returns the
+    points, their stress, the steps taken and whether a stopping rule held
+    within `max_iter` steps.
+
+    The (n, n) buffers belong to this run alone, so runs may go concurrently;
+    `neg_deltas` is only read.
     """
     n = points.shape[0]
     dist, cand_dist, work = (np.empty((n, n)) for _ in range(3))
-    mask = np.empty((n, n), dtype=bool)
     _pairwise(points, dist, work)
-    stress = _stress(dist, deltas, work)
+    stress = _stress(dist, neg_deltas, work)
     steps = 0
     for _ in range(max_iter):
         if stress == 0.0:
             break
         # the distances of the accepted points carry over from the last step;
         # B shares `work` with the gap, as it is dead once B @ points is taken
-        B = work
-        B.fill(0.0)
-        np.divide(deltas, dist, out=B, where=np.greater(dist, 0, out=mask))
-        row_sums = B.sum(axis=1)
-        np.negative(B, out=B)
-        np.fill_diagonal(B, row_sums)
-        candidate = (B @ points) / n
+        candidate = (_guttman_matrix(neg_deltas, dist, work) @ points) / n
         _pairwise(candidate, cand_dist, work)
-        new_stress = _stress(cand_dist, deltas, work)
+        new_stress = _stress(cand_dist, neg_deltas, work)
         if new_stress > stress:
             # majorization guarantees non-increase; float noise at convergence
             break
@@ -198,8 +188,8 @@ def embed(
 ) -> Embedding:
     """Embed a distance matrix into R^beta; beta is an integer in [1, n-1].
 
-    The spectral start is always refined first (so Euclidean-realizable input
-    is recovered exactly); n_restarts additional majorization runs from seeded
+    The spectral start is always refined (so Euclidean-realizable input is
+    recovered exactly); n_restarts additional majorization runs from seeded
     random configurations guard against symmetric saddles of the stress, and
     the lowest-stress result wins (ties keep the spectral run).  Deterministic
     given seed.  max_iter=0 returns the raw spectral coordinates.  Each run
@@ -207,11 +197,14 @@ def embed(
     comes first; one warning on the `pairtraj.mds` logger names the runs that
     reached the cap unconverged.
 
-    The restarts run only when the refined spectral run has positive stress.
-    For n >= `_POOL_MIN_N` they go on a pool of up to one thread per CPU in
-    this process's affinity mask (`cpu_count`), all under one pinned BLAS
-    thread count; the points, stress, iterations and best_run are the same
-    bytes as with one worker.
+    The restarts count only when the refined spectral run has positive
+    stress; otherwise the spectral run alone is returned.  Every run's start
+    is drawn up front, and for n >= `_POOL_MIN_N` the runs go on
+    `workers.fork_map`, up to one process per CPU in this process's affinity
+    mask (`workers.cpu_count`), all under one pinned BLAS thread count; the
+    points, stress, iterations and best_run are the same bytes at any CPU
+    count.  A spectral start that LAPACK cannot compute raises
+    NumericalError.
     """
     n = matrix.n
     if not isinstance(beta, (int, np.integer)) or not 1 <= beta <= n - 1:
@@ -219,19 +212,23 @@ def embed(
     if max_iter < 0 or n_restarts < 0:
         raise InvalidInputError("max_iter and n_restarts must be nonnegative")
     deltas = matrix.entries
+    neg_deltas = np.negative(deltas)
     # threaded BLAS rounds the spectral eigh and every Guttman step's
     # B @ points differently with each thread count; the count is
-    # process-global, so one pin covers every restart thread
-    with _one_blas_thread():
-        runs = [_smacof(_classical_start(deltas, beta), deltas, max_iter)]
+    # process-global and forked workers inherit it, so one pin covers every run
+    with one_blas_thread():
+        starts = [_classical_start(deltas, beta)]
         positive = deltas[deltas > 0]
-        if max_iter > 0 and runs[0][1] > 0.0 and positive.size:
+        if max_iter > 0 and positive.size:
             rng = np.random.default_rng(seed)
             scale = float(positive.mean())
-            starts = [rng.normal(size=(n, beta)) * scale for _ in range(n_restarts)]
-            cpus = cpu_count() if n >= _POOL_MIN_N else 1
-            with ThreadPoolExecutor(max(1, min(n_restarts, cpus))) as pool:
-                runs += pool.map(lambda start: _smacof(start, deltas, max_iter), starts)
+            starts += [rng.normal(size=(n, beta)) * scale for _ in range(n_restarts)]
+        runs = fork_map(
+            lambda start: _smacof(start, neg_deltas, max_iter), starts,
+            cpu_count() if n >= _POOL_MIN_N else 1,
+        )
+    if not runs[0][1] > 0.0:
+        runs = runs[:1]
     # the first run of least stress wins, so ties keep the earlier run
     best_run = min(range(len(runs)), key=lambda run: runs[run][1])
     points, stress, _, _ = runs[best_run]

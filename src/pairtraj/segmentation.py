@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import fmt_row, malformed, quoted, read_json, read_rows, write_json, write_rows
-from .errors import DegenerateFitError, InvalidInputError
+from .errors import DegenerateFitError, InvalidInputError, NumericalError
 from .trajectory import _store, Interaction, Trajectory, from_table, resample, to_table
 
 _MIN_SEGMENT = 5  # raw samples; enough for one cubic fit plus a residual
@@ -101,7 +101,10 @@ class ChangePointSet:
 def _cubic_lstsq(t: np.ndarray, values: np.ndarray):
     """One least-squares cubic in t per column of values: (coef, residuals, rank)."""
     design = np.vander(t, 4, increasing=True)
-    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    try:
+        coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"cubic least squares over {len(t)} samples: {exc}") from exc
     return coef, values - design @ coef, rank
 
 

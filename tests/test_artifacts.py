@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from pairtraj import artifacts
-from pairtraj.cli import read_transfer_csv, write_transfer_csv
 from pairtraj.clustering import read_model_json
 from pairtraj.errors import DataError
 from pairtraj.evaluation import (
     read_quality_json,
     read_silhouette_csv,
     read_stability_csv,
+    read_transfer_csv,
     write_silhouette_csv,
+    write_transfer_csv,
 )
 from pairtraj.mds import Embedding, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import read_matrix_binary, read_matrix_csv

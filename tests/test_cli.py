@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import pairtraj
-from pairtraj import __version__, artifacts, cli, mds
-from pairtraj.cli import _build_parser, _resolve_config, main, read_transfer_csv
+from pairtraj import __version__, artifacts, cli, mds, workers
+from pairtraj.cli import _build_parser, _resolve_config, main
 from pairtraj.clustering import read_model_json
+from pairtraj.evaluation import read_transfer_csv
 from pairtraj.procrustes import read_matrix_csv
 from pairtraj.segmentation import read_segments_csv
 from pairtraj.synthetic import make_encounter_dataset
@@ -722,7 +723,7 @@ class TestSegmentPool:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity") or mds.cpu_count() < 2,
+        not hasattr(os, "sched_setaffinity") or workers.cpu_count() < 2,
         reason="needs two CPUs in an affinity mask",
     )
     def test_segment_bytes_do_not_depend_on_processes_or_blas_threads(self, tmp_path):
@@ -750,7 +751,7 @@ class TestSegmentPool:
         assert all(other == first for other in rest)
 
     @pytest.mark.skipif(
-        mds.cpu_count() < 2 or not os.path.exists(f"/proc/{os.getpid()}/task"),
+        workers.cpu_count() < 2 or not os.path.exists(f"/proc/{os.getpid()}/task"),
         reason="needs two CPUs and Linux /proc",
     )
     def test_segment_workers_die_with_a_killed_cli(self, tmp_path):
@@ -1043,3 +1044,131 @@ class TestExitCodes:
             "--input", dataset, "--output-dir", str(tmp_path),
         )
         assert code == 3
+
+
+# one layer per subcommand that every run of it reaches, cache hits included
+FAULT_LAYERS = {
+    "generate": "make_labeled_dataset",
+    "segment": "segment_with_knots",
+    "distances": "resample",
+    "cluster": "fit",
+    "evaluate": "quality",
+    "stability": "stability_sweep",
+    "wasserstein": "wasserstein",
+    "transfer": "transfer_primitives",
+}
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """An output directory holding every artifact and cache file of the whole
+    chain, and each subcommand's argv into it."""
+    out = str(tmp_path_factory.mktemp("faults") / "run")
+    dataset, model = os.path.join(out, "dataset.csv"), os.path.join(out, "model.json")
+    data = ("--input", dataset, "--output-dir", out, "--set", "num_samples=31")
+    argvs = {
+        "generate": (*GEN_ARGS, "--output-dir", out),
+        "segment": ("segment", *data),
+        "distances": ("distances", *data),
+        "cluster": ("cluster", "--method", "mds", "--set", "k=3", *data),
+        "evaluate": ("evaluate", "--model", model, *data),
+        "stability": ("stability", "--method", "mds", "--grid", "k=2,3;beta=2", *data),
+        "wasserstein": ("wasserstein", "--a", model, "--b", dataset, "--output-dir", out),
+        "transfer": ("transfer", "--primitives", model, *data),
+        "spline": ("cluster", "--method", "spline-coef", "--set", "k=3", *data),
+    }
+    for argv in argvs.values():
+        assert run(*argv) == 0
+    return out, argvs
+
+
+def snapshot(out):
+    """Every file under `out`, by relative path, with its bytes."""
+    files = {}
+    for root, _, leaves in os.walk(out):
+        for leaf in leaves:
+            with open(os.path.join(root, leaf), "rb") as handle:
+                files[os.path.relpath(os.path.join(root, leaf), out)] = handle.read()
+    return files
+
+
+class TestFaultMatrix:
+    @pytest.mark.parametrize("fault, code, line", [
+        (MemoryError, 4, "out of memory"),
+        (KeyboardInterrupt, 130, "interrupted"),
+    ])
+    @pytest.mark.parametrize("command", sorted(FAULT_LAYERS))
+    def test_one_line_and_no_file_touched(
+        self, chain, monkeypatch, capsys, command, fault, code, line
+    ):
+        out, argvs = chain
+        before = snapshot(out)
+
+        def fail(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(cli, FAULT_LAYERS[command], fail)
+        capsys.readouterr()
+        assert run(*argvs[command]) == code
+        assert capsys.readouterr().err == f"pairtraj {command}: {line}\n"
+        assert snapshot(out) == before
+
+    def test_memory_error_detail_is_kept(self, chain, monkeypatch, capsys):
+        out, argvs = chain
+
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72 MiB")
+
+        monkeypatch.setattr(cli, "fit", fail)
+        capsys.readouterr()
+        assert run(*argvs["cluster"]) == 4
+        assert capsys.readouterr().err == "pairtraj cluster: out of memory: Unable to allocate 72 MiB\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_a_real_allocation_failure_exits_4(self, tmp_path):
+        # the CLI process caps its own address space 4 MiB above what it holds
+        # once imported; `distances` at n=300 needs 12 MiB or more on top
+        gen, out = str(tmp_path / "gen"), str(tmp_path / "out")
+        assert run("generate", "--set", "per_family=100", "--seed", "2", "--output-dir", gen) == 0
+        launcher = (
+            "import resource, sys\n"
+            "from pairtraj.cli import main\n"
+            "with open('/proc/self/status') as status:\n"
+            "    size = next(int(ln.split()[1]) * 1024 for ln in status if ln.startswith('VmSize:'))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 4 * 2**20, resource.RLIM_INFINITY))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, "distances", "--input", f"{gen}/dataset.csv",
+             "--output-dir", out],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 4, done.stderr
+        assert re.fullmatch(r"pairtraj distances: out of memory(: [^\n]*)?\n", done.stderr)
+        assert not os.path.exists(os.path.join(out, "distances.csv"))
+        assert not [leaf for _, _, leaves in os.walk(out) for leaf in leaves if leaf.endswith(".tmp")]
+
+    # a new seed misses the embedding cache, so the spectral start is computed
+    @pytest.mark.parametrize("command, solver", [
+        ("cluster", "eigh"),
+        ("segment", "lstsq"),
+        ("spline", "lstsq"),
+    ])
+    def test_solver_failure_is_a_numerical_error(
+        self, chain, monkeypatch, capsys, command, solver
+    ):
+        out, argvs = chain
+        before = snapshot(out)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        capsys.readouterr()
+        assert run(*argvs[command], "--seed", "11") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pairtraj: ") and err.count("\n") == 1
+        assert f"{solver} did not converge" in err
+        assert snapshot(out) == before

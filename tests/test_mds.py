@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pairtraj
-from pairtraj import mds
+from pairtraj import mds, workers
 from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.mds import Embedding, embed, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import DistanceMatrix, distance_matrix
@@ -253,28 +253,27 @@ class TestRestartPool:
         dm = make()
         requested = []
 
-        class Recording(mds.ThreadPoolExecutor):
-            def __init__(self, workers):
-                requested.append(workers)
-                super().__init__(workers)
+        def recording(fn, jobs, processes):
+            requested.append(processes)
+            return workers.fork_map(fn, jobs, processes)
 
-        monkeypatch.setattr(mds, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(mds, "fork_map", recording)
         results = []
         for cpus in (1, 4):
-            monkeypatch.setattr(mds.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+            monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
             emb = embed(dm, 3, seed=5, max_iter=30)
             results.append((emb.points.tobytes(), emb.stress, emb.iterations, emb.best_run))
         assert requested == [1, 4]
         assert results[0] == results[1]
 
     def test_no_affinity_mask_same_bytes(self, monkeypatch):
-        # os.sched_getaffinity is Linux-only; elsewhere the pool is sized by
-        # os.cpu_count
+        # os.sched_getaffinity is Linux-only; elsewhere the fork map is sized
+        # by os.cpu_count
         dm = planted_150()
         results = []
         for patch in (False, True):
             if patch:
-                monkeypatch.delattr(mds.os, "sched_getaffinity")
+                monkeypatch.delattr(workers.os, "sched_getaffinity")
             emb = embed(dm, 2, seed=0, max_iter=30)
             results.append((emb.points.tobytes(), emb.stress, emb.iterations, emb.best_run))
         assert results[0] == results[1]
