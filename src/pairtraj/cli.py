@@ -18,9 +18,10 @@ written atomically and rebuilt when unreadable.
 
 Three subcommands fork through `workers.fork_map`, up to one process per
 CPU in the affinity mask (`workers.cpu_count`): `segment` cuts its
-encounters that way, and `cluster --method mds` and `stability --method mds`
-run the SMACOF runs of each embedding that way.  Each job's result is
-deterministic, so every artifact is the same bytes at any CPU count.
+encounters and formats their segments.csv lines that way, and `cluster
+--method mds` and `stability --method mds` run the SMACOF runs of each
+embedding that way.  Each job's result is deterministic, so every artifact
+is the same bytes at any CPU count.
 Python 3.12 and later emit a DeprecationWarning when a process holding
 OpenBLAS threads forks.
 
@@ -39,7 +40,7 @@ from contextlib import suppress
 from datetime import datetime, timezone
 
 from . import __version__, mds
-from .artifacts import file_sha256, malformed, write_json
+from .artifacts import file_sha256, malformed, write_json, write_rows
 from .clustering import METHODS, fit, read_model_json, tuning_parameters, write_model_json
 # not used here; bench/layers.py patches these names when it traces a run
 from .clustering import cluster_geo1, cluster_geo2, cluster_mds  # noqa: F401
@@ -64,10 +65,11 @@ from .procrustes import (
     write_matrix_csv,
 )
 from .segmentation import (
+    SEGMENT_HEADER,
     Encounter,
+    segment_rows,
     segment_with_knots,
     write_knots_json,
-    write_segments_csv,
 )
 from .synthetic import make_encounter_dataset, make_labeled_dataset, within_between_ratio
 from .trajectory import (
@@ -204,16 +206,19 @@ _POOL_MIN_SAMPLES = 2000
 
 
 def _segment_one(where, enc_id, inter, epsilons, num_samples):
-    """The segments and knots of one raw encounter of the input `where`."""
+    """The segments.csv lines and the knots of one raw encounter of the input
+    `where`."""
     with malformed(f"{where}: encounter {enc_id!r}"):
         encounter = Encounter(enc_id, inter)
-    return segment_with_knots(encounter, epsilons, num_samples)
+    segments, knots = segment_with_knots(encounter, epsilons, num_samples)
+    return segment_rows(enc_id, segments), knots
 
 
 def _segment_all(where, encounters, epsilons, num_samples) -> list:
-    """The segments and knots of every (id, interaction) encounter, in input
-    order; the error of the first failing encounter is raised.  From
-    `_POOL_MIN_SAMPLES` samples up they go on `workers.fork_map`."""
+    """The segments.csv lines and the knots of every (id, interaction)
+    encounter, in input order; the error of the first failing encounter is
+    raised.  From `_POOL_MIN_SAMPLES` samples up they go on
+    `workers.fork_map`, so the workers format the lines too."""
     pooled = sum(len(inter) for _, inter in encounters) >= _POOL_MIN_SAMPLES
     return fork_map(
         lambda encounter: _segment_one(where, *encounter, epsilons, num_samples),
@@ -228,7 +233,7 @@ def cmd_segment(config: RunConfig, args) -> None:
     ids = [enc_id for enc_id, _ in encounters]
     meta = _meta(config)
     seg_path = _out(config, "segments.csv")
-    write_segments_csv(seg_path, [(i, segs) for i, (segs, _) in zip(ids, results)], meta=meta)
+    write_rows(seg_path, SEGMENT_HEADER, (line for rows, _ in results for line in rows), meta)
     knots_path = _out(config, "knots.json")
     write_knots_json(knots_path, [(i, knots) for i, (_, knots) in zip(ids, results)], meta=meta)
     print(seg_path, knots_path, sep="\n")

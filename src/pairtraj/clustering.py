@@ -42,7 +42,7 @@ from .procrustes import (
     DistanceMatrix,
     align,
 )
-from .segmentation import _cubic_lstsq
+from .segmentation import _cubic_design, _cubic_lstsq
 from .trajectory import (
     _store,
     Interaction,
@@ -411,7 +411,7 @@ def cluster_geo2(
 def _cubic_features(interaction: Interaction) -> np.ndarray:
     table = to_table(interaction)
     t = (table[:, 0] - table[0, 0]) / (table[-1, 0] - table[0, 0])
-    coef, _, _ = _cubic_lstsq(t, table[:, 1:])  # series x1, y1, x2, y2
+    coef, _ = _cubic_lstsq(_cubic_design(t), table[:, 1:])  # series x1, y1, x2, y2
     return coef.T.ravel()  # series-major: 4 coefficients per coordinate series
 
 

@@ -13,6 +13,7 @@ differences.
 
 from __future__ import annotations
 
+import logging
 # not used here; bench/layers.py patches this name when it traces a run
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, fields
@@ -25,6 +26,8 @@ from .clustering import ClusterModel
 from .errors import DataError, InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
 from .trajectory import _store, Interaction, TimeMeasure, resample
+
+_log = logging.getLogger(__name__)
 
 
 def silhouette(matrix: DistanceMatrix, assignments) -> np.ndarray:
@@ -218,10 +221,11 @@ def stability_sweep(
     cell's axis values overriding them, and the same seed; the statistic is
     always evaluated on the supplied true distance matrix.  Cells run in
     row-major order, and those that raise a package error are reported as
-    missing, not fatal.  For mds the embedding depends only on (matrix, beta,
-    seed), so a memo embeds each distinct beta once, on first use, and keeps
-    the error of a beta whose embedding fails, which marks all of its cells
-    missing.  `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
+    missing, not fatal; one warning names them and the first error.  For mds
+    the embedding depends only on (matrix, beta, seed), so a memo embeds each
+    distinct beta once, on first use, and keeps the error of a beta whose
+    embedding fails, which marks all of its cells missing.
+    `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
     """
     params = clustering.tuning_parameters(method)
     axis1_values, axis2_values = tuple(axis1_values), tuple(axis2_values)
@@ -253,15 +257,21 @@ def stability_sweep(
 
     values = np.full((len(axis1_values), len(axis2_values)), np.nan)
     missing = np.ones_like(values, dtype=bool)
+    failed = []  # (cell, error) of each missing cell, in row-major order
     for i, v1 in enumerate(axis1_values):
         for j, v2 in enumerate(axis2_values):
             cell = {**base, axis1_name: v1, axis2_name: v2}
             try:
                 model = clustering.fit(method, data, matrix, mu, seed, embed_once, **cell)
                 values[i, j] = stability_statistic(matrix, model.assignments)
-            except PairtrajError:
+            except PairtrajError as exc:
+                failed.append((f"{axis1_name}={v1} {axis2_name}={v2}", exc))
                 continue
             missing[i, j] = False
+    if failed:
+        _log.warning("stability: %d of %d cell(s) missing (%s); the first failed: %s",
+                     len(failed), values.size, ", ".join(cell for cell, _ in failed),
+                     failed[0][1])
     return StabilityGrid(
         axis1_name, axis2_name, axis1_values, axis2_values, values, missing
     )

@@ -19,10 +19,14 @@ series) and each observation counted in the unique segment containing it
 Each span is fitted once per encounter: one least-squares solve covers all
 four series, and the encounter keeps a private memo of every (lo, hi) fit,
 shared by the candidate search, the pruning pass at every tolerance of the
-grid and the criterion, and dropped with the encounter.  The split slack is
-scaled by the centred sum of squares, so change points do not depend on where
-the data sits.  Encounters share nothing, so `pairtraj segment` spreads them
-over up to one process per CPU; the output does not depend on that count.
+grid and the criterion, and dropped with the encounter.  The solve calls
+LAPACK's gelsd through numpy's own gufunc, with the rcond and error state
+that np.linalg.lstsq passes, so the bits are lstsq's without its per-call
+wrapper; where numpy lacks that private gufunc, np.linalg.lstsq itself runs.
+The split slack is scaled by the centred sum of squares, so change points do
+not depend on where the data sits.  Encounters share nothing, so `pairtraj
+segment` spreads them over up to one process per CPU, which also format
+their segments.csv lines; the output does not depend on that count.
 """
 
 from __future__ import annotations
@@ -98,14 +102,45 @@ class ChangePointSet:
         return len(self.points)
 
 
-def _cubic_lstsq(t: np.ndarray, values: np.ndarray):
-    """One least-squares cubic in t per column of values: (coef, residuals, rank)."""
-    design = np.vander(t, 4, increasing=True)
+try:  # the LAPACK gelsd gufunc behind np.linalg.lstsq, without its wrapper
+    from numpy.linalg._umath_linalg import lstsq as _gelsd
+except ImportError:  # a numpy laid out otherwise: np.linalg.lstsq itself
+    _gelsd = None
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _cubic_lstsq(design: np.ndarray, values: np.ndarray):
+    """Least-squares coefficients of the (m, 4) design per column of the 2-D
+    values, and the design's rank: the bits of np.linalg.lstsq(rcond=None)."""
     try:
-        coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+        if _gelsd is None:
+            coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+        else:
+            # the rcond and error state np.linalg.lstsq passes
+            with np.errstate(call=_raise_lstsq_error, invalid="call",
+                             over="ignore", divide="ignore", under="ignore"):
+                coef, _, rank, _ = _gelsd(
+                    design, values, _EPS * max(len(design), 4), signature="ddd->ddid"
+                )
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"cubic least squares over {len(t)} samples: {exc}") from exc
-    return coef, values - design @ coef, rank
+        raise NumericalError(f"cubic least squares over {len(design)} samples: {exc}") from exc
+    return coef, rank
+
+
+def _cubic_design(t: np.ndarray) -> np.ndarray:
+    """Columns 1, t, t*t, (t*t)*t: the bits of np.vander(t, 4, increasing=True)."""
+    tt = t * t
+    design = np.empty((len(t), 4))
+    design[:, 0] = 1.0
+    design[:, 1] = t
+    design[:, 2] = tt
+    np.multiply(tt, t, out=design[:, 3])
+    return design
 
 
 def fit_cubic(samples) -> tuple[np.ndarray, float]:
@@ -117,36 +152,46 @@ def fit_cubic(samples) -> tuple[np.ndarray, float]:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidInputError("samples must be (t, value) pairs")
-    coef, resid, rank = _cubic_lstsq(arr[:, 0], arr[:, 1])
+    design = _cubic_design(arr[:, 0])
+    coef, rank = _cubic_lstsq(design, arr[:, 1:])
     if rank < 4:
         raise DegenerateFitError(
             f"cubic design has rank {rank}; need 4 distinct t values"
         )
+    coef = coef[:, 0]
+    resid = arr[:, 1] - design @ coef
     return coef, float(resid @ resid)
 
 
 class _SpanFits:
     """One joint cubic fit of every series column per (lo, hi) span, memoised.
 
-    Each entry holds the per-series SSE of the inclusive span [lo, hi] and the
+    Each entry holds the per-series SSE of the inclusive span [lo, hi], the
     per-series SSE without its last sample (the boundary sample that the
-    criterion counts in the next segment), from one solve on t shifted to
-    start at zero; spans with < 4 points are interpolated exactly.
+    criterion counts in the next segment) and the total of the first over the
+    series in order, from one solve on t shifted to start at zero; spans with
+    < 4 points are interpolated exactly.
     """
 
     def __init__(self, t: np.ndarray, series: np.ndarray) -> None:
         self.t = t
         self.series = series
-        self._sse: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._sse: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
 
-    def sse(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def sse(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, float]:
         hit = self._sse.get((lo, hi))
         if hit is None:
-            ts = self.t[lo : hi + 1] - self.t[lo]
-            _, resid, _ = _cubic_lstsq(ts, self.series[lo : hi + 1])
+            design = _cubic_design(self.t[lo : hi + 1] - self.t[lo])
+            values = self.series[lo : hi + 1]
+            coef, _ = _cubic_lstsq(design, values)
+            resid = values - design @ coef
             sq = resid * resid
             head = sq[:-1].sum(axis=0)
-            hit = self._sse[lo, hi] = (head + sq[-1], head)
+            full = head + sq[-1]
+            total = 0.0
+            for value in full.tolist():  # one addition per series, in order
+                total += value
+            hit = self._sse[lo, hi] = (full, head, total)
         return hit
 
 
@@ -156,7 +201,9 @@ def _find_split(fits: _SpanFits, s: int, lo: int, hi: int) -> int | None:
         return None
     base = fits.sse(lo, hi)[0][s]
     ys = fits.series[lo : hi + 1, s]
-    ys = ys - ys.mean()  # the slack must not grow with the data's offset
+    # centred on the mean (ys.mean()'s bits, without its wrapper), so the
+    # slack does not grow with the data's offset
+    ys = ys - ys.sum() / ys.size
     slack = _SPLIT_SLACK * float(ys @ ys)
     a, b = lo, hi
     last = -1
@@ -227,7 +274,7 @@ def prune_change_points(
         if hi - lo + 1 <= 4:
             del bounds[i + 1]
             continue
-        if sum(fits.sse(lo, hi)[0]) < epsilon:  # series in order, one addition each
+        if fits.sse(lo, hi)[2] < epsilon:
             del bounds[i + 1]
         else:
             i += 1
@@ -239,7 +286,7 @@ def _criterion(encounter: Encounter, knots: ChangePointSet) -> float:
     bounds = [0, *knots.points, len(encounter.interaction) - 1]
     fitted = [fits.sse(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     # the boundary sample belongs to the next segment; the final span keeps it
-    own = np.array([head for _, head in fitted[:-1]] + [fitted[-1][0]])
+    own = np.array([head for _, head, _ in fitted[:-1]] + [fitted[-1][0]])
     # series-major, one addition at a time
     return float(sum(own.T.flat)) + len(knots) + 2
 
@@ -320,17 +367,19 @@ def segment(
 SEGMENT_HEADER = ("encounter_id", "segment_index", "t", "x1", "y1", "x2", "y2")
 
 
+def segment_rows(enc_id: str, segments: list[Interaction]) -> list[str]:
+    """The lines of one encounter's segments in segments.csv, header excluded."""
+    lines = []
+    for index, inter in enumerate(segments):
+        lead = f"{quoted(enc_id)},{index},"
+        lines.extend([lead + fmt_row(row) for row in to_table(inter).tolist()])
+    return lines
+
+
 def write_segments_csv(path, segmented, meta: dict | None = None) -> None:
     """Rows of every segment of every encounter; segmented is (id, segments) pairs."""
-
-    def rows():
-        for enc_id, segments in segmented:
-            for index, inter in enumerate(segments):
-                lead = f"{quoted(enc_id)},{index},"
-                for row in to_table(inter).tolist():
-                    yield lead + fmt_row(row)
-
-    write_rows(path, SEGMENT_HEADER, rows(), meta)
+    rows = (line for enc_id, segments in segmented for line in segment_rows(enc_id, segments))
+    write_rows(path, SEGMENT_HEADER, rows, meta)
 
 
 def read_segments_csv(path) -> list[tuple[str, list[Interaction]]]:

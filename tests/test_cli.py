@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pairtraj
-from pairtraj import __version__, artifacts, cli, mds, workers
+from pairtraj import __version__, artifacts, cli, mds, segmentation, workers
 from pairtraj.cli import _build_parser, _resolve_config, main
 from pairtraj.clustering import read_model_json
 from pairtraj.evaluation import read_transfer_csv
@@ -1150,14 +1150,15 @@ class TestFaultMatrix:
         assert not os.path.exists(os.path.join(out, "distances.csv"))
         assert not [leaf for _, _, leaves in os.walk(out) for leaf in leaves if leaf.endswith(".tmp")]
 
-    # a new seed misses the embedding cache, so the spectral start is computed
-    @pytest.mark.parametrize("command, solver", [
-        ("cluster", "eigh"),
-        ("segment", "lstsq"),
-        ("spline", "lstsq"),
+    # a new seed misses the embedding cache, so the spectral start is computed;
+    # every cubic fit solves through numpy's lstsq gufunc, held by segmentation
+    @pytest.mark.parametrize("command, owner, solver", [
+        pytest.param("cluster", np.linalg, "eigh", id="cluster-eigh"),
+        pytest.param("segment", segmentation, "_gelsd", id="segment-lstsq"),
+        pytest.param("spline", segmentation, "_gelsd", id="spline-lstsq"),
     ])
     def test_solver_failure_is_a_numerical_error(
-        self, chain, monkeypatch, capsys, command, solver
+        self, chain, monkeypatch, capsys, command, owner, solver
     ):
         out, argvs = chain
         before = snapshot(out)
@@ -1165,7 +1166,7 @@ class TestFaultMatrix:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{solver} did not converge")
 
-        monkeypatch.setattr(np.linalg, solver, fail)
+        monkeypatch.setattr(owner, solver, fail)
         capsys.readouterr()
         assert run(*argvs[command], "--seed", "11") == 4
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -238,6 +239,31 @@ class TestStabilitySweep:
         assert not grid.missing[0, 0] and grid.missing[0, 1]
         assert np.isnan(grid.values[0, 1])
         assert np.isnan(grid.delta2[0, 1])
+
+    def sweep_records(self, caplog, data, D):
+        with caplog.at_level(logging.WARNING, logger="pairtraj.evaluation"):
+            grid = stability_sweep(data, D, "mds", "k", [2, 3], "beta", [2], seed=0)
+        return grid, [r for r in caplog.records if r.name == "pairtraj.evaluation"]
+
+    def test_missing_cells_logged_once(self, monkeypatch, caplog):
+        data, _ = planted(np.random.default_rng(16), per_family=4)
+        D = distance_matrix(data)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        grid, [record] = self.sweep_records(caplog, data, D)
+        assert grid.missing.all() and np.isnan(grid.values).all()
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "2 of 2 cell(s) missing (k=2 beta=2, k=3 beta=2)" in message
+        assert "eigh did not converge" in message
+
+    def test_silent_when_every_cell_is_present(self, caplog):
+        data, _ = planted(np.random.default_rng(16), per_family=4)
+        grid, records = self.sweep_records(caplog, data, distance_matrix(data))
+        assert not grid.missing.any() and records == []
 
     def test_mds_embeds_once_per_beta(self, monkeypatch):
         data, _ = planted(np.random.default_rng(20), per_family=4)

@@ -24,7 +24,7 @@ from pairtraj.segmentation import (
     write_segments_csv,
 )
 from pairtraj.synthetic import knotted_interaction, make_encounter_dataset
-from pairtraj.trajectory import Interaction, Trajectory
+from pairtraj.trajectory import Interaction, Trajectory, to_table
 
 from oracles import normal_equation_cubic, reference_segment_with_knots
 
@@ -435,6 +435,58 @@ class TestSpanFitMemo:
         fitted.clear()
         segment_with_knots(again)
         assert sum(fitted.values()) == calls
+
+
+class TestSolveSeam:
+    """Every span fit calls LAPACK as np.linalg.lstsq(rcond=None) would."""
+
+    @pytest.mark.parametrize("columns", [1, 4])
+    @pytest.mark.parametrize("offset", [0.0, 1e5, 4e6])
+    def test_bits_match_numpy_lstsq(self, offset, columns):
+        # raw, unshifted t: far from zero the design loses rank, and the
+        # rank must match too
+        rng = np.random.default_rng(int(offset) + columns)
+        for m in range(4, 601):
+            t = offset + np.cumsum(rng.uniform(0.5, 1.5, m))
+            values = rng.normal(size=(m, columns))
+            design = segmentation._cubic_design(t)
+            reference = np.vander(t, 4, increasing=True)
+            assert design.tobytes() == reference.tobytes()
+            coef, rank = segmentation._cubic_lstsq(design, values)
+            ref_coef, _, ref_rank, _ = np.linalg.lstsq(reference, values, rcond=None)
+            assert coef.tobytes() == ref_coef.tobytes(), m
+            assert rank == ref_rank, m
+
+    def test_fit_cubic_bits_match_numpy_lstsq(self):
+        rng = np.random.default_rng(3)
+        t = np.cumsum(rng.uniform(0.5, 1.5, 50))
+        y = rng.normal(size=50)
+        coef, sse = fit_cubic(np.column_stack([t, y]))
+        design = np.vander(t, 4, increasing=True)
+        ref_coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        resid = y - design @ ref_coef
+        assert coef.tobytes() == ref_coef.tobytes()
+        assert sse == float(resid @ resid)
+
+    def test_fallback_gives_the_same_bytes(self, monkeypatch):
+        encounters, _ = make_encounter_dataset(1, 3, (40, 80), 121)
+        direct = [segment_with_knots(Encounter(i, inter)) for i, inter in encounters]
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(segmentation, "_gelsd", None)
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        fallback = [segment_with_knots(Encounter(i, inter)) for i, inter in encounters]
+        assert calls
+        for (segments, cuts), (ref_segments, ref_cuts) in zip(fallback, direct):
+            assert (cuts.points, cuts.tolerance) == (ref_cuts.points, ref_cuts.tolerance)
+            assert len(segments) == len(ref_segments)
+            for seg, ref in zip(segments, ref_segments):
+                assert to_table(seg).tobytes() == to_table(ref).tobytes()
 
 
 @pytest.mark.parametrize("offset", [1e5, 4e6])
