@@ -8,7 +8,8 @@ failed write leaves an earlier file intact.  The three layouts:
   (which would start a comment line) or with whitespace (which a reader that
   strips its lines would drop), is written in double quotes with its quotes
   doubled, as in RFC 4180; `split_fields` reads a line back.
-- Binary: a 4-byte magic, then a little-endian payload the caller packs.
+- Arrays: a 4-byte magic, one little-endian int64 element count per array,
+  then each array's little-endian bytes, row-major.
 
 The schema readers elsewhere are thin layers over these pairs; `malformed`
 turns their parse and validation errors into a DataError naming the path and,
@@ -22,6 +23,9 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import DataError
 
@@ -167,14 +171,30 @@ def read_rows(path, header) -> tuple[dict | None, list[tuple[int, list[str]]]]:
     return meta, rows[1:]
 
 
-def write_binary(path, magic: bytes, *chunks: bytes) -> None:
+def write_arrays(path, magic: bytes, *arrays) -> None:
+    """Write the arrays layout.  Each of `arrays` is an ndarray or a list of
+    them, written back to back as one array of the first one's dtype, so a
+    caller need not concatenate what it already holds."""
+    arrays = [chunks if isinstance(chunks, list) else [chunks] for chunks in arrays]
+    counts = [sum(chunk.size for chunk in chunks) for chunks in arrays]
     with _replacing(path, "wb") as handle:
-        handle.writelines((magic, *chunks))
+        handle.writelines((magic, np.array(counts, dtype="<i8").tobytes()))
+        for chunks in arrays:
+            for chunk in chunks:
+                handle.write(np.ascontiguousarray(chunk, chunks[0].dtype.newbyteorder("<")).data)
 
 
-def read_binary(path, magic: bytes) -> memoryview:
-    """The bytes after `magic`; DataError unless the file starts with it."""
+def read_arrays(path, magic: bytes, *dtypes) -> list[np.ndarray]:
+    """The arrays `write_arrays` wrote, one flat read-only view per dtype
+    given; DataError unless the file starts with `magic` and its counts are
+    nonnegative and fill it exactly."""
     blob = _read(path, "rb")
-    if blob[: len(magic)] != magic:
-        raise DataError(f"{path}: does not start with {magic!r}")
-    return memoryview(blob)[len(magic) :]
+    dtypes = [np.dtype(dtype).newbyteorder("<") for dtype in dtypes]
+    head = len(magic) + 8 * len(dtypes)
+    if blob[: len(magic)] != magic or len(blob) < head:
+        raise DataError(f"{path}: does not start with {magic!r} and {len(dtypes)} array counts")
+    counts = np.frombuffer(blob, "<i8", len(dtypes), len(magic)).tolist()
+    ends = list(accumulate((n * t.itemsize for n, t in zip(counts, dtypes)), initial=head))
+    if min(counts, default=0) < 0 or ends[-1] != len(blob):
+        raise DataError(f"{path}: array counts {counts} do not fill its {len(blob)} bytes")
+    return [np.frombuffer(blob, t, n, at) for t, n, at in zip(dtypes, counts, ends)]

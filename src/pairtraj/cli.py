@@ -171,16 +171,10 @@ def _embedder(config: RunConfig):
 def cmd_generate(config: RunConfig, args) -> None:
     if config.kind == "families":
         encounters, manifest = make_labeled_dataset(
-            config.seed,
-            config.per_family,
-            config.families,
-            config.num_samples,
-            config.noise,
+            config.seed, config.per_family, config.families, config.num_samples, config.noise
         )
-        labels = [
-            list(config.families).index(entry["family"])
-            for entry in manifest["encounters"].values()
-        ]
+        families = list(config.families)
+        labels = [families.index(entry["family"]) for entry in manifest["encounters"].values()]
         if len(config.families) > 1:
             ratio = within_between_ratio([inter for _, inter in encounters], labels)
             manifest["within_between_ratio"] = ratio

@@ -157,6 +157,9 @@ def _lloyd(
 
 
 def _check_restarts(n: int, k: int, n_init: int, max_iter: int) -> None:
+    for name, value in (("k", k), ("n_init", n_init), ("max_iter", max_iter)):
+        if not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
     if n_init < 1 or max_iter < 1:
@@ -263,8 +266,8 @@ def align_to_anchor(
 ) -> list[Interaction]:
     """Rigidly align every interaction onto data[anchor] (no pair-order swap)."""
     _shared_length(data)
-    if not 0 <= anchor < len(data):
-        raise InvalidInputError(f"anchor must lie in [0, {len(data) - 1}]")
+    if not isinstance(anchor, (int, np.integer)) or not 0 <= anchor < len(data):
+        raise InvalidInputError(f"anchor must be an integer in [0, {len(data) - 1}]")
     target = data[anchor]
     return [x if i == anchor else align(target, x, mu)[1] for i, x in enumerate(data)]
 

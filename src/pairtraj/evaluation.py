@@ -187,15 +187,11 @@ class StabilityGrid:
 
     @property
     def delta1(self) -> np.ndarray:
-        out = np.full_like(self.values, np.nan)
-        out[1:, :] = self.values[1:, :] - self.values[:-1, :]
-        return out
+        return np.diff(self.values, axis=0, prepend=np.nan)
 
     @property
     def delta2(self) -> np.ndarray:
-        out = np.full_like(self.values, np.nan)
-        out[:, 1:] = self.values[:, 1:] - self.values[:, :-1]
-        return out
+        return np.diff(self.values, axis=1, prepend=np.nan)
 
 
 # the same dict object as clustering.ROUTES; bench/layers.py patches its items

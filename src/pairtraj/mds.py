@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import malformed, read_binary, write_binary
-from .errors import DataError, InvalidInputError, NumericalError
+from .artifacts import malformed, read_arrays, write_arrays
+from .errors import InvalidInputError, NumericalError
 from .procrustes import DistanceMatrix
 from .trajectory import _store
 from .workers import cpu_count, fork_map, one_blas_thread
@@ -43,10 +43,7 @@ def cache_tag() -> str:
 # from this n up the runs go on up to one process per CPU; below it forking
 # and joining the workers cost more than they save
 _POOL_MIN_N = 100
-_MAGIC = b"PTEM"
-_HEADER = np.dtype(
-    [("n", "<i8"), ("beta", "<i8"), ("stress", "<f8"), ("best_run", "<i8"), ("runs", "<i8")]
-)
+_MAGIC = b"PTM2"
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,25 +238,15 @@ def embed(
 
 
 def write_embedding_binary(path, embedding: Embedding) -> None:
-    """Magic, then little-endian int64 n and beta, float64 stress, int64
-    best_run and the run count, int64 iterations per run, and the row-major
-    float64 points."""
-    header = (embedding.n, embedding.beta, embedding.stress, embedding.best_run,
-              len(embedding.iterations))
-    write_binary(
-        path, _MAGIC, np.array([header], dtype=_HEADER).tobytes(),
-        np.array(embedding.iterations, dtype="<i8").tobytes(),
-        np.ascontiguousarray(embedding.points, dtype="<f8").tobytes(),
-    )
+    """The arrays (`write_arrays`): int64 beta, best_run and each run's
+    iterations, then float64 stress and the row-major points."""
+    ints = [embedding.beta, embedding.best_run, *embedding.iterations]
+    floats = [np.array([embedding.stress]), embedding.points]
+    write_arrays(path, _MAGIC, np.array(ints, dtype=np.int64), floats)
 
 
 def read_embedding_binary(path) -> Embedding:
-    payload = read_binary(path, _MAGIC)
+    ints, floats = read_arrays(path, _MAGIC, "i8", "f8")
     with malformed(path):
-        n, beta, stress, best_run, runs = np.frombuffer(payload, _HEADER, count=1)[0].tolist()
-        head = _HEADER.itemsize
-        if n < 1 or beta < 1 or runs < 0 or len(payload) != head + 8 * (runs + n * beta):
-            raise DataError(f"{path}: truncated or oversized payload")
-        iterations = np.frombuffer(payload, dtype="<i8", count=runs, offset=head)
-        points = np.frombuffer(payload, dtype="<f8", offset=head + 8 * runs)
-        return Embedding(points.reshape(n, beta), stress, tuple(iterations), best_run)
+        (beta, best_run, *iterations), (stress,) = ints.tolist(), floats[:1].tolist()
+        return Embedding(floats[1:].reshape(-1, beta), stress, tuple(iterations), best_run)

@@ -40,17 +40,18 @@ point resolves its time measure (uniform when None) through `_row_weights`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 # not used here; bench/layers.py patches this name when it traces a run
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
-from .artifacts import fmt_row, malformed, read_binary, read_rows, write_binary, write_rows
+from .artifacts import fmt_row, malformed, read_arrays, read_rows, write_arrays, write_rows
 from .errors import DataError, InvalidInputError
 from .trajectory import _store, Interaction, TimeMeasure, Trajectory, uniform_measure
 
-_MAGIC = b"PTDM"
+_MAGIC = b"PTD2"
 # Residuals at most this fraction of N_s + N_t are summed directly instead
 _RECOMPUTE_REL = 1e-3
 # Near pairs are recomputed this many at a time, bounding the temporaries
@@ -320,17 +321,12 @@ def read_matrix_csv(path) -> DistanceMatrix:
 
 
 def write_matrix_binary(path, matrix: DistanceMatrix) -> None:
-    """Compact layout: magic, little-endian int64 n, row-major float64 entries."""
-    write_binary(
-        path, _MAGIC, np.array([matrix.n], dtype="<i8").tobytes(),
-        np.ascontiguousarray(matrix.entries, dtype="<f8").tobytes(),
-    )
+    """Compact layout: the row-major float64 entries as one array (`write_arrays`)."""
+    write_arrays(path, _MAGIC, matrix.entries)
 
 
 def read_matrix_binary(path) -> DistanceMatrix:
-    payload = read_binary(path, _MAGIC)
+    (entries,) = read_arrays(path, _MAGIC, "f8")
     with malformed(path):
-        n = int(np.frombuffer(payload, dtype="<i8", count=1)[0])
-        if n < 1 or len(payload) != 8 * (1 + n * n):
-            raise DataError(f"{path}: truncated or oversized payload for n={n}")
-        return DistanceMatrix(np.frombuffer(payload, dtype="<f8", offset=8).reshape(n, n))
+        n = math.isqrt(entries.size)
+        return DistanceMatrix(entries.reshape(n, n))

@@ -147,11 +147,12 @@ def fit_cubic(samples) -> tuple[np.ndarray, float]:
     """Least-squares cubic through (t, value) samples: (coefficients, sse).
 
     Coefficients are in increasing powers of the raw t.  A design of rank < 4
-    (fewer than 4 distinct t values) has no unique cubic and is rejected.
+    (fewer than 4 distinct t values) has no unique cubic and is rejected, and
+    so is a non-finite sample, which LAPACK would carry into NaN coefficients.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidInputError("samples must be (t, value) pairs")
+    if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
+        raise InvalidInputError("samples must be finite (t, value) pairs")
     design = _cubic_design(arr[:, 0])
     coef, rank = _cubic_lstsq(design, arr[:, 1:])
     if rank < 4:

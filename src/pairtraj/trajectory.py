@@ -12,12 +12,12 @@ from itertools import accumulate
 import numpy as np
 
 from .artifacts import (
-    fmt_row, malformed, opened, quoted, read_binary, split_fields, write_binary, write_rows,
+    fmt_row, malformed, opened, quoted, read_arrays, split_fields, write_arrays, write_rows,
 )
 from .errors import DataError, InvalidInputError
 
 CSV_HEADER = ("encounter_id", "t", "x1", "y1", "x2", "y2")
-_MAGIC = b"PTEC"
+_MAGIC = b"PTC2"
 
 
 def _store(obj, **fields) -> None:
@@ -222,31 +222,31 @@ def write_encounters_csv(path, encounters, meta: dict | None = None) -> None:
 
 
 def write_encounters_binary(path, encounters) -> None:
-    """Magic, then little-endian int64 count n, n int64 row counts, n int64
-    id lengths in bytes, the UTF-8 ids, and every encounter's row-major
-    float64 (t, x1, y1, x2, y2) rows in turn."""
+    """The arrays (`write_arrays`): int64 row counts then id lengths in bytes,
+    the UTF-8 ids, and float64 values: every grid, then every first curve's
+    (x, y) rows, then every second's, written from the curves' own arrays."""
     ids = [enc_id.encode() for enc_id, _ in encounters]
-    head = [len(ids), *(len(inter) for _, inter in encounters), *map(len, ids)]
-    rows = (to_table(inter).astype("<f8").tobytes() for _, inter in encounters)
-    write_binary(path, _MAGIC, np.array(head, dtype="<i8").tobytes(), *ids, *rows)
+    inters = [inter for _, inter in encounters]
+    values = [inter.grid for inter in inters] + [inter.first.samples for inter in inters]
+    values += [inter.second.samples for inter in inters]
+    sizes = np.array([*map(len, inters), *map(len, ids)], dtype=np.int64)
+    write_arrays(path, _MAGIC, sizes, np.frombuffer(b"".join(ids), np.uint8), values)
 
 
 def read_encounters_binary(path) -> list[tuple[str, Interaction]]:
     """Inverse of write_encounters_binary; every encounter goes through the
     constructors again, so a poisoned file fails as DataError."""
-    payload = read_binary(path, _MAGIC)
+    sizes, ids, values = read_arrays(path, _MAGIC, "i8", "u1", "f8")
     with malformed(path):
-        n = int(np.frombuffer(payload, dtype="<i8", count=1)[0])
-        head = 8 * (1 + 2 * n)
-        if n < 0 or head > len(payload):
-            raise DataError(f"{path}: truncated payload for {n} encounters")
-        sizes = np.frombuffer(payload, dtype="<i8", count=2 * n, offset=8).tolist()
-        lengths, id_cuts = sizes[:n], list(accumulate(sizes[n:], initial=head))
-        if min(sizes, default=0) < 0 or len(payload) != id_cuts[-1] + 40 * sum(lengths):
-            raise DataError(f"{path}: truncated or oversized payload")
-        ids = [bytes(payload[a:b]).decode() for a, b in zip(id_cuts, id_cuts[1:])]
-        if len(set(ids)) != n:
+        cuts, id_cuts = (list(accumulate(s, initial=0)) for s in sizes.reshape(2, -1).tolist())
+        if sizes.min(initial=0) < 0 or id_cuts[-1] != ids.size or 5 * cuts[-1] != values.size:
+            raise DataError(f"{path}: array sizes disagree")
+        utf8 = ids.tobytes()
+        ids = [utf8[a:b].decode() for a, b in zip(id_cuts, id_cuts[1:])]
+        if len(set(ids)) != len(ids):
             raise DataError(f"{path}: repeated encounter id")
-        table = np.frombuffer(payload, dtype="<f8", offset=id_cuts[-1]).reshape(-1, 5)
-        cuts = list(accumulate(lengths, initial=0))
-        return [(enc_id, from_table(table[a:b])) for enc_id, a, b in zip(ids, cuts, cuts[1:])]
+        grid, curves = values[: cuts[-1]], values[cuts[-1] :].reshape(2, -1, 2)
+        return [
+            (enc_id, Interaction(*(Trajectory(curve[a:b], grid[a:b]) for curve in curves)))
+            for enc_id, a, b in zip(ids, cuts, cuts[1:])
+        ]

@@ -44,7 +44,7 @@ from pairtraj.trajectory import (
 READERS = {
     "read_json": artifacts.read_json,
     "read_rows": functools.partial(artifacts.read_rows, header=("a", "b")),
-    "read_binary": functools.partial(artifacts.read_binary, magic=b"PTXX"),
+    "read_arrays": lambda path: artifacts.read_arrays(path, b"PTXX", "f8"),
     "read_model_json": read_model_json,
     "read_quality_json": read_quality_json,
     "read_silhouette_csv": read_silhouette_csv,
@@ -63,17 +63,29 @@ READERS = {
 GARBAGE = b"\x89PNG\r\n\x1a\n\xff\xfe\x00garbage\xc3\x28" * 8
 
 
+def _arrays_blob(magic, *arrays, counts=None) -> bytes:
+    """The arrays layout packed by hand: magic, int64 element counts (the
+    arrays' sizes unless given), then each array's little-endian bytes."""
+    counts = [np.size(a) for a in arrays] if counts is None else counts
+    body = b"".join(np.asarray(a).tobytes() for a in arrays)
+    return magic + np.array(counts, dtype="<i8").tobytes() + body
+
+
 def _matrix_blob(entries) -> bytes:
-    entries = np.asarray(entries, dtype="<f8")
-    return b"PTDM" + np.array([entries.shape[0]], dtype="<i8").tobytes() + entries.tobytes()
+    return _arrays_blob(b"PTD2", np.asarray(entries, dtype="<f8"))
 
 
 def _encounters_blob(ids, lengths, rows, count=None) -> bytes:
-    """The encounter cache layout, packed by hand: count, row counts, id
-    lengths in bytes, the ids, then (t, x1, y1, x2, y2) rows."""
-    head = [len(ids) if count is None else count, *lengths, *map(len, ids)]
+    """The encounter cache layout, packed by hand: the row counts then the id
+    lengths in bytes, the ids, then the t column of the rows, their (x1, y1)
+    pairs and their (x2, y2) pairs.  `count` overrides the first array's
+    element count."""
     table = np.asarray(rows, dtype="<f8")
-    return b"PTEC" + np.array(head, dtype="<i8").tobytes() + b"".join(ids) + table.tobytes()
+    sizes = np.array([*lengths, *map(len, ids)], dtype="<i8")
+    values = np.concatenate([table[:, 0], table[:, 1:3].ravel(), table[:, 3:5].ravel()])
+    counts = [sizes.size if count is None else count, sum(map(len, ids)), values.size]
+    return _arrays_blob(b"PTC2", sizes, np.frombuffer(b"".join(ids), np.uint8), values,
+                        counts=counts)
 
 
 _TWO_ROWS = [[0, 1, 2, 3, 4], [1, 1, 2, 3, 4]]
@@ -149,6 +161,15 @@ REJECTED = [
     ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=-1), ""),
     ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=1 << 40), ""),
     ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=1 << 62), ""),
+    ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [1.0, 0.0]]) + b"\x00", ""),
+    ("read_matrix_binary", _arrays_blob(b"PTD2", np.zeros(3)), ""),
+    ("read_matrix_binary", b"PTD2\x01\x00\x00\x00", ""),
+    ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([0, 0, 3]), np.zeros(3)), ""),
+    ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([1]), np.zeros(3)), ""),
+    ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([1, 0]), np.zeros(0)), ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [2, 0], _TWO_ROWS), ""),
+    ("read_encounters_binary", _encounters_blob([b"a"], [3], _TWO_ROWS), ""),
+    ("read_encounters_binary", _encounters_blob([b"a", b"b"], [4, -2], _TWO_ROWS), ""),
 ]
 
 
@@ -218,12 +239,25 @@ def test_encounters_blob_matches_the_writer(tmp_path):
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
-def test_binary_round_trip(tmp_path):
+def test_arrays_round_trip(tmp_path):
     path = tmp_path / "a.bin"
-    artifacts.write_binary(path, b"PTXX", b"\x01\x02", b"\x03")
-    assert bytes(artifacts.read_binary(path, b"PTXX")) == b"\x01\x02\x03"
+    matrix = np.arange(6.0).reshape(2, 3)
+    chunks = [np.array([1, -2], dtype=">i8"), np.array([3], dtype="<i8")]
+    empty, ids = np.zeros(0, np.uint8), np.frombuffer(b"\xc3\xa9", np.uint8)
+    artifacts.write_arrays(path, b"PTXX", matrix, chunks, empty, ids)
+    # magic, four counts, then the arrays in the order given, little-endian
+    assert path.read_bytes() == _arrays_blob(
+        b"PTXX", matrix, np.array([1, -2, 3], dtype="<i8"), empty, ids
+    )
+    arrays = artifacts.read_arrays(path, b"PTXX", "f8", "i8", "u1", "u1")
+    assert [a.tolist() for a in arrays] == [list(range(6)), [1, -2, 3], [], [195, 169]]
+    assert all(a.ndim == 1 and not a.flags.writeable for a in arrays)
     with pytest.raises(DataError, match="PTYY"):
-        artifacts.read_binary(path, b"PTYY")
+        artifacts.read_arrays(path, b"PTYY", "f8", "i8", "u1", "u1")
+    # the counts must fill the file exactly for the dtypes asked
+    for dtypes in (("f8", "i8", "u1"), ("f8", "i8", "u1", "u1", "u1"), ("f8", "i8", "u1", "i8")):
+        with pytest.raises(DataError, match="counts"):
+            artifacts.read_arrays(path, b"PTXX", *dtypes)
 
 
 def test_file_sha256(tmp_path):
@@ -323,8 +357,9 @@ FAILED_WRITES = {
     "write_rows": (
         OSError, lambda path: artifacts.write_rows(path, ("a", "b"), _one_row_then_disk_full())
     ),
-    "write_binary": (
-        TypeError, lambda path: artifacts.write_binary(path, b"PTXX", b"\x01", "not bytes")
+    "write_arrays": (
+        ValueError,
+        lambda path: artifacts.write_arrays(path, b"PTXX", [np.zeros(2), np.array(["x"])]),
     ),
 }
 

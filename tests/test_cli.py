@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -20,10 +21,16 @@ from pairtraj import __version__, artifacts, cli, mds, segmentation, workers
 from pairtraj.cli import _build_parser, _resolve_config, main
 from pairtraj.clustering import read_model_json
 from pairtraj.evaluation import read_transfer_csv
-from pairtraj.procrustes import read_matrix_csv
+from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
 from pairtraj.segmentation import read_segments_csv
 from pairtraj.synthetic import make_encounter_dataset
-from pairtraj.trajectory import read_encounters_csv, resample, write_encounters_csv
+from pairtraj.trajectory import (
+    read_encounters_binary,
+    read_encounters_csv,
+    resample,
+    to_table,
+    write_encounters_csv,
+)
 from pairtraj.transport import DiscreteMeasure, empirical_measure, model_measure, wasserstein
 
 
@@ -193,8 +200,8 @@ class TestDistances:
         with open(cache_path, "r+b") as handle:
             if damage == "truncate":
                 handle.truncate(len(blob) // 2)
-            else:  # full size, one entry NaN: the matrix type rejects it
-                handle.seek(4 + 8 + 8)
+            else:  # full size, entry [0, 1] NaN: the matrix type rejects it
+                handle.seek(4 + 8 + 8)  # past the magic, the one count and entry [0, 0]
                 handle.write(np.array([np.nan], dtype="<f8").tobytes())
         assert run(*args) == 0
         assert body_lines(path) == first
@@ -326,6 +333,23 @@ class TestStability:
             ["2", "2.5", "nan"], ["3", "2.5", "nan"]
         ]
 
+    def test_fractional_k_cells_missing(self, workdir, tmp_path, caplog):
+        dataset = os.path.join(workdir, "dataset.csv")
+        out = str(tmp_path / "s")
+        with caplog.at_level(logging.WARNING):
+            assert run(
+                "stability", "--method", "geo2", "--input", dataset, "--output-dir", out,
+                "--grid", "k=2.5,3;n_init=2", "--set", "num_samples=31", "--seed", "3",
+            ) == 0
+        [record] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert "1 of 2 cell(s) missing (k=2.5 n_init=2)" in record.getMessage()
+        assert "k must be an integer, got 2.5" in record.getMessage()
+        with open(os.path.join(out, "stability.csv")) as handle:
+            lines = [ln.strip() for ln in handle if ln.strip()]
+        rows = [row.split(",")[:3] for row in lines[2:]]
+        assert [row[:2] for row in rows] == [["2.5", "2"], ["3", "2"]]
+        assert rows[0][2] == "nan" and float(rows[1][2]) >= 0.0
+
     def test_malformed_grid_exit_2(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")
         code = run(
@@ -438,6 +462,55 @@ class TestEmbeddingCache:
             *self.common(workdir, out),
         ) == 0
         assert self.embeddings(out) == []
+
+
+def earlier_layout(kind, path) -> bytes:
+    """The cache file at `path` packed by hand in the layout of the tool
+    before its arrays container: each kind its own magic and header."""
+    if kind == "distances":
+        entries = read_matrix_binary(path).entries
+        return b"PTDM" + np.array([len(entries)], "<i8").tobytes() + entries.tobytes()
+    if kind == "embedding":
+        emb = mds.read_embedding_binary(path)
+        header = np.array(
+            [(emb.n, emb.beta, emb.stress, emb.best_run, len(emb.iterations))],
+            dtype=[("n", "<i8"), ("beta", "<i8"), ("stress", "<f8"), ("best_run", "<i8"),
+                   ("runs", "<i8")],
+        )
+        return (b"PTEM" + header.tobytes() + np.array(emb.iterations, "<i8").tobytes()
+                + emb.points.tobytes())
+    encounters = read_encounters_binary(path)
+    ids = [enc_id.encode() for enc_id, _ in encounters]
+    head = [len(ids), *(len(inter) for _, inter in encounters), *map(len, ids)]
+    tables = [to_table(inter).tobytes() for _, inter in encounters]
+    return b"PTEC" + np.array(head, "<i8").tobytes() + b"".join(ids) + b"".join(tables)
+
+
+def test_earlier_layout_caches_are_rebuilt(workdir, tmp_path):
+    out = str(tmp_path / "p")
+    argv = (
+        "cluster", "--method", "mds", "--input", os.path.join(workdir, "dataset.csv"),
+        "--output-dir", out, "--set", "k=3", "--set", "n_init=2", "--set", "num_samples=31",
+        "--seed", "3",
+    )
+    assert run(*argv) == 0
+    model = sans_created(os.path.join(out, "model.json"))
+    kinds = ("encounters", "distances", "embedding")
+    paths = {kind: os.path.join(out, "cache", *cache_files(out, kind)) for kind in kinds}
+    blobs = {}
+    for kind, path in paths.items():
+        with open(path, "rb") as handle:
+            blobs[kind] = handle.read()
+        old = earlier_layout(kind, path)
+        assert old[:4] != blobs[kind][:4]
+        with open(path, "wb") as handle:
+            handle.write(old)
+    assert run(*argv) == 0
+    assert sans_created(os.path.join(out, "model.json")) == model
+    for kind, path in paths.items():
+        assert cache_files(out, kind) == [os.path.basename(path)]
+        with open(path, "rb") as handle:
+            assert handle.read() == blobs[kind]
 
 
 def half_then_fail(path, *args, **kwargs):

@@ -331,6 +331,29 @@ class TestClusterGeo2:
         with pytest.raises(InvalidInputError, match="k must lie"):
             cluster_geo2(data, k=4, seed=0)
 
+    @pytest.mark.parametrize(
+        "route, params",
+        [
+            (cluster_geo2, {"k": 2.5}),
+            (cluster_geo2, {"max_iter": 3.5}),
+            (cluster_geo2, {"n_init": 2.5}),
+            (cluster_geo2, {"k": 2.0}),
+            (cluster_geo1, {"anchor": 0.5}),
+            (cluster_geo1, {"n_init": 1.5}),
+            (cluster_spline_coef, {"k": 2.5}),
+        ],
+    )
+    def test_fractional_integer_parameters_rejected(self, route, params):
+        data, _ = planted(np.random.default_rng(17), per_family=2)
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            route(data, **{"k": 2, "seed": 0, **params})
+
+    def test_numpy_integer_parameters_accepted(self):
+        data, _ = planted(np.random.default_rng(17), per_family=2)
+        a = cluster_geo1(data, k=np.int64(2), seed=0, anchor=np.int32(1), n_init=np.int64(2))
+        b = cluster_geo1(data, k=2, seed=0, anchor=1, n_init=2)
+        assert np.array_equal(a.assignments, b.assignments)
+
     def test_capped_restarts_logged_once(self, caplog):
         data, _ = planted(np.random.default_rng(12), per_family=5)
         with caplog.at_level(logging.WARNING, logger="pairtraj.clustering"):

@@ -161,6 +161,14 @@ class TestFitCubic:
         with pytest.raises(InvalidInputError):
             fit_cubic(np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_rejects_non_finite_samples(self, bad, column):
+        samples = np.column_stack([np.arange(8.0), np.sin(np.arange(8.0))])
+        samples[3, column] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            fit_cubic(samples)
+
 
 class TestAddChangePoints:
     def test_exact_cubic_has_none(self):
