@@ -18,16 +18,17 @@ written atomically and rebuilt when unreadable.
 
 Three subcommands fork through `workers.fork_map`, up to one process per
 CPU in the affinity mask (`workers.cpu_count`): `segment` cuts its
-encounters and formats their segments.csv lines that way, and `cluster
---method mds` and `stability --method mds` run the SMACOF runs of each
-embedding that way.  Each job's result is deterministic, so every artifact
-is the same bytes at any CPU count.
-Python 3.12 and later emit a DeprecationWarning when a process holding
-OpenBLAS threads forks.
+encounters and formats their segments.csv lines that way; `cluster --method
+mds` and `stability --method mds` run the SMACOF runs of each embedding that
+way; and `stability` with any other method fits its grid cells that way.
+Each job's result is deterministic, so every artifact is the same bytes at
+any CPU count.  Python 3.12 and later emit a DeprecationWarning when a
+process holding OpenBLAS threads forks.
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
-4 numerical failure or out of memory, 130 interrupted (Ctrl-C).  Each
-failure prints one line on stderr and no traceback.
+4 numerical failure, out of memory or a killed worker process, 130
+interrupted (Ctrl-C).  Each failure prints one line on stderr and no
+traceback.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .trajectory import (
     write_encounters_csv,
 )
 from .transport import DiscreteMeasure, empirical_measure, model_measure, wasserstein
-from .workers import cpu_count, fork_map
+from .workers import WorkerDied, cpu_count, fork_map
 
 
 def _meta(config: RunConfig) -> dict:
@@ -413,6 +414,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"pairtraj {args.command}: out of memory{detail}", file=sys.stderr)
+        return 4
+    except WorkerDied as exc:
+        print(f"pairtraj {args.command}: {exc}", file=sys.stderr)
         return 4
     except KeyboardInterrupt:
         print(f"pairtraj {args.command}: interrupted", file=sys.stderr)

@@ -26,6 +26,7 @@ from .clustering import ClusterModel
 from .errors import DataError, InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
 from .trajectory import _store, Interaction, TimeMeasure, resample
+from .workers import cpu_count, fork_map
 
 _log = logging.getLogger(__name__)
 
@@ -215,12 +216,15 @@ def stability_sweep(
 
     Every cell is one `clustering.fit` with the parameters in `base`, the
     cell's axis values overriding them, and the same seed; the statistic is
-    always evaluated on the supplied true distance matrix.  Cells run in
-    row-major order, and those that raise a package error are reported as
-    missing, not fatal; one warning names them and the first error.  For mds
-    the embedding depends only on (matrix, beta, seed), so a memo embeds each
-    distinct beta once, on first use, and keeps the error of a beta whose
-    embedding fails, which marks all of its cells missing.
+    always evaluated on the supplied true distance matrix.  The cells go on
+    `workers.fork_map`, up to one process per CPU in the affinity mask
+    (`workers.cpu_count`), and their results come in row-major order; cells
+    that raise a package error are reported as missing, not fatal, and one
+    warning names them and the first error.  For mds the embedding depends
+    only on (matrix, beta, seed), so a memo embeds each distinct beta once,
+    on first use, and keeps the error of a beta whose embedding fails, which
+    marks all of its cells missing; mds cells run in this process, beside
+    the memo.
     `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
     """
     params = clustering.tuning_parameters(method)
@@ -251,19 +255,29 @@ def stability_sweep(
             raise embeddings[beta]
         return embeddings[beta]
 
+    def run_cell(cell):
+        """The statistic of the cell with axis values `cell`, or the package
+        error that marks it missing."""
+        v1, v2 = cell
+        try:
+            model = clustering.fit(method, data, matrix, mu, seed, embed_once,
+                                   **{**base, axis1_name: v1, axis2_name: v2})
+            return stability_statistic(matrix, model.assignments)
+        except PairtrajError as exc:
+            return exc
+
+    cells = [(v1, v2) for v1 in axis1_values for v2 in axis2_values]
+    # an mds cell only runs k-means on an embedding computed once per beta
+    # here, so it stays in this process
+    outcomes = fork_map(run_cell, cells, 1 if method == "mds" else cpu_count())
     values = np.full((len(axis1_values), len(axis2_values)), np.nan)
     missing = np.ones_like(values, dtype=bool)
     failed = []  # (cell, error) of each missing cell, in row-major order
-    for i, v1 in enumerate(axis1_values):
-        for j, v2 in enumerate(axis2_values):
-            cell = {**base, axis1_name: v1, axis2_name: v2}
-            try:
-                model = clustering.fit(method, data, matrix, mu, seed, embed_once, **cell)
-                values[i, j] = stability_statistic(matrix, model.assignments)
-            except PairtrajError as exc:
-                failed.append((f"{axis1_name}={v1} {axis2_name}={v2}", exc))
-                continue
-            missing[i, j] = False
+    for flat, ((v1, v2), outcome) in enumerate(zip(cells, outcomes)):
+        if isinstance(outcome, PairtrajError):
+            failed.append((f"{axis1_name}={v1} {axis2_name}={v2}", outcome))
+        else:
+            values.flat[flat], missing.flat[flat] = outcome, False
     if failed:
         _log.warning("stability: %d of %d cell(s) missing (%s); the first failed: %s",
                      len(failed), values.size, ", ".join(cell for cell, _ in failed),

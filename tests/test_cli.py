@@ -772,17 +772,40 @@ class TestSegmentPool:
         assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "a")) == 0
         monkeypatch.delattr(os, "sched_getaffinity")
         assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "b")) == 0
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-
-        def no_fork():
-            raise AssertionError("segment forked where fork is not a start method")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.delattr(os, "fork")
         assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "c")) == 0
         for name in ("segments.csv", "knots.json"):
             first = sans_created(tmp_path / "a" / name)
             assert sans_created(tmp_path / "b" / name) == first
             assert sans_created(tmp_path / "c" / name) == first
+
+    def test_a_killed_worker_is_one_line_and_exit_4(self, tmp_path, capsys, monkeypatch):
+        # as the kernel's out-of-memory killer would end it: no traceback,
+        # and the artifacts of the earlier run stay as they were
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        dataset = _pooled_input(tmp_path / "enc.csv")
+        out = tmp_path / "out"
+        assert run("segment", "--input", dataset, "--output-dir", str(out)) == 0
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        parent, real_segment_one = os.getpid(), cli._segment_one
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_segment_one(*args)
+
+        monkeypatch.setattr(cli, "_segment_one", killed_in_a_worker)
+        assert run("segment", "--input", dataset, "--output-dir", str(out)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pairtraj segment: a worker process was killed by SIGKILL"
+            " before it sent its results\n"
+        )
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_segment_names_the_first_short_encounter(self, tmp_path, capsys, monkeypatch, cpus):

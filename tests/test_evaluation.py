@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -309,6 +310,58 @@ class TestStabilitySweep:
         D = distance_matrix(data)
         grid = stability_sweep(data, D, "geo1", "anchor", [0, 1], "k", [2, 3], seed=0)
         assert grid.values.shape == (2, 2) and not grid.missing.any()
+
+    @pytest.mark.parametrize("method, axis1, values1, axis2, values2", [
+        ("geo1", "anchor", (0, 1), "k", (2, 3, 13)),
+        ("geo2", "k", (2, 3, 13), "n_init", (2, 4)),
+        ("spline-coef", "k", (2, 13, 3), "max_iter", (5, 50)),
+    ])
+    def test_geo_cells_fork_and_give_the_same_bytes_at_any_cpu_count(
+        self, monkeypatch, caplog, method, axis1, values1, axis2, values2
+    ):
+        # k=13 > n=12 leaves a column or row of cells missing
+        data, _ = planted(np.random.default_rng(21), per_family=4)
+        D = distance_matrix(data)
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        results = set()
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+            forks.clear()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="pairtraj.evaluation"):
+                grid = stability_sweep(data, D, method, axis1, values1, axis2, values2, seed=0)
+            [record] = [r for r in caplog.records if r.name == "pairtraj.evaluation"]
+            assert len(forks) == cpus - 1
+            results.add((grid.values.tobytes(), grid.missing.tobytes(), record.getMessage()))
+        [(_, missing, message)] = results
+        assert np.frombuffer(missing, dtype=bool).sum() == 2
+        assert "2 of 6 cell(s) missing" in message and "k must lie in [1, 12], got 13" in message
+        assert not np.isnan(grid.values[~grid.missing]).any()
+
+    def test_mds_cells_never_fork_and_embed_each_beta_once(self, monkeypatch):
+        data, _ = planted(np.random.default_rng(20), per_family=4)
+        D = distance_matrix(data)
+        betas = []
+
+        def counting_embed(matrix, beta, seed):
+            betas.append(beta)
+            return mds.embed(matrix, beta, seed)
+
+        def no_fork():
+            raise AssertionError("an mds cell forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(os, "fork", no_fork)
+        grid = stability_sweep(
+            data, D, "mds", "k", (2, 3, 4), "beta", (2, 3), seed=0, embed=counting_embed
+        )
+        assert betas == [2, 3] and not grid.missing.any()
 
     def test_bad_axis_rejected_upfront(self):
         data, _ = planted(np.random.default_rng(19), per_family=2)
