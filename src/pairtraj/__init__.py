@@ -10,7 +10,7 @@ from .errors import (
     NumericalError,
     PairtrajError,
 )
-from .trajectory import Interaction, TimeMeasure, Trajectory, resample, uniform_measure
+from .trajectory import Interaction, Trajectory, resample
 from .procrustes import (
     Alignment,
     DistanceMatrix,
@@ -70,7 +70,6 @@ __all__ = [
     "PairtrajError",
     "QualityReport",
     "StabilityGrid",
-    "TimeMeasure",
     "Trajectory",
     "add_change_points",
     "align",
@@ -97,6 +96,5 @@ __all__ = [
     "stability_statistic",
     "stability_sweep",
     "transfer_primitives",
-    "uniform_measure",
     "wasserstein",
 ]

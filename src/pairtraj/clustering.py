@@ -46,11 +46,9 @@ from .segmentation import _cubic_design, _cubic_lstsq
 from .trajectory import (
     _store,
     Interaction,
-    TimeMeasure,
     interaction_from_dict,
     interaction_to_dict,
     to_table,
-    uniform_measure,
 )
 
 _log = logging.getLogger(__name__)
@@ -120,11 +118,12 @@ def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 def _repair_empty(labels: np.ndarray, point_d2: np.ndarray, k: int) -> None:
     """Give each empty cluster the point farthest from its current centroid."""
     counts = np.bincount(labels, minlength=k)
-    worst = point_d2.copy()
     for j in np.flatnonzero(counts == 0):
-        steal = int(np.argmax(worst))
+        # never a cluster's only member, which would empty that cluster in turn
+        steal = int(np.argmax(np.where(counts[labels] > 1, point_d2, -np.inf)))
+        counts[labels[steal]] -= 1
+        counts[j] = 1
         labels[steal] = j
-        worst[steal] = -np.inf
 
 
 def _lloyd(
@@ -261,20 +260,17 @@ def cluster_mds(
 # geo1
 
 
-def align_to_anchor(
-    data: list[Interaction], mu: TimeMeasure | None = None, anchor: int = 0
-) -> list[Interaction]:
+def align_to_anchor(data: list[Interaction], anchor: int = 0) -> list[Interaction]:
     """Rigidly align every interaction onto data[anchor] (no pair-order swap)."""
     _shared_length(data)
     if not isinstance(anchor, (int, np.integer)) or not 0 <= anchor < len(data):
         raise InvalidInputError(f"anchor must be an integer in [0, {len(data) - 1}]")
     target = data[anchor]
-    return [x if i == anchor else align(target, x, mu)[1] for i, x in enumerate(data)]
+    return [x if i == anchor else align(target, x)[1] for i, x in enumerate(data)]
 
 
 def cluster_geo1(
     data: list[Interaction],
-    mu: TimeMeasure | None = None,
     k: int = 2,
     seed: int = 0,
     anchor: int = 0,
@@ -284,30 +280,18 @@ def cluster_geo1(
     """Common alignment to one anchor, then Euclidean k-means on the curves.
 
     Features are the flattened aligned curves with each sample row scaled by
-    sqrt(mu_t), so feature-space Euclidean distance equals the measure-weighted
-    mismatch rho of the aligned pair; centroid curves are reported as
-    interactions on the anchor's grid, and the objective is the within-cluster
-    sum of squares in that space.
+    sqrt(1/T), so feature-space Euclidean distance equals the mismatch rho of
+    the aligned pair; centroid curves are reported as interactions on the
+    anchor's grid, and the objective is the within-cluster sum of squares in
+    that space.
     """
-    T = _shared_length(data)
-    # resolved once here, not in each of the n alignments
-    mu = uniform_measure(T) if mu is None else mu
-    w_row = _row_weights(mu, T)
-    aligned = align_to_anchor(data, mu, anchor)
-    root = np.sqrt(w_row)[:, None]
+    root = np.sqrt(_row_weights(_shared_length(data)))[:, None]
+    aligned = align_to_anchor(data, anchor)
     X = np.stack([(_stack_rows(inter) * root).ravel() for inter in aligned])
     labels, centers, history = _kmeans(X, k, seed, n_init, max_iter, "cluster_geo1")
 
     grid = data[anchor].grid
-    reps = []
-    for j in range(k):
-        rows = centers[j].reshape(-1, 2) / np.where(root > 0, root, 1.0)
-        if np.any(w_row == 0):
-            # zero-weight samples carry no signal; fall back to the plain mean
-            members = [_stack_rows(aligned[i]) for i in np.flatnonzero(labels == j)]
-            fallback = np.mean(members, axis=0)
-            rows = np.where(root > 0, rows, fallback)
-        reps.append(_rows_to_interaction(rows, grid))
+    reps = [_rows_to_interaction(centers[j].reshape(-1, 2) / root, grid) for j in range(k)]
     return ClusterModel(
         method="geo1",
         k=k,
@@ -374,7 +358,6 @@ def _geo2_run(
 
 def cluster_geo2(
     data: list[Interaction],
-    mu: TimeMeasure | None = None,
     k: int = 2,
     seed: int = 0,
     n_init: int = _DEFAULT_N_INIT,
@@ -390,7 +373,7 @@ def cluster_geo2(
     """
     T = _shared_length(data)
     _check_restarts(len(data), k, n_init, max_iter)
-    w_row = _row_weights(mu, T)
+    w_row = _row_weights(T)
     packed = _pack(data, w_row)
     labels, centroids, _, history = _best_of(
         lambda rng: _geo2_run(data, packed, w_row, k, rng, max_iter),
@@ -459,7 +442,7 @@ ROUTES = {
 }
 METHODS = tuple(ROUTES)
 # what `fit` supplies to a route; every other parameter is a tuning parameter
-_INPUTS = ("data", "matrix", "mu", "seed", "embed")
+_INPUTS = ("data", "matrix", "seed", "embed")
 
 
 def route(method: str):
@@ -479,19 +462,17 @@ def fit(
     method: str,
     data: list[Interaction],
     matrix: DistanceMatrix | None = None,
-    mu: TimeMeasure | None = None,
     seed: int = 0,
     embed=None,
     **params,
 ) -> ClusterModel:
     """Fit `method` with `params`, giving its route only the inputs it takes.
 
-    The route's signature decides: `matrix` and `embed` reach mds, `mu`
-    reaches geo1 and geo2, and spline-coef takes neither.
+    The route's signature decides: `matrix` and `embed` reach mds alone.
     """
     fn = route(method)
     taken = inspect.signature(fn).parameters
-    inputs = {"matrix": matrix, "mu": mu, "embed": embed}
+    inputs = {"matrix": matrix, "embed": embed}
     given = {name: value for name, value in inputs.items() if name in taken}
     return fn(data, seed=seed, **given, **params)
 

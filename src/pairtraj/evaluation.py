@@ -25,7 +25,7 @@ from .artifacts import fmt, malformed, read_json, read_rows, write_json, write_r
 from .clustering import ClusterModel
 from .errors import DataError, InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
-from .trajectory import _store, Interaction, TimeMeasure, resample
+from .trajectory import _store, Interaction, resample
 from .workers import cpu_count, fork_map
 
 _log = logging.getLogger(__name__)
@@ -97,12 +97,7 @@ class QualityReport:
         return int(self.per_cluster_within.size)
 
 
-def quality(
-    data: list[Interaction],
-    model: ClusterModel,
-    matrix: DistanceMatrix,
-    mu: TimeMeasure | None = None,
-) -> QualityReport:
+def quality(data: list[Interaction], model: ClusterModel, matrix: DistanceMatrix) -> QualityReport:
     """Within/between statistics of a model against its own data.
 
     Every statistic is a squared distance from an interaction to a stored
@@ -115,7 +110,7 @@ def quality(
         raise InvalidInputError(
             f"sizes disagree: {n} interactions, model n={model.n}, matrix n={matrix.n}"
         )
-    sq = cross_distance_matrix(data, list(model.representatives), mu) ** 2
+    sq = cross_distance_matrix(data, list(model.representatives)) ** 2
     total_within = float(sq[np.arange(n), model.assignments].sum())
     k = model.k
     within = np.zeros(k)
@@ -208,7 +203,6 @@ def stability_sweep(
     axis2_name: str,
     axis2_values,
     seed: int = 0,
-    mu: TimeMeasure | None = None,
     base: dict | None = None,
     embed=None,
 ) -> StabilityGrid:
@@ -260,7 +254,7 @@ def stability_sweep(
         error that marks it missing."""
         v1, v2 = cell
         try:
-            model = clustering.fit(method, data, matrix, mu, seed, embed_once,
+            model = clustering.fit(method, data, matrix, seed, embed_once,
                                    **{**base, axis1_name: v1, axis2_name: v2})
             return stability_statistic(matrix, model.assignments)
         except PairtrajError as exc:
@@ -287,11 +281,7 @@ def stability_sweep(
     )
 
 
-def transfer_primitives(
-    data: list[Interaction],
-    primitives: list[Interaction],
-    mu: TimeMeasure | None = None,
-) -> np.ndarray:
+def transfer_primitives(data: list[Interaction], primitives: list[Interaction]) -> np.ndarray:
     """Assign every interaction to its nearest primitive (lowest index on ties).
 
     Primitives on a different grid length are resampled onto the data's length
@@ -301,7 +291,7 @@ def transfer_primitives(
         raise InvalidInputError("need data and at least one primitive")
     T = len(data[0])
     prims = [p if len(p) == T else resample(p, T) for p in primitives]
-    return cross_distance_matrix(data, prims, mu).argmin(axis=1)
+    return cross_distance_matrix(data, prims).argmin(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The distance between interactions (f11, f12) and (f21, f22) is the infimum
 over rotations O in SO(2), translations c, and the pair-order swap of the
-second interaction, of the weighted mismatch
+second interaction, of the mismatch averaged over the T samples of the
+shared grid
 
-    rho^2 = sum_i integral ||f_1i - (O f_2i + c)||^2 dmu .
+    rho^2 = sum_i (1/T) sum_t ||f_1i(t) - (O f_2i(t) + c)||^2 .
 
 Both curves of a pair move under one shared rigid motion.  In the plane a
 point is a complex number and a rotation is a unit complex number, so each
@@ -35,7 +36,7 @@ block's own first row on, fills the strict upper triangle and mirrors it;
 
 This module owns the stacked layout of a pair, the (2T, 2) rows of the first
 curve then the second (`_stack_rows`), and the alignment set-up: every entry
-point resolves its time measure (uniform when None) through `_row_weights`.
+point takes its row weights w, 1/T on every sample, from `_row_weights`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .artifacts import fmt_row, malformed, read_arrays, read_rows, write_arrays, write_rows
 from .errors import DataError, InvalidInputError
-from .trajectory import _store, Interaction, TimeMeasure, Trajectory, uniform_measure
+from .trajectory import _store, Interaction, Trajectory
 
 _MAGIC = b"PTD2"
 # Residuals at most this fraction of N_s + N_t are summed directly instead
@@ -119,13 +120,9 @@ class DistanceMatrix:
         return int(self.entries.shape[0])
 
 
-def _row_weights(mu: TimeMeasure | None, T: int) -> np.ndarray:
-    """Weights of the 2T rows of a stacked pair: mu, uniform when None, on each curve."""
-    if mu is None:
-        mu = uniform_measure(T)
-    elif len(mu) != T:
-        raise InvalidInputError(f"measure has {len(mu)} weights but the grid has {T} samples")
-    return np.concatenate([mu.weights, mu.weights])
+def _row_weights(T: int) -> np.ndarray:
+    """Weights of the 2T rows of a stacked pair: 1/T on every sample of each curve."""
+    return np.full(2 * T, 1.0 / T)
 
 
 def _stack_rows(interaction: Interaction) -> np.ndarray:
@@ -190,9 +187,9 @@ def _shared_length(data: list[Interaction]) -> int:
     return T
 
 
-def _packed(source: list[Interaction], target: list[Interaction], mu):
+def _packed(source: list[Interaction], target: list[Interaction]):
     """The row weights, then `_pack` of the sources and of the targets."""
-    w = _row_weights(mu, _shared_length([*source, *target]))
+    w = _row_weights(_shared_length([*source, *target]))
     return w, _pack(source, w), _pack(target, w)
 
 
@@ -217,34 +214,30 @@ def _min_sq_rows(zs, ns, zt, nt, w_row, upper: bool = False):
         yield lo, np.minimum(keep, swap)
 
 
-def align(
-    target: Interaction, source: Interaction, mu: TimeMeasure | None = None
-) -> tuple[Alignment, Interaction]:
+def align(target: Interaction, source: Interaction) -> tuple[Alignment, Interaction]:
     """Optimally rotate and translate `source` (both curves jointly) onto `target`.
 
     Pair order is never permuted here; the returned Alignment always has
     swapped=False.  Minimizes rho^2 over SO(2) x R^2 in closed form.
     """
-    w = _row_weights(mu, _shared_length([target, source]))
+    w = _row_weights(_shared_length([target, source]))
     z, mean, norm = _pack([source, target], w)
     _, phase = _residual_sq(z[:1], norm[:1], z[1:], norm[1:], w)
     fit = _alignment(phase[0, 0], mean[0], mean[1], swapped=False)
     return fit, fit.apply(source)
 
 
-def distance(a: Interaction, b: Interaction, mu: TimeMeasure | None = None) -> float:
+def distance(a: Interaction, b: Interaction) -> float:
     """Quotient distance: rho minimized over rigid motions and the pair-order swap."""
-    return float(cross_distance_matrix([b], [a], mu)[0, 0])
+    return float(cross_distance_matrix([b], [a])[0, 0])
 
 
-def distance_with_alignment(
-    a: Interaction, b: Interaction, mu: TimeMeasure | None = None
-) -> tuple[float, Alignment]:
+def distance_with_alignment(a: Interaction, b: Interaction) -> tuple[float, Alignment]:
     """Like distance(), also reporting the realized rigid motion of b onto a.
 
     Ties between the two orderings keep swapped=False.
     """
-    w, (zb, mean_b, nb), (za, mean_a, na) = _packed([b], [a], mu)
+    w, (zb, mean_b, nb), (za, mean_a, na) = _packed([b], [a])
     (r_keep, ph_keep), (r_swap, ph_swap) = _both_orders(zb, nb, za, na, w)
     swapped = bool(r_swap[0, 0] < r_keep[0, 0])
     phase = ph_swap[0, 0] if swapped else ph_keep[0, 0]
@@ -253,10 +246,7 @@ def distance_with_alignment(
 
 
 def distance_matrix(
-    data: list[Interaction],
-    mu: TimeMeasure | None = None,
-    normalize: bool = False,
-    workers: int | None = None,
+    data: list[Interaction], normalize: bool = False, workers: int | None = None
 ) -> DistanceMatrix:
     """All pairwise quotient distances.
 
@@ -267,7 +257,7 @@ def distance_matrix(
     nothing; it stays only while the benchmark (`bench/run.py`) still passes
     it, and goes together with that call.
     """
-    w = _row_weights(mu, _shared_length(data))
+    w = _row_weights(_shared_length(data))
     z, _, norm = _pack(data, w)
     out = np.zeros((len(data), len(data)))
     for lo, block in _min_sq_rows(z, norm, z, norm, w, upper=True):
@@ -281,18 +271,14 @@ def distance_matrix(
     return DistanceMatrix(out)
 
 
-def cross_distance_matrix(
-    left: list[Interaction],
-    right: list[Interaction],
-    mu: TimeMeasure | None = None,
-) -> np.ndarray:
+def cross_distance_matrix(left: list[Interaction], right: list[Interaction]) -> np.ndarray:
     """Rectangular matrix of quotient distances d(left[i], right[j]).
 
     The rows are computed _BLOCK at a time, which bounds the temporaries only:
     every entry has the bits of one whole-matrix kernel call."""
     if not left or not right:
         raise InvalidInputError("need at least one interaction on each side")
-    w, (zs, _, ns), (zt, _, nt) = _packed(left, right, mu)
+    w, (zs, _, ns), (zt, _, nt) = _packed(left, right)
     out = np.empty((len(left), len(right)))
     for lo, block in _min_sq_rows(zs, ns, zt, nt, w):
         np.sqrt(block, out=out[lo : lo + len(block)])

@@ -75,12 +75,12 @@ def make_family_dataset(
     return data, np.array(labels)
 
 
-def within_between_ratio(data, labels, mu=None) -> float:
+def within_between_ratio(data, labels) -> float:
     """Mean within-family distance over mean between-family distance."""
     labels = np.asarray(labels)
     if len(data) != labels.shape[0]:
         raise InvalidInputError("data and labels sizes disagree")
-    entries = distance_matrix(data, mu).entries
+    entries = distance_matrix(data).entries
     same = labels[:, None] == labels[None, :]
     off = ~np.eye(len(data), dtype=bool)
     between = entries[off & ~same]

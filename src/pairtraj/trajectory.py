@@ -77,33 +77,6 @@ class Interaction:
         return Interaction(self.second, self.first)
 
 
-@dataclass(frozen=True, eq=False)
-class TimeMeasure:
-    """Discrete weights over a time grid; nonnegative, summing to one."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise InvalidInputError("weights must be a nonempty 1-d array")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise InvalidInputError("weights must be finite and nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError("weights must sum to 1 within 1e-12")
-        _store(self, weights=w)
-
-    def __len__(self) -> int:
-        return int(self.weights.size)
-
-
-def uniform_measure(num_samples: int) -> TimeMeasure:
-    """Uniform weights 1/T on a grid of T samples."""
-    if num_samples < 1:
-        raise InvalidInputError("num_samples must be positive")
-    return TimeMeasure(np.full(num_samples, 1.0 / num_samples))
-
-
 def to_table(inter: Interaction) -> np.ndarray:
     """The (T, 5) table of rows (t, x1, y1, x2, y2)."""
     return np.column_stack([inter.grid, inter.first.samples, inter.second.samples])

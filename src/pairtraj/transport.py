@@ -23,7 +23,7 @@ import numpy as np
 from .clustering import ClusterModel
 from .errors import InvalidInputError, NumericalError
 from .procrustes import cross_distance_matrix
-from .trajectory import _store, Interaction, TimeMeasure
+from .trajectory import _store, Interaction
 
 _WEIGHT_TOL = 1e-12
 # Equal-size uniform measures up to this many atoms go to `_assignment`.  In a
@@ -78,10 +78,8 @@ def model_measure(model: ClusterModel, n: int | None = None) -> DiscreteMeasure:
     return DiscreteMeasure(model.representatives, model.cluster_sizes() / n)
 
 
-def ground_cost(
-    F: DiscreteMeasure, G: DiscreteMeasure, r: float, mu: TimeMeasure | None = None
-) -> np.ndarray:
-    return cross_distance_matrix(list(F.atoms), list(G.atoms), mu) ** r
+def ground_cost(F: DiscreteMeasure, G: DiscreteMeasure, r: float) -> np.ndarray:
+    return cross_distance_matrix(list(F.atoms), list(G.atoms)) ** r
 
 
 def _uniform(weights: np.ndarray) -> bool:
@@ -154,12 +152,7 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def wasserstein(
-    F: DiscreteMeasure,
-    G: DiscreteMeasure,
-    r: float = 2.0,
-    mu: TimeMeasure | None = None,
-) -> float:
+def wasserstein(F: DiscreteMeasure, G: DiscreteMeasure, r: float = 2.0) -> float:
     """Order-r Wasserstein distance under the quotient Procrustes ground metric.
 
     Solves the transportation LP exactly (HiGHS); the optimal coupling exists
@@ -173,7 +166,7 @@ def wasserstein(
     """
     if not r >= 1.0:
         raise InvalidInputError(f"order r must be >= 1, got {r}")
-    cost = ground_cost(F, G, r, mu)
+    cost = ground_cost(F, G, r)
     m, n = cost.shape
     if m == n and _uniform(F.weights) and _uniform(G.weights):
         if m <= _OWN_ASSIGNMENT_MAX:

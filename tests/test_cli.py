@@ -33,6 +33,8 @@ from pairtraj.trajectory import (
 )
 from pairtraj.transport import DiscreteMeasure, empirical_measure, model_measure, wasserstein
 
+from oracles import planted
+
 
 def run(*argv):
     return main(list(argv))
@@ -349,6 +351,23 @@ class TestStability:
         rows = [row.split(",")[:3] for row in lines[2:]]
         assert [row[:2] for row in rows] == [["2.5", "2"], ["3", "2"]]
         assert rows[0][2] == "nan" and float(rows[1][2]) >= 0.0
+
+    def test_geo2_with_more_clusters_than_families(self, tmp_path):
+        # three tight families and k=4 make geo2 refill emptied clusters
+        data, _ = planted(np.random.default_rng(1), per_family=4)
+        dataset = str(tmp_path / "enc.csv")
+        write_encounters_csv(dataset, [(f"e{i}", inter) for i, inter in enumerate(data)])
+        out = str(tmp_path / "s")
+        common = ("--method", "geo2", "--input", dataset, "--output-dir", out,
+                  "--set", "n_init=4", "--set", "num_samples=21")
+        assert run("cluster", *common, "--set", "k=4") == 0
+        assert read_model_json(os.path.join(out, "model.json")).k == 4
+        assert run("stability", *common, "--grid", "k=3,4;n_init=4") == 0
+        with open(os.path.join(out, "stability.csv")) as handle:
+            lines = [ln.strip() for ln in handle if ln.strip()]
+        rows = [row.split(",")[:3] for row in lines[2:]]
+        assert [row[:2] for row in rows] == [["3", "4"], ["4", "4"]]
+        assert all(float(row[2]) >= 0.0 for row in rows)
 
     def test_malformed_grid_exit_2(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")

@@ -9,6 +9,7 @@ from pairtraj.clustering import (
     ClusterModel,
     _cubic_features,
     _kmeans,
+    _repair_empty,
     _snap_to_points,
     align_to_anchor,
     cluster_geo1,
@@ -22,7 +23,7 @@ from pairtraj.clustering import (
 from pairtraj import mds
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import distance, distance_matrix
-from pairtraj.trajectory import Interaction, TimeMeasure, Trajectory, uniform_measure
+from pairtraj.trajectory import Interaction, Trajectory
 
 from oracles import (
     match_rate,
@@ -99,6 +100,17 @@ class TestKmeansCore:
         X[5] = [1.0, 0.0]
         labels, _, _ = _kmeans(X, 4, seed=0, n_init=4, max_iter=50)
         assert len(np.unique(labels)) == 4
+
+    def test_repair_never_takes_a_clusters_only_member(self):
+        # point 3 is farthest but alone in cluster 1; taking it would empty 1
+        labels = np.array([0, 0, 0, 1])
+        _repair_empty(labels, np.array([0.1, 0.2, 0.3, 5.0]), 3)
+        assert labels.tolist() == [0, 0, 2, 1]
+        # after the first refill cluster 0 keeps point 1 alone, so the second
+        # refill passes over it although it is farther than point 4
+        labels = np.array([0, 0, 1, 1, 1])
+        _repair_empty(labels, np.array([9.0, 8.0, 2.0, 3.0, 4.0]), 4)
+        assert labels.tolist() == [2, 0, 1, 1, 3]
 
     def test_k_bounds(self):
         X = np.zeros((3, 2))
@@ -187,14 +199,13 @@ class TestFit:
     def test_each_route_matches_its_direct_call(self):
         data, _ = planted(np.random.default_rng(22), per_family=3)
         D = distance_matrix(data)
-        mu = uniform_measure(len(data[0]))
         for method, direct, kwargs in [
             ("mds", cluster_mds(data, D, beta=2, k=3, seed=1, n_init=2), {"beta": 2}),
-            ("geo1", cluster_geo1(data, mu, k=3, seed=1, anchor=2, n_init=2), {"anchor": 2}),
-            ("geo2", cluster_geo2(data, mu, k=3, seed=1, n_init=2), {}),
+            ("geo1", cluster_geo1(data, k=3, seed=1, anchor=2, n_init=2), {"anchor": 2}),
+            ("geo2", cluster_geo2(data, k=3, seed=1, n_init=2), {}),
             ("spline-coef", cluster_spline_coef(data, k=3, seed=1, n_init=2), {}),
         ]:
-            model = fit(method, data, D, mu, seed=1, k=3, n_init=2, **kwargs)
+            model = fit(method, data, D, seed=1, k=3, n_init=2, **kwargs)
             assert model.method == method
             assert np.array_equal(model.assignments, direct.assignments)
             assert model.objective == direct.objective
@@ -242,40 +253,23 @@ class TestClusterGeo1:
 
     def test_objective_equals_weighted_wcss(self):
         data, _ = planted(np.random.default_rng(9), per_family=3)
-        mu = uniform_measure(len(data[0]))
-        model = cluster_geo1(data, mu, k=3, seed=1)
-        aligned = align_to_anchor(data, mu)
+        T = len(data[0])
+        model = cluster_geo1(data, k=3, seed=1)
+        aligned = align_to_anchor(data)
         total = 0.0
         for i, inter in enumerate(aligned):
             rep = model.representatives[model.assignments[i]]
-            total += rho_sq(inter, rep, mu.weights)
+            total += rho_sq(inter, rep, np.full(T, 1.0 / T))
         assert model.objective == pytest.approx(total, rel=1e-10)
 
     def test_aligned_distance_upper_bounds_metric(self):
         rng = np.random.default_rng(10)
         data = [random_interaction(rng, 13) for _ in range(8)]
-        mu = uniform_measure(13)
-        aligned = align_to_anchor(data, mu)
+        aligned = align_to_anchor(data)
         for i in range(len(data)):
             for j in range(i + 1, len(data)):
-                upper = np.sqrt(rho_sq(aligned[i], aligned[j], mu.weights))
+                upper = np.sqrt(rho_sq(aligned[i], aligned[j], np.full(13, 1.0 / 13)))
                 assert upper >= distance(data[i], data[j]) - 1e-8
-
-    def test_zero_weight_samples_take_the_plain_mean(self):
-        data, _ = planted(np.random.default_rng(12), per_family=3)
-        T = len(data[0])
-        zero = np.array([0, T // 2, T - 1])
-        weights = np.ones(T)
-        weights[zero] = 0.0
-        mu = TimeMeasure(weights / weights.sum())
-        model = cluster_geo1(data, mu, k=3, seed=1)
-        aligned = align_to_anchor(data, mu)
-        rows = np.concatenate([zero, zero + T])  # those samples on both curves
-        for j, rep in enumerate(model.representatives):
-            got = stack_rows(rep)
-            assert np.all(np.isfinite(got))
-            members = [stack_rows(aligned[i]) for i in np.flatnonzero(model.assignments == j)]
-            assert np.array_equal(got[rows], np.mean(members, axis=0)[rows])
 
     def test_anchor_out_of_range(self):
         data, _ = planted(np.random.default_rng(11), per_family=1)
@@ -325,6 +319,13 @@ class TestClusterGeo2:
         assert np.array_equal(a.assignments, b.assignments)
         for ra, rb in zip(a.representatives, b.representatives):
             assert stack_rows(ra).tobytes() == stack_rows(rb).tobytes()
+
+    def test_emptied_cluster_refill_keeps_every_cluster(self):
+        # three tight families and k=4: a refill used to empty a singleton
+        data, _ = planted(np.random.default_rng(1), per_family=4)
+        model = cluster_geo2(data, k=4, n_init=4, seed=0)
+        assert sorted(set(model.assignments.tolist())) == [0, 1, 2, 3]
+        assert np.isfinite(model.objective)
 
     def test_k_above_n_rejected(self):
         data, _ = planted(np.random.default_rng(17), per_family=1)

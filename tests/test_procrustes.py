@@ -26,7 +26,7 @@ from pairtraj.procrustes import (
     _row_weights,
 )
 from pairtraj.synthetic import family_interaction
-from pairtraj.trajectory import Interaction, Trajectory, uniform_measure
+from pairtraj.trajectory import Interaction, Trajectory
 
 from oracles import (
     random_interaction,
@@ -81,22 +81,21 @@ class TestAlign:
             Trajectory(np.column_stack([t, 0.1 * t]), grid),
             Trajectory(np.column_stack([np.zeros(T), t]), grid),
         )
-        mu = uniform_measure(T)
-        fit, aligned = align(target, source, mu)
-        realized = rho_sq(target, aligned, mu.weights)
-        brute = theta_grid_residual_sq(target, source, mu.weights, swap=False,
-                                       n_grid=1_000_000)
+        w = np.full(T, 1.0 / T)
+        fit, aligned = align(target, source)
+        realized = rho_sq(target, aligned, w)
+        brute = theta_grid_residual_sq(target, source, w, swap=False, n_grid=1_000_000)
         assert realized == pytest.approx(brute, rel=1e-5, abs=1e-12)
         assert realized <= brute + 1e-12  # the closed form can only do better
 
     def test_no_theta_beats_the_closed_form(self):
         rng = np.random.default_rng(2)
-        mu = uniform_measure(21)
+        w = np.full(21, 1.0 / 21)
         for _ in range(5):
             a, b = random_interaction(rng, 21), random_interaction(rng, 21)
-            _, aligned = align(a, b, mu)
-            realized = rho_sq(a, aligned, mu.weights)
-            brute = theta_grid_residual_sq(a, b, mu.weights, swap=False, n_grid=20_000)
+            _, aligned = align(a, b)
+            realized = rho_sq(a, aligned, w)
+            brute = theta_grid_residual_sq(a, b, w, swap=False, n_grid=20_000)
             assert realized <= brute + 1e-9
 
     def test_degenerate_source_gets_identity_rotation(self):
@@ -112,12 +111,6 @@ class TestAlign:
         rng = np.random.default_rng(4)
         with pytest.raises(InvalidInputError):
             align(random_interaction(rng, 10), random_interaction(rng, 11))
-
-    def test_measure_length_mismatch_rejected(self):
-        rng = np.random.default_rng(5)
-        a, b = random_interaction(rng, 10), random_interaction(rng, 10)
-        with pytest.raises(InvalidInputError):
-            align(a, b, uniform_measure(11))
 
 
 class TestDistance:
@@ -141,23 +134,21 @@ class TestDistance:
 
     def test_symmetry_identity_triangle(self):
         rng = np.random.default_rng(8)
-        mu = uniform_measure(17)
         for _ in range(20):
             a = random_interaction(rng, 17)
             b = random_interaction(rng, 17)
             c = random_interaction(rng, 17)
-            dab, dba = distance(a, b, mu), distance(b, a, mu)
+            dab, dba = distance(a, b), distance(b, a)
             assert abs(dab - dba) <= 1e-9
-            assert distance(a, a, mu) <= 1e-10
-            assert dab <= distance(a, c, mu) + distance(c, b, mu) + 1e-8
+            assert distance(a, a) <= 1e-10
+            assert dab <= distance(a, c) + distance(c, b) + 1e-8
 
     def test_matches_theta_grid_oracle(self):
         rng = np.random.default_rng(9)
-        mu = uniform_measure(13)
         for _ in range(4):
             a, b = random_interaction(rng, 13), random_interaction(rng, 13)
-            d = distance(a, b, mu)
-            brute = theta_grid_distance(a, b, mu.weights, n_grid=100_000)
+            d = distance(a, b)
+            brute = theta_grid_distance(a, b, np.full(13, 1.0 / 13), n_grid=100_000)
             assert d == pytest.approx(brute, rel=1e-4, abs=1e-6)
             assert d <= brute + 1e-12
 
@@ -183,12 +174,12 @@ class TestDistance:
 
     def test_realized_alignment_achieves_distance(self):
         rng = np.random.default_rng(12)
-        mu = uniform_measure(19)
+        w = np.full(19, 1.0 / 19)
         for _ in range(6):
             a, b = random_interaction(rng, 19), random_interaction(rng, 19)
-            d, fit = distance_with_alignment(a, b, mu)
+            d, fit = distance_with_alignment(a, b)
             moved = fit.apply(b.swapped() if fit.swapped else b)
-            assert np.sqrt(rho_sq(a, moved, mu.weights)) == pytest.approx(d, abs=1e-9)
+            assert np.sqrt(rho_sq(a, moved, w)) == pytest.approx(d, abs=1e-9)
 
 
 class TestAlignmentType:
@@ -208,13 +199,10 @@ class TestDistanceMatrix:
 
     def test_matches_scalar_distance(self):
         data = self.build()
-        mu = uniform_measure(13)
-        mat = distance_matrix(data, mu)
+        mat = distance_matrix(data)
         for i in range(len(data)):
             for j in range(len(data)):
-                assert mat.entries[i, j] == pytest.approx(
-                    distance(data[i], data[j], mu), abs=1e-12
-                )
+                assert mat.entries[i, j] == pytest.approx(distance(data[i], data[j]), abs=1e-12)
 
     def test_invariants_and_triangle(self):
         data = self.build(n=9)
@@ -338,7 +326,7 @@ class TestFrozenReference:
         return base + swapped + moved + [blob]
 
     def reference(self, left, right):
-        w = uniform_measure(self.T).weights
+        w = np.full(self.T, 1.0 / self.T)
         return np.array([[reference_distance(a, b, w) for b in right] for a in left])
 
     # Copies sit at distance 0, where only an absolute floor is meaningful; it
@@ -374,7 +362,7 @@ class TestFrozenReference:
             Trajectory(a.second.samples + 1e-9 * rng.normal(size=(21, 2)), grid),
         )
         b = rigid_copy(noisy, random_rotation(rng), rng.uniform(-2, 2, 2))
-        ref = reference_distance(a, b, uniform_measure(21).weights)
+        ref = reference_distance(a, b, np.full(21, 1.0 / 21))
         assert 1e-10 < ref < 1e-8
         for got in (
             distance(a, b),
@@ -410,7 +398,7 @@ class TestRowBlocks:
         return data
 
     def unblocked(self, source, target):
-        w = _row_weights(None, self.T)
+        w = _row_weights(self.T)
         zs, _, ns = _pack(source, w)
         zt, _, nt = _pack(target, w)
         (keep, _), (swap, _) = _both_orders(zs, ns, zt, nt, w)
@@ -422,7 +410,7 @@ class TestRowBlocks:
         upper = np.triu(self.unblocked(data, data), 1)
         got = distance_matrix(data).entries
         assert got.tobytes() == (upper + upper.T).tobytes()
-        w = uniform_measure(self.T).weights
+        w = np.full(self.T, 1.0 / self.T)
         for i, j in self.NEAR:
             if j < n:
                 ref = reference_distance(data[i], data[j], w)

@@ -11,14 +11,12 @@ from oracles import reference_read_encounters_csv
 from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.trajectory import (
     Interaction,
-    TimeMeasure,
     Trajectory,
     interaction_from_dict,
     interaction_to_dict,
     read_encounters_binary,
     read_encounters_csv,
     resample,
-    uniform_measure,
     write_encounters_binary,
     write_encounters_csv,
 )
@@ -51,17 +49,6 @@ class TestTypes:
         traj = Trajectory([[0, 0], [1, 1]], [0.0, 1.0])
         with pytest.raises(ValueError):
             traj.samples[0, 0] = 5.0
-
-    def test_measure_must_sum_to_one(self):
-        with pytest.raises(InvalidInputError):
-            TimeMeasure([0.5, 0.6])
-        with pytest.raises(InvalidInputError):
-            TimeMeasure([1.5, -0.5])
-
-    def test_uniform_measure(self):
-        mu = uniform_measure(101)
-        assert len(mu) == 101
-        assert abs(mu.weights.sum() - 1.0) <= 1e-12
 
 
 class TestResample:

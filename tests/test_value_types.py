@@ -10,7 +10,7 @@ from pairtraj.evaluation import QualityReport, StabilityGrid
 from pairtraj.mds import Embedding
 from pairtraj.procrustes import Alignment, DistanceMatrix
 from pairtraj.segmentation import ChangePointSet
-from pairtraj.trajectory import TimeMeasure, Trajectory
+from pairtraj.trajectory import Trajectory
 from pairtraj.transport import DiscreteMeasure
 
 from oracles import random_interaction
@@ -25,7 +25,6 @@ CASES = {
     "Trajectory": lambda: (
         Trajectory, {"samples": np.arange(6.0).reshape(3, 2), "grid": np.arange(3.0)}
     ),
-    "TimeMeasure": lambda: (TimeMeasure, {"weights": np.full(4, 0.25)}),
     "Alignment": lambda: (
         Alignment, {"rotation": np.eye(2), "translation": np.ones(2), "swapped": False}
     ),
