@@ -16,14 +16,17 @@ seed, the SMACOF constants and the tool version, so `cluster` and
 `stability` share one embedding per (matrix, beta, seed).  Cache files are
 written atomically and rebuilt when unreadable.
 
-Three subcommands fork through `workers.fork_map`, up to one process per
-CPU in the affinity mask (`workers.cpu_count`): `segment` cuts its
-encounters and formats their segments.csv lines that way; `cluster --method
-mds` and `stability --method mds` run the SMACOF runs of each embedding that
-way; and `stability` with any other method fits its grid cells that way.
-Each job's result is deterministic, so every artifact is the same bytes at
-any CPU count.  Python 3.12 and later emit a DeprecationWarning when a
-process holding OpenBLAS threads forks.
+Four subcommands fork through `workers.fork_map`, up to one process per
+CPU in the affinity mask (`workers.cpu_count`): `distances`, from 2^16
+matrix entries up, formats its distances.csv lines that way; `segment` cuts
+its encounters and formats their segments.csv lines that way; `cluster
+--method mds` and `stability --method mds` run the SMACOF runs of each
+embedding that way; and `stability` with any other method fits its grid
+cells that way.  From 2^16 pairs up, every distance matrix computed runs
+its row blocks on one thread per CPU.  Each job's result is deterministic,
+so every artifact is the same bytes at any CPU count.  Python 3.12 and
+later emit a DeprecationWarning when a process holding OpenBLAS threads
+forks.
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
 4 numerical failure, out of memory or a killed worker process, 130

@@ -54,6 +54,8 @@ from .trajectory import (
 _log = logging.getLogger(__name__)
 _DEFAULT_MAX_ITER = 300
 _DEFAULT_N_INIT = 8
+# the most restarts `Generator.spawn` can count, a C long
+_MAX_RESTARTS = int(np.iinfo(np.long).max)
 _REL_TOL = 1e-10
 
 
@@ -163,6 +165,8 @@ def _check_restarts(n: int, k: int, n_init: int, max_iter: int) -> None:
         raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
     if n_init < 1 or max_iter < 1:
         raise InvalidInputError("n_init and max_iter must be positive")
+    if n_init > _MAX_RESTARTS:
+        raise InvalidInputError(f"n_init must be at most {_MAX_RESTARTS}")
 
 
 def _best_of(run, seed: int, n_init: int, max_iter: int, name: str) -> tuple:

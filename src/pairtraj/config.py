@@ -107,6 +107,8 @@ class RunConfig:
             raise ConfigError("num_samples must be at least 2")
         if self.r < 1.0:
             raise ConfigError("r must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def render(self) -> str:
         """Canonical text form: one sorted key=value line per parameter.

@@ -32,7 +32,15 @@ The matrices run the kernel on row blocks of _BLOCK sources at a time
 (`_min_sq_rows`), which bounds the temporaries to a few (_BLOCK, n) arrays.
 `distance_matrix` matches each block only against the targets from the
 block's own first row on, fills the strict upper triangle and mirrors it;
-`cross_distance_matrix` takes whole rows.
+`cross_distance_matrix` takes whole rows.  From _POOL_MIN_PAIRS (source,
+target) pairs up, with at least two blocks, the blocks run on a thread pool,
+one thread per CPU in the affinity mask (`workers.cpu_count`): einsum
+releases the GIL, and the calling thread places each block in block order.
+Smaller problems, and every problem inside a `workers.fork_map` worker, run
+their blocks in the calling thread.  Since an entry's bits do not depend on
+its block, the matrices are the same bytes on any number of threads.
+`write_matrix_csv` formats its rows on `workers.fork_map` from the same size
+up, and streams them to the file in order.
 
 This module owns the stacked layout of a pair, the (2T, 2) rows of the first
 curve then the second (`_stack_rows`), and the alignment set-up: every entry
@@ -42,12 +50,12 @@ point takes its row weights w, 1/T on every sample, from `_row_weights`.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-# not used here; bench/layers.py patches this name when it traces a run
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
+from . import workers as _workers
 from .artifacts import fmt_row, malformed, read_arrays, read_rows, write_arrays, write_rows
 from .errors import DataError, InvalidInputError
 from .trajectory import _store, Interaction, Trajectory
@@ -57,8 +65,19 @@ _MAGIC = b"PTD2"
 _RECOMPUTE_REL = 1e-3
 # Near pairs are recomputed this many at a time, bounding the temporaries
 _RECOMPUTE_CHUNK = 256
-# Sources per kernel call in the matrices
-_BLOCK = 256
+# Sources per kernel call in the matrices; small blocks split the shrinking
+# rows of the upper triangle evenly among the threads
+_BLOCK = 64
+# From this many (source, target) pairs up the blocks run on threads, and
+# from this many matrix entries up the CSV rows are formatted on the fork
+# map.  Below it a fork costs about what it saves, and pool threads would
+# raise the peak RSS of the small cross matrices of `evaluate` and
+# `wasserstein`
+_POOL_MIN_PAIRS = 1 << 16
+# Entries formatted per fork map job, and per fork map call, whose text is
+# held until it is written
+_CSV_JOB = 1 << 15
+_CSV_CALL = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,16 +221,29 @@ def _both_orders(zs, ns, zt, nt, w_row):
     return keep, swap
 
 
-def _min_sq_rows(zs, ns, zt, nt, w_row, upper: bool = False):
-    """Squared quotient distances, _BLOCK sources at a time.
+def _min_sq_rows(zs, ns, zt, nt, w_row, threads: int, upper: bool = False):
+    """Squared quotient distances, _BLOCK sources at a time, on up to
+    `threads` threads from _POOL_MIN_PAIRS pairs up (outside a fork map
+    worker), else in the calling thread.
 
-    Yields (lo, block): block[r, c] belongs to source lo + r and target c, or
-    with `upper` to target lo + c, the targets before lo being skipped.
+    Yields (lo, block) in block order: block[r, c] belongs to source lo + r
+    and target c, or with `upper` to target lo + c, the targets before lo
+    being skipped.  The first failing block's error in block order is raised.
     """
-    for lo in range(0, len(zs), _BLOCK):
+
+    def block(lo):
         rows, cols = slice(lo, lo + _BLOCK), slice(lo if upper else 0, None)
         (keep, _), (swap, _) = _both_orders(zs[rows], ns[rows], zt[cols], nt[cols], w_row)
-        yield lo, np.minimum(keep, swap)
+        return lo, np.minimum(keep, swap)
+
+    starts = range(0, len(zs), _BLOCK)
+    threads = min(threads, len(starts))
+    if threads < 2 or len(zs) * len(zt) < _POOL_MIN_PAIRS or _workers._in_worker:
+        yield from map(block, starts)
+        return
+    # a module global: bench/layers.py patches it when it traces a run
+    with ThreadPoolExecutor(threads) as pool:
+        yield from pool.map(block, starts)
 
 
 def align(target: Interaction, source: Interaction) -> tuple[Alignment, Interaction]:
@@ -228,14 +260,21 @@ def align(target: Interaction, source: Interaction) -> tuple[Alignment, Interact
 
 
 def distance(a: Interaction, b: Interaction) -> float:
-    """Quotient distance: rho minimized over rigid motions and the pair-order swap."""
-    return float(cross_distance_matrix([b], [a])[0, 0])
+    """Quotient distance: rho minimized over rigid motions and the pair-order swap.
+
+    a is moved onto b, as row a onto column b of the matrices, so the value
+    has the bits of `distance_matrix([a, b])` at [0, 1] and of
+    `cross_distance_matrix([a], [b])` at [0, 0].
+    """
+    return float(cross_distance_matrix([a], [b])[0, 0])
 
 
 def distance_with_alignment(a: Interaction, b: Interaction) -> tuple[float, Alignment]:
     """Like distance(), also reporting the realized rigid motion of b onto a.
 
-    Ties between the two orderings keep swapped=False.
+    Moving b onto a, the value is `distance(b, a)`, which may differ from
+    `distance(a, b)` in its last bits.  Ties between the two orderings keep
+    swapped=False.
     """
     w, (zb, mean_b, nb), (za, mean_a, na) = _packed([b], [a])
     (r_keep, ph_keep), (r_swap, ph_swap) = _both_orders(zb, nb, za, na, w)
@@ -253,14 +292,16 @@ def distance_matrix(
     With normalize=True the matrix is rescaled so its largest entry is 1
     (no-op on an all-zero matrix).  Each block of _BLOCK rows is matched
     against the columns from its own first row on; the strict upper triangle
-    is kept and mirrored, and the diagonal is exactly 0.  `workers` changes
-    nothing; it stays only while the benchmark (`bench/run.py`) still passes
-    it, and goes together with that call.
+    is kept and mirrored, and the diagonal is exactly 0.  The blocks run on
+    up to `workers` threads, by default one per CPU in the affinity mask
+    (`workers.cpu_count`); 1 runs them in the calling thread.  The entries
+    are the same bytes at any count.
     """
     w = _row_weights(_shared_length(data))
     z, _, norm = _pack(data, w)
     out = np.zeros((len(data), len(data)))
-    for lo, block in _min_sq_rows(z, norm, z, norm, w, upper=True):
+    threads = _workers.cpu_count() if workers is None else workers
+    for lo, block in _min_sq_rows(z, norm, z, norm, w, threads, upper=True):
         upper = np.triu(np.sqrt(block, out=block), 1)
         out[lo : lo + len(upper), lo:] = upper
         out[lo:, lo : lo + len(upper)] += upper.T
@@ -274,21 +315,42 @@ def distance_matrix(
 def cross_distance_matrix(left: list[Interaction], right: list[Interaction]) -> np.ndarray:
     """Rectangular matrix of quotient distances d(left[i], right[j]).
 
-    The rows are computed _BLOCK at a time, which bounds the temporaries only:
+    The rows are computed _BLOCK at a time, on one thread per CPU in the
+    affinity mask as in `distance_matrix`, which bounds the temporaries only:
     every entry has the bits of one whole-matrix kernel call."""
     if not left or not right:
         raise InvalidInputError("need at least one interaction on each side")
     w, (zs, _, ns), (zt, _, nt) = _packed(left, right)
     out = np.empty((len(left), len(right)))
-    for lo, block in _min_sq_rows(zs, ns, zt, nt, w):
+    for lo, block in _min_sq_rows(zs, ns, zt, nt, w, _workers.cpu_count()):
         np.sqrt(block, out=out[lo : lo + len(block)])
     return out
 
 
 def write_matrix_csv(path, matrix: DistanceMatrix, meta: dict | None = None) -> None:
-    """Text form: optional `#` metadata line, a header line holding n, then n rows."""
-    rows = (fmt_row(row.tolist()) for row in matrix.entries)
-    write_rows(path, [str(matrix.n)], rows, meta)
+    """Text form: optional `#` metadata line, a header line holding n, then n rows.
+
+    From _POOL_MIN_PAIRS entries up the rows are formatted on
+    `workers.fork_map`, one process per CPU in the affinity mask, in jobs of
+    about _CSV_JOB entries.  Each fork map call covers about _CSV_CALL
+    entries, whose lines stream to the file in order before the next call
+    starts, so the whole text is never held at once.
+    """
+    entries, n = matrix.entries, matrix.n
+    per_job = max(1, _CSV_JOB // n)
+    per_call = per_job * max(1, _CSV_CALL // (per_job * n))
+    processes = _workers.cpu_count() if n * n >= _POOL_MIN_PAIRS else 1
+
+    def lines(lo):
+        return [fmt_row(row) for row in entries[lo : lo + per_job].tolist()]
+
+    def rows():
+        for start in range(0, n, per_call):
+            jobs = range(start, min(start + per_call, n), per_job)
+            for chunk in _workers.fork_map(lines, jobs, processes):
+                yield from chunk
+
+    write_rows(path, [str(n)], rows(), meta)
 
 
 def read_matrix_csv(path) -> DistanceMatrix:

@@ -79,7 +79,14 @@ def model_measure(model: ClusterModel, n: int | None = None) -> DiscreteMeasure:
 
 
 def ground_cost(F: DiscreteMeasure, G: DiscreteMeasure, r: float) -> np.ndarray:
-    return cross_distance_matrix(list(F.atoms), list(G.atoms)) ** r
+    """The distance between every atom of F and every atom of G to the power
+    r; NumericalError if one overflows, so that neither solver sees it."""
+    distances = cross_distance_matrix(list(F.atoms), list(G.atoms))
+    with np.errstate(over="ignore"):
+        cost = distances**r
+    if not np.all(np.isfinite(cost)):
+        raise NumericalError(f"ground cost: a distance to the power r={r} is not finite")
+    return cost
 
 
 def _uniform(weights: np.ndarray) -> bool:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
 from pairtraj.segmentation import read_segments_csv
 from pairtraj.synthetic import make_encounter_dataset
 from pairtraj.trajectory import (
+    Interaction,
+    Trajectory,
     read_encounters_binary,
     read_encounters_csv,
     resample,
@@ -640,6 +643,28 @@ class TestWassersteinTransfer:
             "False", "True",
         ]
 
+    def test_overflowing_ground_cost_exits_4(self, workdir, tmp_path, capsys):
+        # distances near 1e150 to the power 3.5 overflow a double
+        dataset = os.path.join(workdir, "dataset.csv")
+        huge = [
+            (enc_id, Interaction(*(Trajectory(c.samples * 1e150, c.grid) for c in (x.first, x.second))))
+            for enc_id, x in read_encounters_csv(dataset)
+        ]
+        big = str(tmp_path / "big.csv")
+        write_encounters_csv(big, huge)
+        model = os.path.join(workdir, "model.json")
+        for a in (model, dataset):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(
+                    "wasserstein", "--a", a, "--b", big, "--set", "r=3.5",
+                    "--set", "num_samples=31", "--output-dir", str(tmp_path / "out"),
+                )
+            assert code == 4, a
+            [line] = capsys.readouterr().err.splitlines()
+            assert "ground cost" in line and "not finite" in line
+        assert not os.path.exists(tmp_path / "out" / "wasserstein.json")
+
     def test_transfer_recovers_training_labels(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")
         out = str(tmp_path / "t")
@@ -1142,6 +1167,28 @@ class TestExitCodes:
         cfg.write_bytes(b"\xff\xfek = 3\n")
         assert run("cluster", "--config", str(cfg), "--output-dir", str(tmp_path)) == 2
         assert str(cfg) in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, workdir, tmp_path, capsys):
+        dataset = os.path.join(workdir, "dataset.csv")
+        for argv in (
+            ("generate", "--seed", "-1"),
+            ("cluster", "--method", "geo2", "--input", dataset, "--seed", "-1"),
+            ("stability", "--method", "geo2", "--input", dataset, "--set", "seed=-1"),
+        ):
+            assert run(*argv, "--output-dir", str(tmp_path)) == 2, argv
+            assert capsys.readouterr().err == "pairtraj: seed must be nonnegative, got -1\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_restarts_beyond_spawn_rejected(self, workdir, tmp_path, capsys):
+        # never a count that could be spawned: 10**30 overflows a C long
+        code = run(
+            "cluster", "--method", "geo2", "--input", os.path.join(workdir, "dataset.csv"),
+            "--output-dir", str(tmp_path), "--set", f"n_init={10**30}",
+        )
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert "n_init must be at most" in line
+        assert not os.path.exists(tmp_path / "model.json")
 
     def test_k_beyond_dataset_rejected(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")

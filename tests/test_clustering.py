@@ -180,7 +180,8 @@ class TestClusterMds:
             cluster_mds(data, D, beta=2, k=4, seed=0)
 
 
-    @pytest.mark.parametrize("k, n_init", [(7, 1), (2, 0)])
+    # 10**30 restarts overflow `Generator.spawn`'s C long
+    @pytest.mark.parametrize("k, n_init", [(7, 1), (2, 0), (2, 10**30)])
     def test_bad_parameters_rejected_before_embedding(self, k, n_init):
         data, _ = planted(np.random.default_rng(5), per_family=2)
         D = distance_matrix(data)
@@ -209,6 +210,12 @@ class TestFit:
             assert model.method == method
             assert np.array_equal(model.assignments, direct.assignments)
             assert model.objective == direct.objective
+
+    @pytest.mark.parametrize("method", ["geo1", "geo2", "spline-coef"])
+    def test_restarts_beyond_spawn_rejected(self, method):
+        data, _ = planted(np.random.default_rng(23), per_family=2)
+        with pytest.raises(InvalidInputError, match="n_init must be at most"):
+            fit(method, data, k=2, n_init=10**30)
 
     def test_unknown_method_rejected(self):
         data, _ = planted(np.random.default_rng(23), per_family=2)

@@ -84,6 +84,7 @@ class TestValidate:
             ("kind", "shapes"),
             ("num_samples", "1"),
             ("r", "0.5"),
+            ("seed", "-1"),
         ]:
             cfg = RunConfig()
             cfg.set(key, value)

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import pairtraj
+from pairtraj import procrustes, workers
 from pairtraj.artifacts import fmt
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import (
@@ -42,6 +44,38 @@ from oracles import (
 def rot(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def cpus(monkeypatch, count):
+    """Make `workers.cpu_count` report `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread count of each pool the distance kernel starts, in order."""
+    started = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(procrustes, "ThreadPoolExecutor", Counted)
+    return started
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that grows by one on each fork."""
+    real_fork, made = os.fork, []
+
+    def counting_fork():
+        made.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
 
 
 class TestAlign:
@@ -172,6 +206,24 @@ class TestDistance:
         _, fit = distance_with_alignment(random_interaction(rng, 9), sym)
         assert not fit.swapped
 
+    def test_one_pair_has_one_value(self):
+        # generic pairs, and rigid copies perturbed by 1e-10, where the
+        # near-pair recompute runs and its rounding depends on the direction
+        rng = np.random.default_rng(16)
+        pairs = [(random_interaction(rng, 17), random_interaction(rng, 17)) for _ in range(150)]
+        for _ in range(150):
+            a = random_interaction(rng, 17)
+            noisy = Interaction(
+                *(Trajectory(c.samples + 1e-10 * rng.normal(size=(17, 2)), c.grid)
+                  for c in (a.first, a.second))
+            )
+            pairs.append((a, rigid_copy(noisy, random_rotation(rng), rng.uniform(-2, 2, 2))))
+        for a, b in pairs:
+            d = distance(a, b)
+            assert d == distance_matrix([a, b]).entries[0, 1]
+            assert d == cross_distance_matrix([a], [b])[0, 0]
+            assert distance_with_alignment(a, b)[0] == distance(b, a)
+
     def test_realized_alignment_achieves_distance(self):
         rng = np.random.default_rng(12)
         w = np.full(19, 1.0 / 19)
@@ -269,11 +321,14 @@ class TestDistanceMatrix:
         with pytest.raises(InvalidInputError):
             DistanceMatrix(bad)
 
-    @pytest.mark.parametrize("i, j", [(0, _BLOCK + 2), (_BLOCK, _BLOCK + 2), (_BLOCK + 2, 1)])
+    # entries in the fifth row block and in the fifth column block
+    @pytest.mark.parametrize(
+        "i, j", [(0, 4 * _BLOCK + 2), (4 * _BLOCK, 4 * _BLOCK + 2), (4 * _BLOCK + 2, 1)]
+    )
     def test_symmetry_checked_across_row_blocks(self, i, j):
         # the check compares row blocks against column blocks; a mismatch
         # outside the first block, or in a block's far columns, still fails
-        n = _BLOCK + 3
+        n = 4 * _BLOCK + 3
         entries = np.ones((n, n)) - np.eye(n)
         entries[i, j] = 1 + 5e-11  # within the 1e-10 bound
         assert DistanceMatrix(entries).n == n
@@ -298,6 +353,38 @@ class TestDistanceMatrix:
         rows = (",".join(fmt(v) for v in row) for row in mat.entries)
         assert path.read_text() == '# {"k": 1}\n4\n' + "".join(r + "\n" for r in rows)
         assert read_matrix_csv(path).entries.tobytes() == mat.entries.tobytes()
+
+    @staticmethod
+    def per_field_text(mat, meta):
+        rows = (",".join(fmt(v) for v in row) for row in mat.entries)
+        return f"# {meta}\n{mat.n}\n" + "".join(r + "\n" for r in rows)
+
+    @staticmethod
+    def random_matrix(n):
+        half = np.random.default_rng(n).exponential(size=(n, n))
+        entries = np.triu(half, 1) + np.triu(half, 1).T
+        return DistanceMatrix(entries)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_csv_bytes_do_not_depend_on_processes(self, tmp_path, monkeypatch, forks, count):
+        # jobs of 2 rows and calls of 12: 41 rows make three calls of six
+        # jobs and a last call of three, the last of them one row
+        monkeypatch.setattr(procrustes, "_POOL_MIN_PAIRS", 1)
+        monkeypatch.setattr(procrustes, "_CSV_JOB", 100)
+        monkeypatch.setattr(procrustes, "_CSV_CALL", 500)
+        cpus(monkeypatch, count)
+        mat = self.random_matrix(41)
+        write_matrix_csv(tmp_path / "d.csv", mat, meta={"k": 1})
+        assert (tmp_path / "d.csv").read_text() == self.per_field_text(mat, '{"k": 1}')
+        assert len(forks) == sum(min(count, jobs) - 1 for jobs in (6, 6, 6, 3))
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_csv_rows_fork_from_the_gate_up(self, tmp_path, monkeypatch, forks, n):
+        cpus(monkeypatch, 2)
+        mat = self.random_matrix(n)
+        write_matrix_csv(tmp_path / "d.csv", mat, meta={"k": 1})
+        assert (tmp_path / "d.csv").read_text() == self.per_field_text(mat, '{"k": 1}')
+        assert len(forks) == (n * n >= procrustes._POOL_MIN_PAIRS)
 
     def test_binary_round_trip_bit_exact(self, tmp_path):
         mat = distance_matrix(self.build())
@@ -404,22 +491,49 @@ class TestRowBlocks:
         (keep, _), (swap, _) = _both_orders(zs, ns, zt, nt, w)
         return np.sqrt(np.minimum(keep, swap))
 
-    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
-    def test_matrix_matches_unblocked_upper_triangle(self, n):
-        data = self.build(n)
+    def check_matrix(self, data, threads):
         upper = np.triu(self.unblocked(data, data), 1)
-        got = distance_matrix(data).entries
+        got = distance_matrix(data, workers=threads).entries
         assert got.tobytes() == (upper + upper.T).tobytes()
         w = np.full(self.T, 1.0 / self.T)
         for i, j in self.NEAR:
-            if j < n:
+            if j < len(data):
                 ref = reference_distance(data[i], data[j], w)
                 assert 1e-11 < ref < 1e-7
                 assert got[i, j] == pytest.approx(ref, rel=1e-6)
 
-    def test_cross_matrix_matches_one_kernel_call(self):
+    # 256 is the size gate's n, and a whole number of blocks
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+    def test_matrix_matches_unblocked_upper_triangle(self, monkeypatch, pools, n):
+        cpus(monkeypatch, 2)
+        self.check_matrix(self.build(n), None)
+        assert pools == ([2] if n * n >= procrustes._POOL_MIN_PAIRS else [])
+
+    # with the size gate lowered, every matrix of two or more blocks takes the
+    # thread pool
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_blocks_on_threads_match_unblocked(self, monkeypatch, pools, n, threads):
+        monkeypatch.setattr(procrustes, "_POOL_MIN_PAIRS", 1)
+        self.check_matrix(self.build(n), threads)
+        blocks = -(-n // _BLOCK)
+        assert pools == ([min(threads, blocks)] if threads > 1 and blocks > 1 else [])
+
+    def test_a_fork_map_worker_runs_the_blocks_itself(self, monkeypatch, pools):
+        monkeypatch.setattr(procrustes, "_POOL_MIN_PAIRS", 1)
+        monkeypatch.setattr(workers, "_in_worker", True)
+        self.check_matrix(self.build(2 * _BLOCK + 1), 4)
+        assert pools == []
+
+    def test_cross_matrix_matches_one_kernel_call(self, monkeypatch, pools):
+        monkeypatch.setattr(procrustes, "_POOL_MIN_PAIRS", 1)
         data = self.build(2 * _BLOCK + 3)
         left, right = data, data[_BLOCK - 3 : _BLOCK + 4]
-        got = cross_distance_matrix(left, right)
-        assert got.shape == (2 * _BLOCK + 3, 7)
-        assert got.tobytes() == self.unblocked(left, right).tobytes()
+        want = self.unblocked(left, right).tobytes()
+        for count in (1, 2, 4):
+            cpus(monkeypatch, count)
+            pools.clear()
+            got = cross_distance_matrix(left, right)
+            assert got.shape == (2 * _BLOCK + 3, 7)
+            assert got.tobytes() == want
+            assert pools == ([min(count, 3)] if count > 1 else [])

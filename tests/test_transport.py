@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pairtraj
 from pairtraj.clustering import ClusterModel, cluster_mds
 from pairtraj.errors import InvalidInputError, NumericalError
 from pairtraj.procrustes import distance, distance_matrix
+from pairtraj.trajectory import Interaction, Trajectory
 from pairtraj.transport import (
     _OWN_ASSIGNMENT_MAX,
     _assignment,
@@ -164,6 +166,25 @@ class TestWasserstein:
         for i, a in enumerate(F.atoms):
             for j, b in enumerate(G.atoms):
                 assert cost[i, j] == pytest.approx(distance(a, b) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_overflowing_ground_cost_raises_before_a_solver(self, uniform):
+        # distances near 1e150 to the power 3.5 overflow a double
+        def scaled(measure):
+            huge = [
+                Interaction(*(Trajectory(c.samples * 1e150, c.grid) for c in (a.first, a.second)))
+                for a in measure.atoms
+            ]
+            return DiscreteMeasure(tuple(huge), measure.weights)
+
+        F = scaled(empirical_measure(list(atoms(33, 4))) if uniform else random_measure(33, 4))
+        G = scaled(empirical_measure(list(atoms(34, 4))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (lambda: ground_cost(F, G, 3.5), lambda: wasserstein(F, G, 3.5)):
+                with pytest.raises(NumericalError, match="not finite"):
+                    solve()
+            assert np.isfinite(ground_cost(F, G, 2.0)).all()
 
     @pytest.mark.parametrize("m", [150, 3])
     def test_lp_matches_dense_reference(self, m):
