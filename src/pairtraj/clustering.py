@@ -55,7 +55,7 @@ _log = logging.getLogger(__name__)
 _DEFAULT_MAX_ITER = 300
 _DEFAULT_N_INIT = 8
 # the most restarts `Generator.spawn` can count, a C long
-_MAX_RESTARTS = int(np.iinfo(np.long).max)
+_MAX_RESTARTS = int(np.iinfo(np.dtype("l")).max)
 _REL_TOL = 1e-10
 
 

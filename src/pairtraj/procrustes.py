@@ -68,11 +68,11 @@ _RECOMPUTE_CHUNK = 256
 # Sources per kernel call in the matrices; small blocks split the shrinking
 # rows of the upper triangle evenly among the threads
 _BLOCK = 64
-# From this many (source, target) pairs up the blocks run on threads, and
-# from this many matrix entries up the CSV rows are formatted on the fork
-# map.  Below it a fork costs about what it saves, and pool threads would
-# raise the peak RSS of the small cross matrices of `evaluate` and
-# `wasserstein`
+# From this many (source, target) pairs up the blocks run on threads: pool
+# threads raised the peak RSS of the small cross matrices of `evaluate` and
+# `wasserstein`.  From this many matrix entries up the CSV rows are formatted
+# on the fork map: on 2 CPUs a two-job fork lost at n=200 (13.9 -> 15.6 ms)
+# and won at n=240 (19.8 -> 16.1 ms) and n=256 (22.3 -> 15.4 ms)
 _POOL_MIN_PAIRS = 1 << 16
 # Entries formatted per fork map job, and per fork map call, whose text is
 # held until it is written
@@ -294,8 +294,9 @@ def distance_matrix(
     against the columns from its own first row on; the strict upper triangle
     is kept and mirrored, and the diagonal is exactly 0.  The blocks run on
     up to `workers` threads, by default one per CPU in the affinity mask
-    (`workers.cpu_count`); 1 runs them in the calling thread.  The entries
-    are the same bytes at any count.
+    (`workers.cpu_count`); 1 runs them in the calling thread, which is how
+    the benchmark's trace times one thread.  The entries are the same bytes
+    at any count.
     """
     w = _row_weights(_shared_length(data))
     z, _, norm = _pack(data, w)
