@@ -5,7 +5,6 @@ __version__ = "0.2.0"
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateFitError,
     InvalidInputError,
     NumericalError,
     PairtrajError,
@@ -43,10 +42,7 @@ from .evaluation import (
 from .segmentation import (
     ChangePointSet,
     Encounter,
-    add_change_points,
-    fit_cubic,
     prune_change_points,
-    segment,
     segment_with_knots,
     select_tolerance,
 )
@@ -58,7 +54,6 @@ __all__ = [
     "ClusterModel",
     "ConfigError",
     "DataError",
-    "DegenerateFitError",
     "DiscreteMeasure",
     "DistanceMatrix",
     "Embedding",
@@ -71,7 +66,6 @@ __all__ = [
     "QualityReport",
     "StabilityGrid",
     "Trajectory",
-    "add_change_points",
     "align",
     "align_to_anchor",
     "cluster_geo1",
@@ -84,12 +78,10 @@ __all__ = [
     "distance_with_alignment",
     "embed",
     "empirical_measure",
-    "fit_cubic",
     "model_measure",
     "prune_change_points",
     "quality",
     "resample",
-    "segment",
     "segment_with_knots",
     "select_tolerance",
     "silhouette",

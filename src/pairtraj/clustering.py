@@ -172,17 +172,24 @@ def _check_restarts(n: int, k: int, n_init: int, max_iter: int) -> None:
 def _best_of(run, seed: int, n_init: int, max_iter: int, name: str) -> tuple:
     """The result of `run(rng)` with the lowest final objective over n_init restarts.
 
-    Each restart draws from its own child of the seed; results are tuples
-    ending in the converged flag and the objective history, and the earliest
-    restart wins ties.  One warning, prefixed with `name`, lists the restarts
-    that did not converge within `max_iter` steps.
+    Each restart draws from its own child of the seed, spawned as it starts;
+    results are tuples ending in the converged flag and the objective
+    history, and only a strictly lower final objective replaces the best so
+    far, so the earliest restart wins ties.  One warning, prefixed with
+    `name`, lists the restarts that did not converge within `max_iter` steps.
     """
-    results = [run(child) for child in np.random.default_rng(seed).spawn(n_init)]
-    capped = [restart for restart, result in enumerate(results) if not result[-2]]
+    rng = np.random.default_rng(seed)
+    best, capped = None, []
+    for restart in range(n_init):
+        result = run(rng.spawn(1)[0])
+        if not result[-2]:
+            capped.append(restart)
+        if best is None or result[-1][-1] < best[-1][-1]:
+            best = result
     if capped:
         _log.warning("%s: restart(s) %s of %d stopped at the %d-iteration cap",
                      name, capped, n_init, max_iter)
-    return min(results, key=lambda result: result[-1][-1])
+    return best
 
 
 def _kmeans(

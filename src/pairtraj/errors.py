@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Each class carries the CLI's exit code for it: 2 for a configuration or
-parameter error, 3 for a data error (the default), 4 for a numerical failure.
+parameter error, 3 for a data error (the default), 4 for a NumericalError.
 """
 
 
@@ -24,11 +24,6 @@ class ConfigError(PairtrajError, ValueError):
     exit_code = 2
 
 
-class DegenerateFitError(PairtrajError, ArithmeticError):
-    """A numerical subproblem is rank-deficient or otherwise has no usable solution."""
-    exit_code = 4
-
-
 class NumericalError(PairtrajError, ArithmeticError):
-    """A solver failed to converge or reported an unusable status."""
+    """A solver failed or overflowed, or a numerical check did not hold."""
     exit_code = 4

@@ -194,6 +194,13 @@ class StabilityGrid:
 _RUNNERS = clustering.ROUTES
 
 
+def _short(value) -> str:
+    """str(value), its middle elided past the 24 characters of the longest
+    float, as for the 301 digits of a grid's n_init=1e300."""
+    text = str(value)
+    return text if len(text) <= 24 else f"{text[:8]}...{text[-9:]}"
+
+
 def stability_sweep(
     data: list[Interaction],
     matrix: DistanceMatrix,
@@ -269,7 +276,7 @@ def stability_sweep(
     failed = []  # (cell, error) of each missing cell, in row-major order
     for flat, ((v1, v2), outcome) in enumerate(zip(cells, outcomes)):
         if isinstance(outcome, PairtrajError):
-            failed.append((f"{axis1_name}={v1} {axis2_name}={v2}", outcome))
+            failed.append((f"{axis1_name}={_short(v1)} {axis2_name}={_short(v2)}", outcome))
         else:
             values.flat[flat], missing.flat[flat] = outcome, False
     if failed:

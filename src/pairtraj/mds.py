@@ -9,8 +9,8 @@ over all ordered pairs.  Each majorization step never increases the stress,
 so the reported value is monotone over iterations.
 
 Each run writes its steps into (n, n) buffers of its own and reads one
-shared, read-only -D.  The runs are independent, so from `_POOL_MIN_N` points
-up they go on `workers.fork_map`, up to one process per CPU; their starts are
+shared, read-only -D.  The runs are independent, so at every n they go on
+`workers.fork_map`, up to one process per CPU; their starts are
 drawn, and the winner picked, in run order, so the output is the same bytes
 at any CPU count.
 """
@@ -40,9 +40,6 @@ def cache_tag() -> str:
     return f";max_iter={_MAX_ITER};restarts={_N_RESTARTS};rel_tol={_REL_TOL!r};blas_threads=1"
 
 
-# from this n up the runs go on up to one process per CPU; below it forking
-# and joining the workers cost more than they save
-_POOL_MIN_N = 100
 _MAGIC = b"PTM2"
 
 
@@ -196,9 +193,9 @@ def embed(
 
     The restarts count only when the refined spectral run has positive
     stress; otherwise the spectral run alone is returned.  Every run's start
-    is drawn up front, and for n >= `_POOL_MIN_N` the runs go on
-    `workers.fork_map`, up to one process per CPU in this process's affinity
-    mask (`workers.cpu_count`), all under one pinned BLAS thread count; the
+    is drawn up front, and at every n the runs go on `workers.fork_map`, up
+    to one process per CPU in this process's affinity mask
+    (`workers.cpu_count`), all under one pinned BLAS thread count; the
     points, stress, iterations and best_run are the same bytes at any CPU
     count.  A spectral start that LAPACK cannot compute raises
     NumericalError.
@@ -221,8 +218,7 @@ def embed(
             scale = float(positive.mean())
             starts += [rng.normal(size=(n, beta)) * scale for _ in range(n_restarts)]
         runs = fork_map(
-            lambda start: _smacof(start, neg_deltas, max_iter), starts,
-            cpu_count() if n >= _POOL_MIN_N else 1,
+            lambda start: _smacof(start, neg_deltas, max_iter), starts, cpu_count()
         )
     if not runs[0][1] > 0.0:
         runs = runs[:1]

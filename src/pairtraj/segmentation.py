@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import fmt_row, malformed, quoted, read_json, read_rows, write_json, write_rows
-from .errors import DegenerateFitError, InvalidInputError, NumericalError
-from .trajectory import _store, Interaction, Trajectory, from_table, resample, to_table
+from .artifacts import fmt_row, malformed, quoted, read_json, read_rows, write_json
+from .errors import InvalidInputError, NumericalError
+from .trajectory import _store, Interaction, from_table, resample, to_table
 
 _MIN_SEGMENT = 5  # raw samples; enough for one cubic fit plus a residual
 _MIN_SIDE = 4  # samples on each side of a split, shared endpoint included
@@ -143,27 +143,6 @@ def _cubic_design(t: np.ndarray) -> np.ndarray:
     return design
 
 
-def fit_cubic(samples) -> tuple[np.ndarray, float]:
-    """Least-squares cubic through (t, value) samples: (coefficients, sse).
-
-    Coefficients are in increasing powers of the raw t.  A design of rank < 4
-    (fewer than 4 distinct t values) has no unique cubic and is rejected, and
-    so is a non-finite sample, which LAPACK would carry into NaN coefficients.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
-        raise InvalidInputError("samples must be finite (t, value) pairs")
-    design = _cubic_design(arr[:, 0])
-    coef, rank = _cubic_lstsq(design, arr[:, 1:])
-    if rank < 4:
-        raise DegenerateFitError(
-            f"cubic design has rank {rank}; need 4 distinct t values"
-        )
-    coef = coef[:, 0]
-    resid = arr[:, 1] - design @ coef
-    return coef, float(resid @ resid)
-
-
 class _SpanFits:
     """One joint cubic fit of every series column per (lo, hi) span, memoised.
 
@@ -238,13 +217,6 @@ def _series_change_points(fits: _SpanFits, s: int) -> set[int]:
     return out
 
 
-def add_change_points(traj: Trajectory) -> ChangePointSet:
-    """Candidate change points for one trajectory (union over x and y series)."""
-    fits = _SpanFits(traj.grid, traj.samples)
-    found = _series_change_points(fits, 0) | _series_change_points(fits, 1)
-    return ChangePointSet(tuple(sorted(found)))
-
-
 def combined_candidates(encounter: Encounter) -> ChangePointSet:
     """Union of candidates over all four coordinate series of both vehicles."""
     fits = encounter._span_fits()
@@ -292,12 +264,12 @@ def _criterion(encounter: Encounter, knots: ChangePointSet) -> float:
     return float(sum(own.T.flat)) + len(knots) + 2
 
 
-def default_tolerances(encounter: Encounter, count: int = 10) -> np.ndarray:
-    """Log-spaced ε grid spanning [1e-4, 1e2] times the mean series variance."""
+def default_tolerances(encounter: Encounter) -> np.ndarray:
+    """Ten log-spaced ε values spanning [1e-4, 1e2] times the mean series variance."""
     scale = float(encounter.series().var(axis=0).mean())
     if scale <= 0:
         scale = 1.0
-    return scale * np.logspace(-4.0, 2.0, count)
+    return scale * np.logspace(-4.0, 2.0, 10)
 
 
 def select_tolerance(
@@ -355,13 +327,6 @@ def segment_with_knots(
     return segments, knots
 
 
-def segment(
-    encounter: Encounter, candidate_epsilons=None, num_samples: int = 101
-) -> list[Interaction]:
-    """Cut one encounter at its selected change points; see segment_with_knots."""
-    return segment_with_knots(encounter, candidate_epsilons, num_samples)[0]
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -375,12 +340,6 @@ def segment_rows(enc_id: str, segments: list[Interaction]) -> list[str]:
         lead = f"{quoted(enc_id)},{index},"
         lines.extend([lead + fmt_row(row) for row in to_table(inter).tolist()])
     return lines
-
-
-def write_segments_csv(path, segmented, meta: dict | None = None) -> None:
-    """Rows of every segment of every encounter; segmented is (id, segments) pairs."""
-    rows = (line for enc_id, segments in segmented for line in segment_rows(enc_id, segments))
-    write_rows(path, SEGMENT_HEADER, rows, meta)
 
 
 def read_segments_csv(path) -> list[tuple[str, list[Interaction]]]:

@@ -67,15 +67,9 @@ def empirical_measure(data: list[Interaction]) -> DiscreteMeasure:
     return DiscreteMeasure(tuple(data), np.full(n, 1.0 / n))
 
 
-def model_measure(model: ClusterModel, n: int | None = None) -> DiscreteMeasure:
+def model_measure(model: ClusterModel) -> DiscreteMeasure:
     """Representatives weighted by the share of points assigned to them."""
-    if n is None:
-        n = model.n
-    elif n != model.n:
-        raise InvalidInputError(
-            f"model assigns {model.n} points, caller claims {n}"
-        )
-    return DiscreteMeasure(model.representatives, model.cluster_sizes() / n)
+    return DiscreteMeasure(model.representatives, model.cluster_sizes() / model.n)
 
 
 def ground_cost(F: DiscreteMeasure, G: DiscreteMeasure, r: float) -> np.ndarray:

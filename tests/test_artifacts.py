@@ -29,7 +29,7 @@ from pairtraj.segmentation import (
     SEGMENT_HEADER,
     read_knots_json,
     read_segments_csv,
-    write_segments_csv,
+    segment_rows,
 )
 from pairtraj.trajectory import (
     CSV_HEADER,
@@ -322,7 +322,8 @@ def test_numeric_writers_match_per_field_rows(tmp_path):
     ]
     artifacts.write_rows(tmp_path / "b.csv", CSV_HEADER, rows, meta={"seed": 1})
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    write_segments_csv(tmp_path / "c.csv", [(i, [inter]) for i, inter in encounters])
+    lines = [line for enc_id, inter in encounters for line in segment_rows(enc_id, [inter])]
+    artifacts.write_rows(tmp_path / "c.csv", SEGMENT_HEADER, lines)
     rows = [[row[0], "0", *row[1:]] for row in rows]
     artifacts.write_rows(tmp_path / "d.csv", SEGMENT_HEADER, rows)
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
@@ -331,7 +332,8 @@ def test_numeric_writers_match_per_field_rows(tmp_path):
 def test_segments_round_trip_awkward_ids(tmp_path):
     path = tmp_path / "segments.csv"
     segmented = [(enc_id, [_inter(4, i), _inter(6, -i)]) for i, enc_id in enumerate(AWKWARD_IDS)]
-    write_segments_csv(path, segmented, meta={"seed": 1})
+    lines = [line for enc_id, segs in segmented for line in segment_rows(enc_id, segs)]
+    artifacts.write_rows(path, SEGMENT_HEADER, lines, {"seed": 1})
     back = read_segments_csv(path)
     assert [(enc_id, len(segs)) for enc_id, segs in back] == [(i, 2) for i in AWKWARD_IDS]
     assert back[1][1][1].second.samples.tolist() == segmented[1][1][1].second.samples.tolist()

@@ -355,6 +355,19 @@ class TestStability:
         assert [row[:2] for row in rows] == [["2.5", "2"], ["3", "2"]]
         assert rows[0][2] == "nan" and float(rows[1][2]) >= 0.0
 
+    def test_huge_n_init_cells_named_in_bounded_width(self, workdir, tmp_path, caplog):
+        dataset = os.path.join(workdir, "dataset.csv")
+        with caplog.at_level(logging.WARNING):
+            assert run(
+                "stability", "--method", "geo2", "--input", dataset, "--output-dir",
+                str(tmp_path), "--grid", "k=2,3;n_init=2,1e300", "--set", "num_samples=31",
+            ) == 0
+        [record] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        message = record.getMessage()
+        # int(1e300) has 301 digits; each label elides its middle
+        assert "2 of 4 cell(s) missing (k=2 n_init=10000000...400540160, k=3 n_init=" in message
+        assert "n_init must be at most" in message and len(message) < 200
+
     def test_geo2_with_more_clusters_than_families(self, tmp_path):
         # three tight families and k=4 make geo2 refill emptied clusters
         data, _ = planted(np.random.default_rng(1), per_family=4)

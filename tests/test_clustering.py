@@ -217,6 +217,34 @@ class TestFit:
         with pytest.raises(InvalidInputError, match="n_init must be at most"):
             fit(method, data, k=2, n_init=10**30)
 
+    @pytest.mark.parametrize("method, kwargs", [
+        ("mds", {"beta": 2}), ("geo1", {}), ("geo2", {}), ("spline-coef", {}),
+    ], ids=["mds", "geo1", "geo2", "spline-coef"])
+    def test_each_restart_spawns_its_own_child_when_it_starts(self, monkeypatch, method, kwargs):
+        # no list of every restart's generator up front, so n_init bounds
+        # only the work, never the memory
+        data, _ = planted(np.random.default_rng(24), per_family=3)
+        D = distance_matrix(data)
+        expected = fit(method, data, D, seed=2, k=3, n_init=5, **kwargs)
+        asked, default_rng = [], np.random.default_rng
+
+        class Recording:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, attr):
+                return getattr(self._rng, attr)
+
+            def spawn(self, n_children):
+                asked.append(n_children)
+                return self._rng.spawn(n_children)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Recording(default_rng(seed)))
+        model = fit(method, data, D, seed=2, k=3, n_init=5, **kwargs)
+        assert asked == [1] * 5
+        assert np.array_equal(model.assignments, expected.assignments)
+        assert model.objective_history == expected.objective_history
+
     def test_unknown_method_rejected(self):
         data, _ = planted(np.random.default_rng(23), per_family=2)
         with pytest.raises(InvalidInputError, match="unknown method"):

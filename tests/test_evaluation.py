@@ -347,17 +347,24 @@ class TestStabilitySweep:
     def test_mds_cells_never_fork_and_embed_each_beta_once(self, monkeypatch):
         data, _ = planted(np.random.default_rng(20), per_family=4)
         D = distance_matrix(data)
-        betas = []
+        betas, embedding, real_fork = [], [], os.fork
 
         def counting_embed(matrix, beta, seed):
             betas.append(beta)
-            return mds.embed(matrix, beta, seed)
+            embedding.append(beta)
+            try:
+                return mds.embed(matrix, beta, seed)
+            finally:
+                embedding.pop()
 
-        def no_fork():
-            raise AssertionError("an mds cell forked")
+        def fork_inside_embed():
+            # embed forks its own SMACOF runs; the cells around it never fork
+            if not embedding:
+                raise AssertionError("an mds cell forked")
+            return real_fork()
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "fork", fork_inside_embed)
         grid = stability_sweep(
             data, D, "mds", "k", (2, 3, 4), "beta", (2, 3), seed=0, embed=counting_embed
         )

@@ -206,7 +206,6 @@ def planted_sixty():
 
 
 def planted_150():
-    # above mds._POOL_MIN_N, so the restarts run on the thread pool
     data, _ = planted(np.random.default_rng(22), per_family=50)
     return distance_matrix(data)
 
@@ -240,7 +239,7 @@ class TestMatchesFrozenReference:
     @pytest.mark.parametrize("make", [planted_150, simplex_150])
     def test_beta2_byte_identical_on_the_thread_pool(self, make):
         dm = make()
-        assert dm.n >= mds._POOL_MIN_N
+        assert dm.n == 150
         emb = embed(dm, 2, seed=0, max_iter=40)
         points, stress = reference_embed(dm.entries, 2, seed=0, max_iter=40)
         assert emb.points.tobytes() == points.tobytes()
@@ -288,7 +287,7 @@ class TestRestartPool:
         assert 0 <= emb.best_run < 9
 
     def test_all_zero_matrix_runs_once_above_the_gate(self):
-        emb = embed(DistanceMatrix(np.zeros((mds._POOL_MIN_N, mds._POOL_MIN_N))), 2, seed=0)
+        emb = embed(DistanceMatrix(np.zeros((100, 100))), 2, seed=0)
         assert emb.iterations == (0,) and emb.best_run == 0
         assert emb.stress == 0.0
 

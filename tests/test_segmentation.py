@@ -1,27 +1,26 @@
-"""Change-point detection: cubic fits, add/prune passes, tolerance selection."""
+"""Change-point detection: cubic fits, candidate/prune passes, tolerance selection."""
 
 import numpy as np
 import pytest
 
 from pairtraj import segmentation, synthetic
-from pairtraj.errors import DataError, DegenerateFitError, InvalidInputError
+from pairtraj.artifacts import write_rows
+from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.segmentation import (
+    SEGMENT_HEADER,
     ChangePointSet,
     Encounter,
     _criterion,
     _merge_short_spans,
-    add_change_points,
     combined_candidates,
     default_tolerances,
-    fit_cubic,
     prune_change_points,
     read_knots_json,
     read_segments_csv,
-    segment,
+    segment_rows,
     segment_with_knots,
     select_tolerance,
     write_knots_json,
-    write_segments_csv,
 )
 from pairtraj.synthetic import knotted_interaction, make_encounter_dataset
 from pairtraj.trajectory import Interaction, Trajectory, to_table
@@ -120,11 +119,21 @@ class TestChangePointSet:
             ChangePointSet((bad,))
 
 
+def cubic_lstsq(t, y):
+    """The coefficients and SSE of one series' cubic through the span fits' solve."""
+    design = segmentation._cubic_design(t)
+    coef = segmentation._cubic_lstsq(design, y[:, None])[0][:, 0]
+    resid = y - design @ coef
+    return coef, float(resid @ resid)
+
+
 class TestFitCubic:
+    """The least-squares cubic of one series, solved as every span fit is."""
+
     def test_recovers_exact_coefficients(self):
         t = np.linspace(-1.0, 2.0, 9)
         y = 2.0 - t + 3.0 * t**3
-        coef, sse = fit_cubic(np.column_stack([t, y]))
+        coef, sse = cubic_lstsq(t, y)
         np.testing.assert_allclose(coef, [2.0, -1.0, 0.0, 3.0], atol=1e-9)
         assert sse <= 1e-18
 
@@ -133,7 +142,7 @@ class TestFitCubic:
         for _ in range(10):
             t = np.sort(rng.uniform(0.0, 4.0, 12))
             y = rng.normal(size=12)
-            coef, sse = fit_cubic(np.column_stack([t, y]))
+            coef, sse = cubic_lstsq(t, y)
             ref_coef, ref_sse = normal_equation_cubic(t, y)
             np.testing.assert_allclose(coef, ref_coef, rtol=1e-7, atol=1e-9)
             assert sse == pytest.approx(ref_sse, rel=1e-8, abs=1e-12)
@@ -142,35 +151,23 @@ class TestFitCubic:
         rng = np.random.default_rng(6)
         t = np.sort(rng.uniform(0.0, 2.0, 15))
         y = rng.normal(size=15)
-        coef, _ = fit_cubic(np.column_stack([t, y]))
+        coef, _ = cubic_lstsq(t, y)
         design = np.vander(t, 4, increasing=True)
         resid = y - design @ coef
         assert np.abs(design.T @ resid).max() <= 1e-8
 
-    def test_rejects_repeated_t(self):
-        t = np.array([0.0, 1.0, 1.0, 2.0, 2.0])
-        y = np.array([0.0, 1.0, 1.1, 2.0, 1.9])
-        with pytest.raises(DegenerateFitError):
-            fit_cubic(np.column_stack([t, y]))
 
-    def test_rejects_too_few_samples(self):
-        with pytest.raises(DegenerateFitError):
-            fit_cubic([(0.0, 1.0), (1.0, 2.0), (2.0, 0.0)])
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(InvalidInputError):
-            fit_cubic(np.zeros((5, 3)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("column", [0, 1])
-    def test_rejects_non_finite_samples(self, bad, column):
-        samples = np.column_stack([np.arange(8.0), np.sin(np.arange(8.0))])
-        samples[3, column] = bad
-        with pytest.raises(InvalidInputError, match="finite"):
-            fit_cubic(samples)
+def beside_a_straight_line(x, y):
+    """An encounter of the curve (x, y) on t = 0, 1, ... and a vehicle driving
+    straight, whose two series no cubic split improves."""
+    t = np.arange(len(x), dtype=float)
+    line = Trajectory(np.column_stack([t, 0.5 * t]), t)
+    return Encounter("s", Interaction(Trajectory(np.column_stack([x, y]), t), line))
 
 
 class TestAddChangePoints:
+    """Step 1's split search, seen through combined_candidates."""
+
     def test_exact_cubic_has_none(self):
         enc = cubic_encounter()
         assert combined_candidates(enc).points == ()
@@ -178,21 +175,18 @@ class TestAddChangePoints:
     def test_midpoint_kink_found_exactly(self):
         t = np.arange(21, dtype=float)
         y = np.where(t <= 10, t, 10 + 3.0 * (t - 10))
-        traj = Trajectory(np.column_stack([t, y]), t)
-        assert add_change_points(traj).points == (10,)
+        assert combined_candidates(beside_a_straight_line(t, y)).points == (10,)
 
     def test_kink_in_one_series_suffices(self):
         t = np.arange(21, dtype=float)
         flat = 0.25 * t
         y = np.where(t <= 10, -t, -10 - 4.0 * (t - 10))
-        traj = Trajectory(np.column_stack([flat, y]), t)
-        assert 10 in add_change_points(traj).points
+        assert 10 in combined_candidates(beside_a_straight_line(flat, y)).points
 
     def test_short_grid_has_none(self):
         t = np.arange(6, dtype=float)
         y = np.abs(t - 3.0)  # kink, but no split leaves 4 samples per side
-        traj = Trajectory(np.column_stack([t, y]), t)
-        assert add_change_points(traj).points == ()
+        assert combined_candidates(beside_a_straight_line(t, y)).points == ()
 
 
 class TestPrune:
@@ -345,7 +339,7 @@ class TestSegment:
 
     def test_num_samples_controls_grid(self):
         enc = cubic_encounter()
-        (seg,) = segment(enc, num_samples=33)
+        (seg,), _ = segment_with_knots(enc, num_samples=33)
         assert len(seg) == 33
 
     def test_deterministic(self):
@@ -465,17 +459,6 @@ class TestSolveSeam:
             assert coef.tobytes() == ref_coef.tobytes(), m
             assert rank == ref_rank, m
 
-    def test_fit_cubic_bits_match_numpy_lstsq(self):
-        rng = np.random.default_rng(3)
-        t = np.cumsum(rng.uniform(0.5, 1.5, 50))
-        y = rng.normal(size=50)
-        coef, sse = fit_cubic(np.column_stack([t, y]))
-        design = np.vander(t, 4, increasing=True)
-        ref_coef = np.linalg.lstsq(design, y, rcond=None)[0]
-        resid = y - design @ ref_coef
-        assert coef.tobytes() == ref_coef.tobytes()
-        assert sse == float(resid @ resid)
-
     def test_fallback_gives_the_same_bytes(self, monkeypatch):
         encounters, _ = make_encounter_dataset(1, 3, (40, 80), 121)
         direct = [segment_with_knots(Encounter(i, inter)) for i, inter in encounters]
@@ -515,11 +498,12 @@ class TestArtifacts:
     def test_segments_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         items = [
-            ("enc-a", segment(Encounter("enc-a", knotted_interaction(rng, (60,))))),
-            ("enc-b", segment(Encounter("enc-b", knotted_interaction(rng, (40, 80))))),
+            ("enc-a", segment_with_knots(Encounter("enc-a", knotted_interaction(rng, (60,))))[0]),
+            ("enc-b", segment_with_knots(Encounter("enc-b", knotted_interaction(rng, (40, 80))))[0]),
         ]
         path = tmp_path / "segments.csv"
-        write_segments_csv(path, items, meta={"seed": 9})
+        lines = [line for enc_id, segments in items for line in segment_rows(enc_id, segments)]
+        write_rows(path, SEGMENT_HEADER, lines, {"seed": 9})
         back = read_segments_csv(path)
         assert [(i, len(s)) for i, s in back] == [(i, len(s)) for i, s in items]
         for (_, orig), (_, loaded) in zip(items, back):

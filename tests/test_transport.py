@@ -85,12 +85,6 @@ class TestConstructors:
         assert measure.weights.tolist() == [0.7, 0.2, 0.1]
         assert measure.atoms == reps
 
-    def test_model_measure_checks_n(self):
-        model = ClusterModel("geo2", 2, 0, [0, 1, 0], atoms(8, 2), 0.0)
-        assert model_measure(model, 3).weights.sum() == pytest.approx(1.0)
-        with pytest.raises(InvalidInputError, match="claims"):
-            model_measure(model, 4)
-
 
 class TestWasserstein:
     def test_identical_measures_vanish(self):
