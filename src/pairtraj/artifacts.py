@@ -1,6 +1,7 @@
 """Every file is opened here: text as UTF-8 whatever the locale, and each
 writer fills `<path>.<pid>.tmp` and moves it into place once complete, so a
-failed write leaves an earlier file intact.  The three layouts:
+failed write leaves an earlier file intact; the next write beside it removes
+the partial file of a writer that was killed.  The three layouts:
 
 - JSON: one object, keys sorted, indented by two, metadata under "meta".
 - Rows: an optional `# <json>` metadata line, a header line, then
@@ -11,9 +12,9 @@ failed write leaves an earlier file intact.  The three layouts:
 - Arrays: a 4-byte magic, one little-endian int64 element count per array,
   then each array's little-endian bytes, row-major.
 
-The schema readers elsewhere are thin layers over these pairs; `malformed`
-turns their parse and validation errors into a DataError naming the path and,
-for a row, the line.
+The readers elsewhere, of what the program consumes, are thin layers over
+these pairs; `malformed` turns their parse and validation errors into a
+DataError naming the path and, for a row, the line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import csv
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+import re
+from contextlib import contextmanager, suppress
 from itertools import accumulate
 
 import numpy as np
@@ -78,10 +80,36 @@ def opened(path, mode: str = "r", **kw):
         raise DataError(f"cannot {verb} {path}: {exc}") from exc
 
 
+_PARTIAL = re.compile(r".+\.([0-9]+)\.tmp")
+
+
+def _runs(pid: int) -> bool:
+    """Whether process `pid` runs.  A zombie does not: a killed run orphaned
+    to an init that reaps late is one.  Another user's process runs, and so
+    does a pid where neither `kill` nor /proc can tell."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            # the state follows the command name, which may hold ")"
+            return handle.read().rpartition(b")")[2].split()[:1] != [b"Z"]
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):
+        return True
+
+
 @contextmanager
 def _replacing(path, mode: str, **kw):
-    """A handle on a temporary name beside `path`, moved onto it if the block completes."""
+    """A handle on a temporary name beside `path`, moved onto it if the block
+    completes.  First each `<name>.<pid>.tmp` file beside it whose process no
+    longer runs, the partial file of a killed writer, is removed, in one scan
+    of the directory; an error stops that sweep, never the write."""
     partial = f"{path}.{os.getpid()}.tmp"
+    with suppress(OSError), os.scandir(os.path.dirname(partial) or ".") as entries:
+        for entry in entries:
+            pid = _PARTIAL.fullmatch(entry.name)
+            if pid and entry.is_file(follow_symlinks=False) and not _runs(int(pid[1])):
+                os.remove(entry.path)
     try:
         with opened(partial, mode, **kw) as handle:
             yield handle

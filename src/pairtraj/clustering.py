@@ -35,7 +35,6 @@ from .errors import InvalidInputError
 from .procrustes import (
     _pack,
     _residual_sq,
-    _row_weights,
     _rows_to_interaction,
     _shared_length,
     _stack_rows,
@@ -54,8 +53,9 @@ from .trajectory import (
 _log = logging.getLogger(__name__)
 _DEFAULT_MAX_ITER = 300
 _DEFAULT_N_INIT = 8
-# the most restarts `Generator.spawn` can count, a C long
-_MAX_RESTARTS = int(np.iinfo(np.dtype("l")).max)
+# a bound on the work: a restart takes milliseconds at a few hundred
+# encounters, so more than this many would run for hours
+_MAX_RESTARTS = 10_000
 _REL_TOL = 1e-10
 
 
@@ -296,7 +296,7 @@ def cluster_geo1(
     anchor's grid, and the objective is the within-cluster sum of squares in
     that space.
     """
-    root = np.sqrt(_row_weights(_shared_length(data)))[:, None]
+    root = np.sqrt(1.0 / _shared_length(data))
     aligned = align_to_anchor(data, anchor)
     X = np.stack([(_stack_rows(inter) * root).ravel() for inter in aligned])
     labels, centers, history = _kmeans(X, k, seed, n_init, max_iter, "cluster_geo1")
@@ -321,7 +321,6 @@ def cluster_geo1(
 def _geo2_run(
     data: list[Interaction],
     packed: tuple[np.ndarray, np.ndarray, np.ndarray],
-    w_row: np.ndarray,
     k: int,
     rng: np.random.Generator,
     max_iter: int,
@@ -345,13 +344,13 @@ def _geo2_run(
         for j in range(k):
             members = np.flatnonzero(labels == j)
             ref = members[:1]
-            _, phase = _residual_sq(z[members], norm[members], z[ref], norm[ref], w_row)
+            _, phase = _residual_sq(z[members], norm[members], z[ref], norm[ref])
             rows = (phase * z[members]).sum(axis=0) / members.size + mean[ref[0]]
             centroids.append(
                 _rows_to_interaction(np.column_stack([rows.real, rows.imag]), data[ref[0]].grid)
             )
-        zc, _, nc = _pack(centroids, w_row)
-        dist2, _ = _residual_sq(z, norm, zc, nc, w_row)
+        [(zc, _, nc)] = _pack(centroids)
+        dist2, _ = _residual_sq(z, norm, zc, nc)
         new_labels = dist2.argmin(axis=1)
         obj = float(dist2[np.arange(n), new_labels].sum())
         history.append(obj)
@@ -382,12 +381,10 @@ def cluster_geo2(
     (no pair-order swap).  Emptied clusters are re-seeded with the point
     farthest from its current centroid.  Restarts keep the best objective.
     """
-    T = _shared_length(data)
+    [packed] = _pack(data)
     _check_restarts(len(data), k, n_init, max_iter)
-    w_row = _row_weights(T)
-    packed = _pack(data, w_row)
     labels, centroids, _, history = _best_of(
-        lambda rng: _geo2_run(data, packed, w_row, k, rng, max_iter),
+        lambda rng: _geo2_run(data, packed, k, rng, max_iter),
         seed, n_init, max_iter, "cluster_geo2",
     )
     return ClusterModel(

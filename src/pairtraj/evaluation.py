@@ -21,9 +21,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import clustering, mds
-from .artifacts import fmt, malformed, read_json, read_rows, write_json, write_rows
+from .artifacts import fmt, write_json, write_rows
 from .clustering import ClusterModel
-from .errors import DataError, InvalidInputError, PairtrajError
+from .errors import InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
 from .trajectory import _store, Interaction, resample
 from .workers import cpu_count, fork_map
@@ -314,12 +314,6 @@ def write_quality_json(path, report: QualityReport, meta: dict | None = None) ->
     write_json(path, payload, meta)
 
 
-def read_quality_json(path) -> QualityReport:
-    payload = read_json(path)
-    with malformed(path):
-        return QualityReport(**{f.name: payload[f.name] for f in fields(QualityReport)})
-
-
 SILHOUETTE_HEADER = ("id", "cluster", "silhouette")
 
 
@@ -337,17 +331,6 @@ def write_silhouette_csv(
     write_rows(path, SILHOUETTE_HEADER, rows, meta)
 
 
-def read_silhouette_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    _, rows = read_rows(path, SILHOUETTE_HEADER)
-    ids, clusters, scores = [], [], []
-    for no, (enc_id, cluster, score) in rows:
-        with malformed(f"{path}:{no}"):
-            clusters.append(int(cluster))
-            scores.append(float(score))
-        ids.append(enc_id)
-    return ids, np.array(clusters), np.array(scores)
-
-
 STABILITY_HEADER = ("axis1", "axis2", "value", "delta1", "delta2")
 
 
@@ -363,24 +346,6 @@ def write_stability_csv(path, grid: StabilityGrid, meta: dict | None = None) -> 
     write_rows(path, STABILITY_HEADER, rows, meta)
 
 
-def read_stability_csv(path) -> StabilityGrid:
-    meta, rows = read_rows(path, STABILITY_HEADER)
-    if meta is None:
-        raise DataError(f"{path}: missing metadata line")
-    cells = []
-    for no, (v1, v2, value, _, _) in rows:
-        with malformed(f"{path}:{no}"):
-            cells.append((v1, v2, float(value)))
-    axis1 = list(dict.fromkeys(c[0] for c in cells))
-    axis2 = list(dict.fromkeys(c[1] for c in cells))
-    with malformed(path):  # an incomplete grid fails the reshape
-        values = np.array([c[2] for c in cells]).reshape(len(axis1), len(axis2))
-        return StabilityGrid(
-            meta["axis1_name"], meta["axis2_name"], tuple(axis1), tuple(axis2),
-            values, np.isnan(values),
-        )
-
-
 TRANSFER_HEADER = ("id", "cluster")
 
 
@@ -388,12 +353,3 @@ def write_transfer_csv(path, ids, assignments, meta: dict | None = None) -> None
     """Rows `id,cluster`, one per encounter in input order."""
     rows = ([str(enc_id), str(int(label))] for enc_id, label in zip(ids, assignments))
     write_rows(path, TRANSFER_HEADER, rows, meta)
-
-
-def read_transfer_csv(path) -> list[tuple[str, int]]:
-    _, rows = read_rows(path, TRANSFER_HEADER)
-    out = []
-    for no, (enc_id, label) in rows:
-        with malformed(f"{path}:{no}"):
-            out.append((enc_id, int(label)))
-    return out

@@ -44,7 +44,8 @@ up, and streams them to the file in order.
 
 This module owns the stacked layout of a pair, the (2T, 2) rows of the first
 curve then the second (`_stack_rows`), and the alignment set-up: every entry
-point takes its row weights w, 1/T on every sample, from `_row_weights`.
+point packs with `_pack`, which checks one shared T, and the kernel takes
+the weight w = 1/T of every sample from the packed width 2T.
 """
 
 from __future__ import annotations
@@ -139,11 +140,6 @@ class DistanceMatrix:
         return int(self.entries.shape[0])
 
 
-def _row_weights(T: int) -> np.ndarray:
-    """Weights of the 2T rows of a stacked pair: 1/T on every sample of each curve."""
-    return np.full(2 * T, 1.0 / T)
-
-
 def _stack_rows(interaction: Interaction) -> np.ndarray:
     return np.concatenate([interaction.first.samples, interaction.second.samples])
 
@@ -153,28 +149,35 @@ def _rows_to_interaction(rows: np.ndarray, grid: np.ndarray) -> Interaction:
     return Interaction(Trajectory(rows[:half], grid), Trajectory(rows[half:], grid))
 
 
-def _pack(data: list[Interaction], w_row: np.ndarray):
-    """Jointly centred complex curves (n, 2T), their means (n,) and norms (n,)."""
-    rows = np.stack([_stack_rows(i) for i in data])
-    raw = rows[..., 0] + 1j * rows[..., 1]
-    # Row-wise sums rather than a BLAS matrix-vector product, so an interaction
-    # packs to the same bits in any batch and a coincident-point blob centres to 0.
-    # The row weights sum to 2 over both curves: the joint mean carries 1/2.
-    mean = 0.5 * (raw * w_row).sum(axis=1)
-    z = raw - mean[:, None]
-    return z, mean, ((z.real**2 + z.imag**2) * w_row).sum(axis=1)
+def _pack(*groups: list[Interaction]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per group: jointly centred complex curves (n, 2T), their means (n,) and
+    norms (n,).  Every interaction of every group must share one T."""
+    _shared_length([inter for group in groups for inter in group])
+    packed = []
+    for group in groups:
+        rows = np.stack([_stack_rows(i) for i in group])
+        raw = rows[..., 0] + 1j * rows[..., 1]
+        w = 1.0 / (raw.shape[1] // 2)
+        # Row-wise sums rather than a BLAS matrix-vector product, so an interaction
+        # packs to the same bits in any batch and a coincident-point blob centres
+        # to 0.  The weights sum to 2 over both curves: the joint mean carries 1/2.
+        mean = 0.5 * (raw * w).sum(axis=1)
+        z = raw - mean[:, None]
+        packed.append((z, mean, ((z.real**2 + z.imag**2) * w).sum(axis=1)))
+    return packed
 
 
 def _residual_sq(
-    zs: np.ndarray, ns: np.ndarray, zt: np.ndarray, nt: np.ndarray, w_row: np.ndarray
+    zs: np.ndarray, ns: np.ndarray, zt: np.ndarray, nt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The alignment kernel: every source (rows of zs) onto every target (rows of zt).
 
     Returns (m, p) arrays: the squared residual of source i optimally rotated
     and translated onto target j (no swap), and the rotation e^{i phi} doing it.
     """
+    w = 1.0 / (zs.shape[1] // 2)
     # not BLAS: results must not depend on the BLAS thread count
-    phase = np.einsum("ik,jk->ij", zs.conj() * w_row, zt)
+    phase = np.einsum("ik,jk->ij", zs.conj() * w, zt)
     size = np.abs(phase)
     np.divide(phase, size, out=phase, where=size > 0)
     phase[size == 0] = 1.0
@@ -184,7 +187,7 @@ def _residual_sq(
     for lo in range(0, near_i.size, _RECOMPUTE_CHUNK):
         i, j = near_i[lo : lo + _RECOMPUTE_CHUNK], near_j[lo : lo + _RECOMPUTE_CHUNK]
         diff = zt[j] - phase[i, j, None] * zs[i]
-        resid[i, j] = ((diff.real**2 + diff.imag**2) * w_row).sum(axis=1)
+        resid[i, j] = ((diff.real**2 + diff.imag**2) * w).sum(axis=1)
     return resid, phase
 
 
@@ -206,22 +209,16 @@ def _shared_length(data: list[Interaction]) -> int:
     return T
 
 
-def _packed(source: list[Interaction], target: list[Interaction]):
-    """The row weights, then `_pack` of the sources and of the targets."""
-    w = _row_weights(_shared_length([*source, *target]))
-    return w, _pack(source, w), _pack(target, w)
-
-
-def _both_orders(zs, ns, zt, nt, w_row):
+def _both_orders(zs, ns, zt, nt):
     """Kernel (residual, phase) of every source onto every target, unswapped
     and swapped."""
-    keep = _residual_sq(zs, ns, zt, nt, w_row)
+    keep = _residual_sq(zs, ns, zt, nt)
     # rolling by T puts each source's second curve first: the swapped pair order
-    swap = _residual_sq(np.roll(zs, zs.shape[1] // 2, axis=1), ns, zt, nt, w_row)
+    swap = _residual_sq(np.roll(zs, zs.shape[1] // 2, axis=1), ns, zt, nt)
     return keep, swap
 
 
-def _min_sq_rows(zs, ns, zt, nt, w_row, threads: int, upper: bool = False):
+def _min_sq_rows(zs, ns, zt, nt, threads: int, upper: bool = False):
     """Squared quotient distances, _BLOCK sources at a time, on up to
     `threads` threads from _POOL_MIN_PAIRS pairs up (outside a fork map
     worker), else in the calling thread.
@@ -233,7 +230,7 @@ def _min_sq_rows(zs, ns, zt, nt, w_row, threads: int, upper: bool = False):
 
     def block(lo):
         rows, cols = slice(lo, lo + _BLOCK), slice(lo if upper else 0, None)
-        (keep, _), (swap, _) = _both_orders(zs[rows], ns[rows], zt[cols], nt[cols], w_row)
+        (keep, _), (swap, _) = _both_orders(zs[rows], ns[rows], zt[cols], nt[cols])
         return lo, np.minimum(keep, swap)
 
     starts = range(0, len(zs), _BLOCK)
@@ -252,10 +249,9 @@ def align(target: Interaction, source: Interaction) -> tuple[Alignment, Interact
     Pair order is never permuted here; the returned Alignment always has
     swapped=False.  Minimizes rho^2 over SO(2) x R^2 in closed form.
     """
-    w = _row_weights(_shared_length([target, source]))
-    z, mean, norm = _pack([source, target], w)
-    _, phase = _residual_sq(z[:1], norm[:1], z[1:], norm[1:], w)
-    fit = _alignment(phase[0, 0], mean[0], mean[1], swapped=False)
+    (zt, mean_t, nt), (zs, mean_s, ns) = _pack([target], [source])
+    _, phase = _residual_sq(zs, ns, zt, nt)
+    fit = _alignment(phase[0, 0], mean_s[0], mean_t[0], swapped=False)
     return fit, fit.apply(source)
 
 
@@ -276,8 +272,8 @@ def distance_with_alignment(a: Interaction, b: Interaction) -> tuple[float, Alig
     `distance(a, b)` in its last bits.  Ties between the two orderings keep
     swapped=False.
     """
-    w, (zb, mean_b, nb), (za, mean_a, na) = _packed([b], [a])
-    (r_keep, ph_keep), (r_swap, ph_swap) = _both_orders(zb, nb, za, na, w)
+    (zb, mean_b, nb), (za, mean_a, na) = _pack([b], [a])
+    (r_keep, ph_keep), (r_swap, ph_swap) = _both_orders(zb, nb, za, na)
     swapped = bool(r_swap[0, 0] < r_keep[0, 0])
     phase = ph_swap[0, 0] if swapped else ph_keep[0, 0]
     dist = float(np.sqrt(min(r_keep[0, 0], r_swap[0, 0])))
@@ -298,11 +294,10 @@ def distance_matrix(
     the benchmark's trace times one thread.  The entries are the same bytes
     at any count.
     """
-    w = _row_weights(_shared_length(data))
-    z, _, norm = _pack(data, w)
+    [(z, _, norm)] = _pack(data)
     out = np.zeros((len(data), len(data)))
     threads = _workers.cpu_count() if workers is None else workers
-    for lo, block in _min_sq_rows(z, norm, z, norm, w, threads, upper=True):
+    for lo, block in _min_sq_rows(z, norm, z, norm, threads, upper=True):
         upper = np.triu(np.sqrt(block, out=block), 1)
         out[lo : lo + len(upper), lo:] = upper
         out[lo:, lo : lo + len(upper)] += upper.T
@@ -321,9 +316,9 @@ def cross_distance_matrix(left: list[Interaction], right: list[Interaction]) -> 
     every entry has the bits of one whole-matrix kernel call."""
     if not left or not right:
         raise InvalidInputError("need at least one interaction on each side")
-    w, (zs, _, ns), (zt, _, nt) = _packed(left, right)
+    (zs, _, ns), (zt, _, nt) = _pack(left, right)
     out = np.empty((len(left), len(right)))
-    for lo, block in _min_sq_rows(zs, ns, zt, nt, w, _workers.cpu_count()):
+    for lo, block in _min_sq_rows(zs, ns, zt, nt, _workers.cpu_count()):
         np.sqrt(block, out=out[lo : lo + len(block)])
     return out
 

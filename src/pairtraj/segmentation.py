@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import fmt_row, malformed, quoted, read_json, read_rows, write_json
+from .artifacts import fmt_row, quoted, write_json
 from .errors import InvalidInputError, NumericalError
 from .trajectory import _store, Interaction, from_table, resample, to_table
 
@@ -342,25 +342,6 @@ def segment_rows(enc_id: str, segments: list[Interaction]) -> list[str]:
     return lines
 
 
-def read_segments_csv(path) -> list[tuple[str, list[Interaction]]]:
-    _, rows = read_rows(path, SEGMENT_HEADER)
-    # (encounter id, segment index) -> line of its first row, and its rows
-    groups: dict[tuple[str, int], tuple[int, list[list[float]]]] = {}
-    for no, fields in rows:
-        with malformed(f"{path}:{no}"):
-            key = (fields[0], int(fields[1]))
-            groups.setdefault(key, (no, []))[1].append([float(v) for v in fields[2:]])
-    out: list[tuple[str, list[Interaction]]] = []
-    for key, (first, values) in groups.items():
-        with malformed(f"{path}:{first}"):
-            inter = from_table(np.array(values))
-        if out and out[-1][0] == key[0]:
-            out[-1][1].append(inter)
-        else:
-            out.append((key[0], [inter]))
-    return out
-
-
 def write_knots_json(path, entries, meta: dict | None = None) -> None:
     """entries: (encounter_id, ChangePointSet) pairs with the selected ε each."""
     payload = {
@@ -370,12 +351,3 @@ def write_knots_json(path, entries, meta: dict | None = None) -> None:
         }
     }
     write_json(path, payload, meta)
-
-
-def read_knots_json(path) -> list[tuple[str, ChangePointSet]]:
-    payload = read_json(path)
-    with malformed(path):
-        return [
-            (enc_id, ChangePointSet(tuple(entry["knots"]), entry["epsilon"]))
-            for enc_id, entry in sorted(payload["encounters"].items())
-        ]

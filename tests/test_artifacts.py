@@ -1,36 +1,41 @@
-"""Every public artifact reader fails the same way: a DataError naming the path.
+"""The artifact layer.
 
-Each reader is run on a missing file, on bytes that are no artifact at all,
-and on well-formed content that its type constructor or schema rejects; a
-fault in one row is reported with that row's line number in the file.
+Every artifact reader in the library fails the same way: a DataError naming
+the path.  Each one is run on a missing file, on bytes that are no artifact
+at all, and on well-formed content that its type constructor or schema
+rejects; a fault in one row is reported with that row's line number in the
+file.  Apart from distances.csv, the library reads back only what the
+program consumes, so the files written for people (segments, silhouettes,
+transfer, quality, stability, knots) have no reader of their own: tests read
+them back through `artifacts.read_rows` or `artifacts.read_json`.  Each
+writer replaces its file whole, and the next write removes a killed writer's
+partial file.
 """
 
 import functools
 import hashlib
+import os
 import re
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pairtraj
 from pairtraj import artifacts
 from pairtraj.clustering import read_model_json
 from pairtraj.errors import DataError
 from pairtraj.evaluation import (
-    read_quality_json,
-    read_silhouette_csv,
-    read_stability_csv,
-    read_transfer_csv,
+    SILHOUETTE_HEADER,
+    TRANSFER_HEADER,
     write_silhouette_csv,
     write_transfer_csv,
 )
 from pairtraj.mds import Embedding, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
-from pairtraj.segmentation import (
-    SEGMENT_HEADER,
-    read_knots_json,
-    read_segments_csv,
-    segment_rows,
-)
+from pairtraj.segmentation import SEGMENT_HEADER, segment_rows
 from pairtraj.trajectory import (
     CSV_HEADER,
     Interaction,
@@ -46,15 +51,9 @@ READERS = {
     "read_rows": functools.partial(artifacts.read_rows, header=("a", "b")),
     "read_arrays": lambda path: artifacts.read_arrays(path, b"PTXX", "f8"),
     "read_model_json": read_model_json,
-    "read_quality_json": read_quality_json,
-    "read_silhouette_csv": read_silhouette_csv,
-    "read_stability_csv": read_stability_csv,
     "read_matrix_csv": read_matrix_csv,
     "read_matrix_binary": read_matrix_binary,
     "read_embedding_binary": read_embedding_binary,
-    "read_segments_csv": read_segments_csv,
-    "read_knots_json": read_knots_json,
-    "read_transfer_csv": read_transfer_csv,
     "read_encounters_csv": read_encounters_csv,
     "read_encounters_binary": read_encounters_binary,
 }
@@ -97,80 +96,49 @@ def _nan_embedding(tmp_path) -> bytes:
     return path.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes()
 
 
-# reader, file content, and the `:line` the error must name ("" for none)
-REJECTED = [
-    ("read_json", "[1]\n", ""),
-    ("read_rows", "a,b\n1,2\n1,2,3\n", ":3:"),
-    ("read_rows", "# [1]\na,b\n1,2\n", ":1:"),
-    ("read_rows", "a,c\n1,2\n", ":1:"),
-    (
+# reader, file content, and the `:line` the error must name ("" for none), under
+# a case number that names the test and stays with the case
+REJECTED = {
+    0: ("read_json", "[1]\n", ""),
+    1: ("read_rows", "a,b\n1,2\n1,2,3\n", ":3:"),
+    2: ("read_rows", "# [1]\na,b\n1,2\n", ":1:"),
+    3: ("read_rows", "a,c\n1,2\n", ":1:"),
+    4: (
         "read_model_json",
         '{"method": "nope", "k": 1, "seed": 0, "objective": 0.0,'
         ' "assignments": [0], "representatives": []}\n',
         "",
     ),
-    ("read_model_json", '{"method": "mds", "k": 2}\n', ""),
-    (
-        "read_quality_json",
-        '{"total_within": 0, "per_cluster_within": [0], "per_cluster_between": [0],'
-        ' "within_variance": [0], "between_variance": [0], "silhouettes": [2.0],'
-        ' "cluster_sizes": [1]}\n',
-        "",
-    ),
-    ("read_silhouette_csv", '# {"seed": 1}\nid,cluster,silhouette\na,0,0.5\nb,0,oops\n', ":4:"),
-    ("read_silhouette_csv", "id,cluster,silhouette\na,0\n", ":2:"),
-    ("read_stability_csv", "# [1]\naxis1,axis2,value,delta1,delta2\n2,2,1.0,nan,nan\n", ":1:"),
-    ("read_stability_csv", "axis1,axis2,value,delta1,delta2\n2,2,1.0,nan,nan\n", ""),
-    (
-        "read_stability_csv",
-        '# {"axis1_name": "k", "axis2_name": "beta"}\naxis1,axis2,value,delta1,delta2\n'
-        "2,2,-1.0,nan,nan\n",
-        "",
-    ),
-    (
-        "read_stability_csv",
-        '# {"axis1_name": "k", "axis2_name": "beta"}\naxis1,axis2,value,delta1,delta2\n'
-        "2,2,1.0,nan,nan\n3,3,x,nan,nan\n",
-        ":4:",
-    ),
-    ("read_matrix_csv", "2\n0,1\n2,0\n", ""),
-    ("read_matrix_csv", '# {"seed": 1}\n2\n0,1\n1,x\n', ":4:"),
-    ("read_matrix_csv", "2\n0,1\n1\n", ":3:"),
-    ("read_matrix_csv", "two\n0,1\n1,0\n", ":1:"),
-    ("read_matrix_binary", _matrix_blob([[0.0, np.nan], [np.nan, 0.0]]), ""),
-    ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [2.0, 0.0]]), ""),
-    ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [1.0, 0.0]])[:-8], ""),
-    ("read_embedding_binary", _nan_embedding, ""),
-    (
-        "read_segments_csv",
-        "encounter_id,segment_index,t,x1,y1,x2,y2\n"
-        "a,0,0,0,0,0,0\na,0,1,0,0,0,0\nb,0,1,0,0,0,0\nb,0,0.5,0,0,0,0\n",
-        ":4:",
-    ),
-    ("read_segments_csv", "encounter_id,segment_index,t,x1,y1,x2,y2\na,zero,0,0,0,0,0\n", ":2:"),
-    ("read_knots_json", '{"encounters": {"a": {"knots": [5, 3], "epsilon": 1.0}}}\n', ""),
-    ("read_transfer_csv", '# {"seed": 1}\nid,cluster\na,0\nb,x\n', ":4:"),
-    ("read_encounters_csv", "encounter_id,t,x1,y1,x2,y2\na,0,1,2,3,4\na,1,inf,2,3,4\n", ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [2], [[0, 1, 2, 3, 4], [1, np.nan, 2, 3, 4]]), ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [2], [[1, 1, 2, 3, 4], [0, 1, 2, 3, 4]]), ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS)[:-8], ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS) + b"\x00", ""),
-    ("read_encounters_binary", _encounters_blob([b"a", b"b"], [1, 1], _TWO_ROWS), ""),
-    ("read_encounters_binary", _encounters_blob([b"a", b"a"], [2, 2], _TWO_ROWS * 2), ""),
-    ("read_encounters_binary", _encounters_blob([b"\xff"], [2], _TWO_ROWS), ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=-1), ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=1 << 40), ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=1 << 62), ""),
-    ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [1.0, 0.0]]) + b"\x00", ""),
-    ("read_matrix_binary", _arrays_blob(b"PTD2", np.zeros(3)), ""),
-    ("read_matrix_binary", b"PTD2\x01\x00\x00\x00", ""),
-    ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([0, 0, 3]), np.zeros(3)), ""),
-    ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([1]), np.zeros(3)), ""),
-    ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([1, 0]), np.zeros(0)), ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [2, 0], _TWO_ROWS), ""),
-    ("read_encounters_binary", _encounters_blob([b"a"], [3], _TWO_ROWS), ""),
-    ("read_encounters_binary", _encounters_blob([b"a", b"b"], [4, -2], _TWO_ROWS), ""),
-]
+    5: ("read_model_json", '{"method": "mds", "k": 2}\n', ""),
+    13: ("read_matrix_csv", "2\n0,1\n2,0\n", ""),
+    14: ("read_matrix_csv", '# {"seed": 1}\n2\n0,1\n1,x\n', ":4:"),
+    15: ("read_matrix_csv", "2\n0,1\n1\n", ":3:"),
+    16: ("read_matrix_csv", "two\n0,1\n1,0\n", ":1:"),
+    17: ("read_matrix_binary", _matrix_blob([[0.0, np.nan], [np.nan, 0.0]]), ""),
+    18: ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [2.0, 0.0]]), ""),
+    19: ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [1.0, 0.0]])[:-8], ""),
+    20: ("read_embedding_binary", _nan_embedding, ""),
+    25: ("read_encounters_csv", "encounter_id,t,x1,y1,x2,y2\na,0,1,2,3,4\na,1,inf,2,3,4\n", ""),
+    26: ("read_encounters_binary", _encounters_blob([b"a"], [2], [[0, 1, 2, 3, 4], [1, np.nan, 2, 3, 4]]), ""),
+    27: ("read_encounters_binary", _encounters_blob([b"a"], [2], [[1, 1, 2, 3, 4], [0, 1, 2, 3, 4]]), ""),
+    28: ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS)[:-8], ""),
+    29: ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS) + b"\x00", ""),
+    30: ("read_encounters_binary", _encounters_blob([b"a", b"b"], [1, 1], _TWO_ROWS), ""),
+    31: ("read_encounters_binary", _encounters_blob([b"a", b"a"], [2, 2], _TWO_ROWS * 2), ""),
+    32: ("read_encounters_binary", _encounters_blob([b"\xff"], [2], _TWO_ROWS), ""),
+    33: ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=-1), ""),
+    34: ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=1 << 40), ""),
+    35: ("read_encounters_binary", _encounters_blob([b"a"], [2], _TWO_ROWS, count=1 << 62), ""),
+    36: ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [1.0, 0.0]]) + b"\x00", ""),
+    37: ("read_matrix_binary", _arrays_blob(b"PTD2", np.zeros(3)), ""),
+    38: ("read_matrix_binary", b"PTD2\x01\x00\x00\x00", ""),
+    39: ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([0, 0, 3]), np.zeros(3)), ""),
+    40: ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([1]), np.zeros(3)), ""),
+    41: ("read_embedding_binary", _arrays_blob(b"PTM2", np.array([1, 0]), np.zeros(0)), ""),
+    42: ("read_encounters_binary", _encounters_blob([b"a"], [2, 0], _TWO_ROWS), ""),
+    43: ("read_encounters_binary", _encounters_blob([b"a"], [3], _TWO_ROWS), ""),
+    44: ("read_encounters_binary", _encounters_blob([b"a", b"b"], [4, -2], _TWO_ROWS), ""),
+}
 
 
 def _error(reader, path) -> str:
@@ -193,7 +161,9 @@ def test_garbage_bytes(tmp_path, reader):
 
 
 @pytest.mark.parametrize(
-    "reader, content, line", REJECTED, ids=[f"{r}-{i}" for i, (r, _, _) in enumerate(REJECTED)]
+    "reader, content, line",
+    REJECTED.values(),
+    ids=[f"{r}-{i}" for i, (r, _, _) in REJECTED.items()],
 )
 def test_rejected_content(tmp_path, reader, content, line):
     if callable(content):
@@ -334,18 +304,23 @@ def test_segments_round_trip_awkward_ids(tmp_path):
     segmented = [(enc_id, [_inter(4, i), _inter(6, -i)]) for i, enc_id in enumerate(AWKWARD_IDS)]
     lines = [line for enc_id, segs in segmented for line in segment_rows(enc_id, segs)]
     artifacts.write_rows(path, SEGMENT_HEADER, lines, {"seed": 1})
-    back = read_segments_csv(path)
-    assert [(enc_id, len(segs)) for enc_id, segs in back] == [(i, 2) for i in AWKWARD_IDS]
-    assert back[1][1][1].second.samples.tolist() == segmented[1][1][1].second.samples.tolist()
+    assert path.read_text().split("\n")[2:-1] == lines
+    _, rows = artifacts.read_rows(path, SEGMENT_HEADER)
+    keys = [(enc_id, index) for enc_id, segs in segmented for index in ("0", "1")]
+    assert list(dict.fromkeys(tuple(fields[:2]) for _, fields in rows)) == keys
+
+
+def _ids_and_clusters(path, header):
+    return [tuple(fields[:2]) for _, fields in artifacts.read_rows(path, header)[1]]
 
 
 def test_silhouette_and_transfer_round_trip_awkward_ids(tmp_path):
     labels = [0, 1, 0, 1, 1, 0, 1, 0]
+    expected = [(enc_id, str(label)) for enc_id, label in zip(AWKWARD_IDS, labels)]
     write_silhouette_csv(tmp_path / "sil.csv", AWKWARD_IDS, labels, [0.5] * 8, {"seed": 1})
-    ids, clusters, _ = read_silhouette_csv(tmp_path / "sil.csv")
-    assert sorted(zip(ids, clusters.tolist())) == sorted(zip(AWKWARD_IDS, labels))
+    assert sorted(_ids_and_clusters(tmp_path / "sil.csv", SILHOUETTE_HEADER)) == sorted(expected)
     write_transfer_csv(tmp_path / "transfer.csv", AWKWARD_IDS, labels, {"seed": 1})
-    assert read_transfer_csv(tmp_path / "transfer.csv") == list(zip(AWKWARD_IDS, labels))
+    assert _ids_and_clusters(tmp_path / "transfer.csv", TRANSFER_HEADER) == expected
 
 
 def _one_row_then_disk_full():
@@ -375,6 +350,54 @@ def test_failed_write_keeps_earlier_file(tmp_path, writer):
         write(path)
     assert path.read_bytes() == b"earlier bytes\n"
     assert [leaf.name for leaf in tmp_path.iterdir()] == ["artifact"]
+
+
+# writes one row, then kills its own process inside the row generator
+_KILLED_WRITER = """
+import os, signal, sys
+import pairtraj
+from pairtraj import artifacts
+
+def rows():
+    yield ["1", "2"]
+    os.kill(os.getpid(), signal.SIGKILL)
+
+artifacts.write_rows(sys.argv[1], ("a", "b"), rows())
+"""
+
+
+def test_next_write_sweeps_a_killed_writers_partial_file(tmp_path):
+    src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_WRITER, str(tmp_path / "killed.csv")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+    )
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    [partial] = os.listdir(tmp_path)
+    assert re.fullmatch(r"killed\.csv\.[0-9]+\.tmp", partial)
+    # a live writer's partial file, one of a pid past the C range, and names
+    # that are no partial file
+    kept = [f"x.{os.getppid()}.tmp", f"w.{10**30}.tmp", "notes.tmp", "y.12a.tmp", "z.1.tmp.csv"]
+    for name in kept:
+        (tmp_path / name).write_bytes(b"")
+    artifacts.write_rows(tmp_path / "next.csv", ("a", "b"), [["3", "4"]])
+    assert sorted(os.listdir(tmp_path)) == sorted(["next.csv", *kept])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_next_write_sweeps_a_zombie_writers_partial_file(tmp_path):
+    # a killed run orphaned to an init that reaps late lingers as a zombie,
+    # which os.kill(pid, 0) still finds
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    try:
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
+        (tmp_path / f"killed.csv.{pid}.tmp").write_bytes(b"a,b\n1,2\n")
+        artifacts.write_rows(tmp_path / "next.csv", ("a", "b"), [["3", "4"]])
+        assert os.listdir(tmp_path) == ["next.csv"]
+    finally:
+        os.waitpid(pid, 0)
 
 
 def test_unwritable_path_is_data_error(tmp_path):

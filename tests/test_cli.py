@@ -21,9 +21,9 @@ import pairtraj
 from pairtraj import __version__, artifacts, cli, mds, segmentation, workers
 from pairtraj.cli import _build_parser, _resolve_config, main
 from pairtraj.clustering import read_model_json
-from pairtraj.evaluation import read_transfer_csv
+from pairtraj.evaluation import TRANSFER_HEADER
 from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
-from pairtraj.segmentation import read_segments_csv
+from pairtraj.segmentation import SEGMENT_HEADER
 from pairtraj.synthetic import make_encounter_dataset
 from pairtraj.trajectory import (
     Interaction,
@@ -686,12 +686,18 @@ class TestWassersteinTransfer:
             "--input", dataset, "--output-dir", out,
             "--set", "num_samples=31", "--seed", "3",
         ) == 0
-        rows = read_transfer_csv(os.path.join(out, "transfer.csv"))
+        _, rows = artifacts.read_rows(os.path.join(out, "transfer.csv"), TRANSFER_HEADER)
         model = read_model_json(os.path.join(workdir, "model.json"))
         # training points sit nearest their own cluster's representative here
-        assert [label for _, label in rows] == model.assignments.tolist()
+        assert [int(label) for _, (_, label) in rows] == model.assignments.tolist()
         ids = read_encounters_csv(dataset)
-        assert [enc_id for enc_id, _ in rows] == [enc_id for enc_id, _ in ids]
+        assert [enc_id for _, (enc_id, _) in rows] == [enc_id for enc_id, _ in ids]
+
+
+def _segment_ids(path):
+    """The encounter ids of segments.csv, in file order."""
+    _, rows = artifacts.read_rows(path, SEGMENT_HEADER)
+    return list(dict.fromkeys(fields[0] for _, fields in rows))
 
 
 class TestSegmentCommand:
@@ -723,8 +729,7 @@ class TestSegmentCommand:
         assert [enc_id for enc_id, _ in read_encounters_csv(dataset)] == ids
         out = str(tmp_path / "seg")
         assert run("segment", "--input", dataset, "--output-dir", out, "--seed", "4") == 0
-        segmented = read_segments_csv(os.path.join(out, "segments.csv"))
-        assert [enc_id for enc_id, _ in segmented] == ids
+        assert _segment_ids(os.path.join(out, "segments.csv")) == ids
 
     def test_failed_write_keeps_earlier_artifact(self, tmp_path, monkeypatch):
         out = str(tmp_path / "seg")
@@ -772,8 +777,9 @@ class TestSegmentCommand:
             }
         assert files["c"] == files["utf8"]
         assert len(files["c"]) == 3  # segments, knots and the encounter cache
-        segmented = read_segments_csv(str(tmp_path / "c" / "segments.csv"))
-        assert [enc_id for enc_id, _ in segmented] == ["caf\u00e9-enc-000", "caf\u00e9-enc-001"]
+        assert _segment_ids(tmp_path / "c" / "segments.csv") == [
+            "caf\u00e9-enc-000", "caf\u00e9-enc-001"
+        ]
 
 
 def _pooled_input(path, count=20, num_samples=121, short=()):
@@ -1193,7 +1199,7 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == []
 
     def test_restarts_beyond_spawn_rejected(self, workdir, tmp_path, capsys):
-        # never a count that could be spawned: 10**30 overflows a C long
+        # never a count that could run: 10**30 is far past the bound
         code = run(
             "cluster", "--method", "geo2", "--input", os.path.join(workdir, "dataset.csv"),
             "--output-dir", str(tmp_path), "--set", f"n_init={10**30}",
@@ -1202,6 +1208,25 @@ class TestExitCodes:
         [line] = capsys.readouterr().err.splitlines()
         assert "n_init must be at most" in line
         assert not os.path.exists(tmp_path / "model.json")
+
+    def test_restarts_past_the_bound_rejected(self, workdir, tmp_path, capsys, caplog):
+        dataset = os.path.join(workdir, "dataset.csv")
+        code = run(
+            "cluster", "--method", "geo2", "--input", dataset,
+            "--output-dir", str(tmp_path), "--set", "n_init=10001",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "pairtraj: n_init must be at most 10000\n"
+        assert not os.path.exists(tmp_path / "model.json")
+        with caplog.at_level(logging.WARNING):
+            assert run(
+                "stability", "--method", "geo2", "--input", dataset, "--output-dir",
+                str(tmp_path), "--grid", "k=2,3;n_init=2,10001", "--set", "num_samples=31",
+            ) == 0
+        [record] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert "2 of 4 cell(s) missing (k=2 n_init=10001, k=3 n_init=10001)" in (
+            record.getMessage()
+        )
 
     def test_k_beyond_dataset_rejected(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")

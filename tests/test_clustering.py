@@ -7,6 +7,7 @@ import pytest
 
 from pairtraj.clustering import (
     ClusterModel,
+    _check_restarts,
     _cubic_features,
     _kmeans,
     _repair_empty,
@@ -180,7 +181,7 @@ class TestClusterMds:
             cluster_mds(data, D, beta=2, k=4, seed=0)
 
 
-    # 10**30 restarts overflow `Generator.spawn`'s C long
+    # 10**30 restarts is far past the bound
     @pytest.mark.parametrize("k, n_init", [(7, 1), (2, 0), (2, 10**30)])
     def test_bad_parameters_rejected_before_embedding(self, k, n_init):
         data, _ = planted(np.random.default_rng(5), per_family=2)
@@ -210,6 +211,12 @@ class TestFit:
             assert model.method == method
             assert np.array_equal(model.assignments, direct.assignments)
             assert model.objective == direct.objective
+
+    def test_restart_bound(self):
+        # the bound alone: never run that many restarts
+        _check_restarts(5, 2, 10_000, 1)
+        with pytest.raises(InvalidInputError, match="n_init must be at most 10000"):
+            _check_restarts(5, 2, 10_001, 1)
 
     @pytest.mark.parametrize("method", ["geo1", "geo2", "spline-coef"])
     def test_restarts_beyond_spawn_rejected(self, method):

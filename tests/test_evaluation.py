@@ -1,20 +1,20 @@
-import json
 import logging
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pairtraj import mds
+from pairtraj.artifacts import read_json, read_rows
 from pairtraj.clustering import ClusterModel, cluster_geo2, cluster_mds
-from pairtraj.errors import DataError, InvalidInputError
+from pairtraj.errors import InvalidInputError
 from pairtraj.evaluation import (
+    SILHOUETTE_HEADER,
+    STABILITY_HEADER,
     QualityReport,
     StabilityGrid,
     quality,
-    read_quality_json,
-    read_silhouette_csv,
-    read_stability_csv,
     silhouette,
     stability_statistic,
     stability_sweep,
@@ -419,13 +419,11 @@ class TestSerialization:
         report = quality(data, model, D)
         path = tmp_path / "quality.json"
         write_quality_json(path, report, meta={"method": "mds"})
-        loaded = read_quality_json(path)
-        assert loaded.total_within == report.total_within
-        assert np.array_equal(loaded.per_cluster_within, report.per_cluster_within)
-        assert np.array_equal(loaded.silhouettes, report.silhouettes)
-        payload = json.loads(path.read_text())
-        assert payload["variance_convention"] == "sample (ddof=1)"
-        assert payload["meta"] == {"method": "mds"}
+        payload = read_json(path)
+        # every field under its own name, bit for bit
+        for field in fields(QualityReport):
+            assert payload.pop(field.name) == np.asarray(getattr(report, field.name)).tolist()
+        assert payload == {"variance_convention": "sample (ddof=1)", "meta": {"method": "mds"}}
 
     def test_silhouette_csv_ordering_and_round_trip(self, tmp_path):
         path = tmp_path / "sil.csv"
@@ -436,10 +434,11 @@ class TestSerialization:
             [0.5, 0.25, 0.75, -0.5],
             meta={"k": 2},
         )
-        ids, clusters, scores = read_silhouette_csv(path)
-        assert ids == ["e2", "e1", "e3", "e4"]
-        assert clusters.tolist() == [0, 0, 1, 1]
-        assert scores.tolist() == [0.75, 0.25, 0.5, -0.5]
+        meta, rows = read_rows(path, SILHOUETTE_HEADER)
+        assert meta == {"k": 2}
+        assert [fields for _, fields in rows] == [
+            ["e2", "0", "0.75"], ["e1", "0", "0.25"], ["e3", "1", "0.5"], ["e4", "1", "-0.5"],
+        ]
         assert path.read_text().startswith('# {"k": 2}')
 
     def test_stability_csv_round_trip(self, tmp_path):
@@ -448,11 +447,15 @@ class TestSerialization:
         grid = stability_sweep(data, D, "mds", "beta", [2, 3], "k", [3, 50], seed=0)
         path = tmp_path / "stability.csv"
         write_stability_csv(path, grid, meta={"seed": 0})
-        loaded = read_stability_csv(path)
-        assert loaded.axis1_name == "beta" and loaded.axis2_name == "k"
-        assert np.array_equal(loaded.values, grid.values, equal_nan=True)
-        assert np.array_equal(loaded.missing, grid.missing)
-        assert loaded.axis1_values == ("2", "3")
+        meta, rows = read_rows(path, STABILITY_HEADER)
+        assert meta == {"seed": 0, "axis1_name": "beta", "axis2_name": "k"}
+        assert [fields[:2] for _, fields in rows] == [
+            ["2", "3"], ["2", "50"], ["3", "3"], ["3", "50"],
+        ]
+        values = np.array([float(fields[2]) for _, fields in rows]).reshape(2, 2)
+        assert np.array_equal(values, grid.values, equal_nan=True)
+        # a missing cell is written as NaN
+        assert grid.missing.any() and np.array_equal(np.isnan(values), grid.missing)
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError, match="NaN"):

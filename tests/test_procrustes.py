@@ -25,7 +25,6 @@ from pairtraj.procrustes import (
     _BLOCK,
     _both_orders,
     _pack,
-    _row_weights,
 )
 from pairtraj.synthetic import family_interaction
 from pairtraj.trajectory import Interaction, Trajectory
@@ -485,10 +484,8 @@ class TestRowBlocks:
         return data
 
     def unblocked(self, source, target):
-        w = _row_weights(self.T)
-        zs, _, ns = _pack(source, w)
-        zt, _, nt = _pack(target, w)
-        (keep, _), (swap, _) = _both_orders(zs, ns, zt, nt, w)
+        (zs, _, ns), (zt, _, nt) = _pack(source, target)
+        (keep, _), (swap, _) = _both_orders(zs, ns, zt, nt)
         return np.sqrt(np.minimum(keep, swap))
 
     def check_matrix(self, data, threads):
