@@ -16,17 +16,18 @@ seed, the SMACOF constants and the tool version, so `cluster` and
 `stability` share one embedding per (matrix, beta, seed).  Cache files are
 written atomically and rebuilt when unreadable.
 
-Four subcommands fork through `workers.fork_map`, up to one process per
-CPU in the affinity mask (`workers.cpu_count`): `distances`, from 2^16
-matrix entries up, formats its distances.csv lines that way; `segment` cuts
-its encounters and formats their segments.csv lines that way; `cluster
---method mds` and `stability --method mds` run the SMACOF runs of each
-embedding that way; and `stability` with any other method fits its grid
-cells that way.  From 2^16 pairs up, every distance matrix computed runs
-its row blocks on one thread per CPU.  Each job's result is deterministic,
-so every artifact is the same bytes at any CPU count.  Python 3.12 and
-later emit a DeprecationWarning when a process holding OpenBLAS threads
-forks.
+Four subcommands map jobs over `workers.fork_map`, which forks up to one
+worker per CPU in the affinity mask (`workers.cpu_count`) once it has two
+jobs: `distances` formats its distances.csv lines that way; `segment` cuts
+its encounters and formats their segments.csv lines that way, streaming
+them to the file in input order; `cluster --method mds` and `stability
+--method mds` run the SMACOF runs of each embedding that way; and
+`stability` with any other method fits its grid cells that way.  An mds
+stability grid's cells stay in this process.  From 2^16 pairs up, every
+distance matrix computed runs its row blocks on one thread per CPU.  Each
+job's result is deterministic, so every artifact is the same bytes at any
+CPU count.  Python 3.12 and later emit a DeprecationWarning when a process
+holding OpenBLAS threads forks.
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
 4 numerical failure, out of memory or a killed worker process, 130
@@ -84,7 +85,7 @@ from .trajectory import (
     write_encounters_csv,
 )
 from .transport import DiscreteMeasure, empirical_measure, model_measure, wasserstein
-from .workers import WorkerDied, cpu_count, fork_map
+from .workers import WorkerDied, fork_map
 
 
 def _meta(config: RunConfig) -> dict:
@@ -198,11 +199,6 @@ def cmd_generate(config: RunConfig, args) -> None:
     print(csv_path, manifest_path, sep="\n")
 
 
-# from this many raw samples in all, `segment` forks its workers; below it
-# forking and joining them costs about what they save
-_POOL_MIN_SAMPLES = 2000
-
-
 def _segment_one(where, enc_id, inter, epsilons, num_samples):
     """The segments.csv lines and the knots of one raw encounter of the input
     `where`."""
@@ -212,28 +208,28 @@ def _segment_one(where, enc_id, inter, epsilons, num_samples):
     return segment_rows(enc_id, segments), knots
 
 
-def _segment_all(where, encounters, epsilons, num_samples) -> list:
-    """The segments.csv lines and the knots of every (id, interaction)
-    encounter, in input order; the error of the first failing encounter is
-    raised.  From `_POOL_MIN_SAMPLES` samples up they go on
-    `workers.fork_map`, so the workers format the lines too."""
-    pooled = sum(len(inter) for _, inter in encounters) >= _POOL_MIN_SAMPLES
-    return fork_map(
-        lambda encounter: _segment_one(where, *encounter, epsilons, num_samples),
-        encounters, cpu_count() if pooled else 1,
-    )
-
-
 def cmd_segment(config: RunConfig, args) -> None:
     encounters, _ = _read_input(config, config.input)
     epsilons = config.epsilons if config.epsilons else None
-    results = _segment_all(config.input, encounters, epsilons, config.num_samples)
-    ids = [enc_id for enc_id, _ in encounters]
+    knots = []  # (id, knots) of each encounter cut so far
+
+    def lines():
+        """The segments.csv lines of every encounter, cut on `workers.fork_map`
+        so the workers format them too, in input order; the error of the
+        first failing encounter is raised."""
+        results = fork_map(
+            lambda encounter: _segment_one(config.input, *encounter, epsilons, config.num_samples),
+            encounters,
+        )
+        for (enc_id, _), (rows, enc_knots) in zip(encounters, results):
+            knots.append((enc_id, enc_knots))
+            yield from rows
+
     meta = _meta(config)
     seg_path = _out(config, "segments.csv")
-    write_rows(seg_path, SEGMENT_HEADER, (line for rows, _ in results for line in rows), meta)
+    write_rows(seg_path, SEGMENT_HEADER, lines(), meta)
     knots_path = _out(config, "knots.json")
-    write_knots_json(knots_path, [(i, knots) for i, (_, knots) in zip(ids, results)], meta=meta)
+    write_knots_json(knots_path, knots, meta=meta)
     print(seg_path, knots_path, sep="\n")
 
 

@@ -26,7 +26,7 @@ from .clustering import ClusterModel
 from .errors import InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
 from .trajectory import _store, Interaction, resample
-from .workers import cpu_count, fork_map
+from .workers import fork_map
 
 _log = logging.getLogger(__name__)
 
@@ -218,14 +218,14 @@ def stability_sweep(
     Every cell is one `clustering.fit` with the parameters in `base`, the
     cell's axis values overriding them, and the same seed; the statistic is
     always evaluated on the supplied true distance matrix.  The cells go on
-    `workers.fork_map`, up to one process per CPU in the affinity mask
-    (`workers.cpu_count`), and their results come in row-major order; cells
-    that raise a package error are reported as missing, not fatal, and one
-    warning names them and the first error.  For mds the embedding depends
-    only on (matrix, beta, seed), so a memo embeds each distinct beta once,
-    on first use, and keeps the error of a beta whose embedding fails, which
-    marks all of its cells missing; mds cells run in this process, beside
-    the memo.
+    `workers.fork_map`, which forks up to one worker per CPU in the affinity
+    mask (`workers.cpu_count`) once it has two jobs, and their results come
+    in row-major order; cells that raise a package error are reported as
+    missing, not fatal, and one warning names them and the first error.  For
+    mds the embedding depends only on (matrix, beta, seed), so a memo embeds
+    each distinct beta once, on first use, and keeps the error of a beta
+    whose embedding fails, which marks all of its cells missing; an mds
+    grid's cells stay in this process, beside the memo.
     `embed(matrix, beta, seed)` supplies it; `mds.embed` when None.
     """
     params = clustering.tuning_parameters(method)
@@ -270,7 +270,7 @@ def stability_sweep(
     cells = [(v1, v2) for v1 in axis1_values for v2 in axis2_values]
     # an mds cell only runs k-means on an embedding computed once per beta
     # here, so it stays in this process
-    outcomes = fork_map(run_cell, cells, 1 if method == "mds" else cpu_count())
+    outcomes = list((map if method == "mds" else fork_map)(run_cell, cells))
     values = np.full((len(axis1_values), len(axis2_values)), np.nan)
     missing = np.ones_like(values, dtype=bool)
     failed = []  # (cell, error) of each missing cell, in row-major order

@@ -10,9 +10,9 @@ so the reported value is monotone over iterations.
 
 Each run writes its steps into (n, n) buffers of its own and reads one
 shared, read-only -D.  The runs are independent, so at every n they go on
-`workers.fork_map`, up to one process per CPU; their starts are
-drawn, and the winner picked, in run order, so the output is the same bytes
-at any CPU count.
+`workers.fork_map`, which forks up to one worker per CPU once it has two
+jobs; their starts are drawn, and the winner picked, in run order, so the
+output is the same bytes at any CPU count.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .artifacts import malformed, read_arrays, write_arrays
 from .errors import InvalidInputError, NumericalError
 from .procrustes import DistanceMatrix
 from .trajectory import _store
-from .workers import cpu_count, fork_map, one_blas_thread
+from .workers import fork_map, one_blas_thread
 
 _log = logging.getLogger(__name__)
 _REL_TOL = 1e-8
@@ -193,12 +193,12 @@ def embed(
 
     The restarts count only when the refined spectral run has positive
     stress; otherwise the spectral run alone is returned.  Every run's start
-    is drawn up front, and at every n the runs go on `workers.fork_map`, up
-    to one process per CPU in this process's affinity mask
-    (`workers.cpu_count`), all under one pinned BLAS thread count; the
-    points, stress, iterations and best_run are the same bytes at any CPU
-    count.  A spectral start that LAPACK cannot compute raises
-    NumericalError.
+    is drawn up front, and at every n the runs go on `workers.fork_map`,
+    which forks up to one worker per CPU in this process's affinity mask
+    (`workers.cpu_count`) once it has two jobs, all under one pinned BLAS
+    thread count; the points, stress, iterations and best_run are the same
+    bytes at any CPU count.  A spectral start that LAPACK cannot compute
+    raises NumericalError.
     """
     n = matrix.n
     if not isinstance(beta, (int, np.integer)) or not 1 <= beta <= n - 1:
@@ -217,9 +217,7 @@ def embed(
             rng = np.random.default_rng(seed)
             scale = float(positive.mean())
             starts += [rng.normal(size=(n, beta)) * scale for _ in range(n_restarts)]
-        runs = fork_map(
-            lambda start: _smacof(start, neg_deltas, max_iter), starts, cpu_count()
-        )
+        runs = list(fork_map(lambda start: _smacof(start, neg_deltas, max_iter), starts))
     if not runs[0][1] > 0.0:
         runs = runs[:1]
     # the first run of least stress wins, so ties keep the earlier run

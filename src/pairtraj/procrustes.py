@@ -39,8 +39,9 @@ releases the GIL, and the calling thread places each block in block order.
 Smaller problems, and every problem inside a `workers.fork_map` worker, run
 their blocks in the calling thread.  Since an entry's bits do not depend on
 its block, the matrices are the same bytes on any number of threads.
-`write_matrix_csv` formats its rows on `workers.fork_map` from the same size
-up, and streams them to the file in order.
+`write_matrix_csv` formats its rows in jobs of _CSV_JOB entries on
+`workers.fork_map`, which forks up to one worker per CPU once it has two
+jobs, and streams them to the file in order.
 
 This module owns the stacked layout of a pair, the (2T, 2) rows of the first
 curve then the second (`_stack_rows`), and the alignment set-up: every entry
@@ -57,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers as _workers
-from .artifacts import fmt_row, malformed, read_arrays, read_rows, write_arrays, write_rows
-from .errors import DataError, InvalidInputError
+from .artifacts import fmt_row, malformed, read_arrays, write_arrays, write_rows
+from .errors import InvalidInputError
 from .trajectory import _store, Interaction, Trajectory
 
 _MAGIC = b"PTD2"
@@ -71,14 +72,13 @@ _RECOMPUTE_CHUNK = 256
 _BLOCK = 64
 # From this many (source, target) pairs up the blocks run on threads: pool
 # threads raised the peak RSS of the small cross matrices of `evaluate` and
-# `wasserstein`.  From this many matrix entries up the CSV rows are formatted
-# on the fork map: on 2 CPUs a two-job fork lost at n=200 (13.9 -> 15.6 ms)
-# and won at n=240 (19.8 -> 16.1 ms) and n=256 (22.3 -> 15.4 ms)
+# `wasserstein`
 _POOL_MIN_PAIRS = 1 << 16
-# Entries formatted per fork map job, and per fork map call, whose text is
-# held until it is written
+# Entries formatted per fork map job, so from n=182 up a matrix is two jobs
+# or more and forked workers format all rows after the first job's: on 2
+# CPUs that lost 3 to 5 ms at n=182 and up to 8 ms at n=200, and won 8 to
+# 11 ms at n=240 (medians of 100 interleaved calls, in three runs)
 _CSV_JOB = 1 << 15
-_CSV_CALL = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,42 +326,18 @@ def cross_distance_matrix(left: list[Interaction], right: list[Interaction]) -> 
 def write_matrix_csv(path, matrix: DistanceMatrix, meta: dict | None = None) -> None:
     """Text form: optional `#` metadata line, a header line holding n, then n rows.
 
-    From _POOL_MIN_PAIRS entries up the rows are formatted on
-    `workers.fork_map`, one process per CPU in the affinity mask, in jobs of
-    about _CSV_JOB entries.  Each fork map call covers about _CSV_CALL
-    entries, whose lines stream to the file in order before the next call
-    starts, so the whole text is never held at once.
+    The rows are formatted on `workers.fork_map` in jobs of about _CSV_JOB
+    entries, whose lines stream to the file in input order as they come, so
+    the whole text is never held at once.
     """
     entries, n = matrix.entries, matrix.n
     per_job = max(1, _CSV_JOB // n)
-    per_call = per_job * max(1, _CSV_CALL // (per_job * n))
-    processes = _workers.cpu_count() if n * n >= _POOL_MIN_PAIRS else 1
 
     def lines(lo):
         return [fmt_row(row) for row in entries[lo : lo + per_job].tolist()]
 
-    def rows():
-        for start in range(0, n, per_call):
-            jobs = range(start, min(start + per_call, n), per_job)
-            for chunk in _workers.fork_map(lines, jobs, processes):
-                yield from chunk
-
-    write_rows(path, [str(n)], rows(), meta)
-
-
-def read_matrix_csv(path) -> DistanceMatrix:
-    _, rows = read_rows(path, None)
-    (no, size), body = rows[0], rows[1:]
-    with malformed(f"{path}:{no}"):
-        (n,) = map(int, size)  # the header holds the size alone
-    entries = []
-    for no, fields in body:
-        if len(fields) != n:
-            raise DataError(f"{path}:{no}: expected {n} entries, got {len(fields)}")
-        with malformed(f"{path}:{no}"):
-            entries.append([float(v) for v in fields])
-    with malformed(path):
-        return DistanceMatrix(np.array(entries))
+    chunks = _workers.fork_map(lines, range(0, n, per_job))
+    write_rows(path, [str(n)], (line for chunk in chunks for line in chunk), meta)
 
 
 def write_matrix_binary(path, matrix: DistanceMatrix) -> None:

@@ -34,7 +34,7 @@ from pairtraj.evaluation import (
     write_transfer_csv,
 )
 from pairtraj.mds import Embedding, read_embedding_binary, write_embedding_binary
-from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
+from pairtraj.procrustes import read_matrix_binary
 from pairtraj.segmentation import SEGMENT_HEADER, segment_rows
 from pairtraj.trajectory import (
     CSV_HEADER,
@@ -51,7 +51,6 @@ READERS = {
     "read_rows": functools.partial(artifacts.read_rows, header=("a", "b")),
     "read_arrays": lambda path: artifacts.read_arrays(path, b"PTXX", "f8"),
     "read_model_json": read_model_json,
-    "read_matrix_csv": read_matrix_csv,
     "read_matrix_binary": read_matrix_binary,
     "read_embedding_binary": read_embedding_binary,
     "read_encounters_csv": read_encounters_csv,
@@ -110,10 +109,6 @@ REJECTED = {
         "",
     ),
     5: ("read_model_json", '{"method": "mds", "k": 2}\n', ""),
-    13: ("read_matrix_csv", "2\n0,1\n2,0\n", ""),
-    14: ("read_matrix_csv", '# {"seed": 1}\n2\n0,1\n1,x\n', ":4:"),
-    15: ("read_matrix_csv", "2\n0,1\n1\n", ":3:"),
-    16: ("read_matrix_csv", "two\n0,1\n1,0\n", ":1:"),
     17: ("read_matrix_binary", _matrix_blob([[0.0, np.nan], [np.nan, 0.0]]), ""),
     18: ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [2.0, 0.0]]), ""),
     19: ("read_matrix_binary", _matrix_blob([[0.0, 1.0], [1.0, 0.0]])[:-8], ""),

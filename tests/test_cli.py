@@ -22,7 +22,7 @@ from pairtraj import __version__, artifacts, cli, mds, segmentation, workers
 from pairtraj.cli import _build_parser, _resolve_config, main
 from pairtraj.clustering import read_model_json
 from pairtraj.evaluation import TRANSFER_HEADER
-from pairtraj.procrustes import read_matrix_binary, read_matrix_csv
+from pairtraj.procrustes import read_matrix_binary
 from pairtraj.segmentation import SEGMENT_HEADER
 from pairtraj.synthetic import make_encounter_dataset
 from pairtraj.trajectory import (
@@ -72,6 +72,14 @@ def body_lines(path):
     """File content with the created timestamp stripped, for byte comparisons."""
     with open(path) as handle:
         return [ln for ln in handle if "created" not in ln]
+
+
+def csv_entries(path):
+    """The entries of a distances.csv, read back through the rows layout: its
+    header line holds n, then come n rows of n numbers."""
+    _, ((_, (n,)), *rows) = artifacts.read_rows(path, None)
+    assert len(rows) == int(n)
+    return np.array([[float(v) for v in fields] for _, fields in rows])
 
 
 def sans_created(path):
@@ -168,8 +176,7 @@ class TestDistances:
         )
         assert run(*args) == 0
         path = os.path.join(out, "distances.csv")
-        matrix = read_matrix_csv(path)
-        assert matrix.n == 12
+        assert csv_entries(path).shape == (12, 12)
         (cache,) = cache_files(out, "distances")
         (parsed,) = cache_files(out, "encounters")
         with open(dataset, "rb") as handle:
@@ -223,9 +230,9 @@ class TestDistances:
         assert run(
             "distances", *common, "--set", "normalize=true", "--output-dir", unit
         ) == 0
-        a = read_matrix_csv(os.path.join(raw, "distances.csv"))
-        b = read_matrix_csv(os.path.join(unit, "distances.csv"))
-        assert not np.allclose(a.entries, b.entries)
+        a = csv_entries(os.path.join(raw, "distances.csv"))
+        b = csv_entries(os.path.join(unit, "distances.csv"))
+        assert not np.allclose(a, b)
 
 
 class TestEncounterCache:
@@ -783,14 +790,14 @@ class TestSegmentCommand:
 
 
 def _pooled_input(path, count=20, num_samples=121, short=()):
-    """An encounter CSV above the segment pool's sample gate; the encounters
-    at the indices in `short` have 3 samples, too few to segment."""
+    """An encounter CSV of `count` encounters, enough jobs for every worker;
+    the encounters at the indices in `short` have 3 samples, too few to
+    segment."""
     encounters, _ = make_encounter_dataset(5, count=count, num_samples=num_samples)
     encounters = [
         (enc_id, resample(inter, 3) if i in short else inter)
         for i, (enc_id, inter) in enumerate(encounters)
     ]
-    assert sum(len(inter) for _, inter in encounters) >= cli._POOL_MIN_SAMPLES
     write_encounters_csv(path, encounters)
     return str(path)
 
@@ -808,7 +815,7 @@ class TestSegmentPool:
     def test_segment_forks_from_the_main_thread_and_reaps(self, tmp_path, monkeypatch):
         # PR_SET_PDEATHSIG fires when the forking thread exits, so the workers
         # must come from the calling thread, not the executor's manager thread;
-        # two CPUs seen make one worker whatever the host has
+        # two CPUs seen make two workers whatever the host has
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         real_fork, forks = os.fork, []
 
@@ -819,7 +826,7 @@ class TestSegmentPool:
         monkeypatch.setattr(os, "fork", fork)
         dataset = _pooled_input(tmp_path / "enc.csv")
         assert run("segment", "--input", dataset, "--output-dir", str(tmp_path / "a")) == 0
-        assert forks == [True]
+        assert forks == [True, True]
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(os, "fork", real_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pairtraj
-from pairtraj import mds, workers
+from pairtraj import workers
 from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.mds import Embedding, embed, read_embedding_binary, write_embedding_binary
 from pairtraj.procrustes import DistanceMatrix, distance_matrix
@@ -250,19 +250,21 @@ class TestRestartPool:
     @pytest.mark.parametrize("make", [planted_150, simplex_150])
     def test_worker_count_does_not_change_output(self, monkeypatch, make):
         dm = make()
-        requested = []
+        real_fork, forks = os.fork, []
 
-        def recording(fn, jobs, processes):
-            requested.append(processes)
-            return workers.fork_map(fn, jobs, processes)
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
 
-        monkeypatch.setattr(mds, "fork_map", recording)
-        results = []
+        monkeypatch.setattr(workers.os, "fork", counting_fork)
+        results, forked = [], []
         for cpus in (1, 4):
             monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+            forks.clear()
             emb = embed(dm, 3, seed=5, max_iter=30)
             results.append((emb.points.tobytes(), emb.stress, emb.iterations, emb.best_run))
-        assert requested == [1, 4]
+            forked.append(len(forks))
+        assert forked == [0, 4]  # nine runs: one worker per CPU
         assert results[0] == results[1]
 
     def test_no_affinity_mask_same_bytes(self, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 import pairtraj
 from pairtraj import procrustes, workers
-from pairtraj.artifacts import fmt
+from pairtraj.artifacts import fmt, read_rows
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import (
     Alignment,
@@ -19,7 +19,6 @@ from pairtraj.procrustes import (
     distance_matrix,
     distance_with_alignment,
     read_matrix_binary,
-    read_matrix_csv,
     write_matrix_binary,
     write_matrix_csv,
     _BLOCK,
@@ -38,6 +37,14 @@ from oracles import (
     theta_grid_distance,
     theta_grid_residual_sq,
 )
+
+
+def csv_entries(path):
+    """The entries of a matrix CSV, read back through the rows layout: its
+    header line holds n, then come n rows of n numbers."""
+    _, ((_, (n,)), *rows) = read_rows(path, None)
+    assert len(rows) == int(n)
+    return np.array([[float(v) for v in fields] for _, fields in rows])
 
 
 def rot(theta):
@@ -339,8 +346,7 @@ class TestDistanceMatrix:
         mat = distance_matrix(self.build())
         path = tmp_path / "d.csv"
         write_matrix_csv(path, mat, meta={"k": 1})
-        back = read_matrix_csv(path)
-        assert np.array_equal(back.entries, mat.entries)
+        assert csv_entries(path).tobytes() == mat.entries.tobytes()
 
     def test_csv_bytes_match_per_field_format(self, tmp_path):
         # one format per row writes what `fmt` writes field by field
@@ -351,7 +357,7 @@ class TestDistanceMatrix:
         write_matrix_csv(path, mat, meta={"k": 1})
         rows = (",".join(fmt(v) for v in row) for row in mat.entries)
         assert path.read_text() == '# {"k": 1}\n4\n' + "".join(r + "\n" for r in rows)
-        assert read_matrix_csv(path).entries.tobytes() == mat.entries.tobytes()
+        assert csv_entries(path).tobytes() == mat.entries.tobytes()
 
     @staticmethod
     def per_field_text(mat, meta):
@@ -366,24 +372,23 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_csv_bytes_do_not_depend_on_processes(self, tmp_path, monkeypatch, forks, count):
-        # jobs of 2 rows and calls of 12: 41 rows make three calls of six
-        # jobs and a last call of three, the last of them one row
-        monkeypatch.setattr(procrustes, "_POOL_MIN_PAIRS", 1)
+        # jobs of 2 rows: 41 rows make 21 jobs, the last of them one row
         monkeypatch.setattr(procrustes, "_CSV_JOB", 100)
-        monkeypatch.setattr(procrustes, "_CSV_CALL", 500)
         cpus(monkeypatch, count)
         mat = self.random_matrix(41)
         write_matrix_csv(tmp_path / "d.csv", mat, meta={"k": 1})
         assert (tmp_path / "d.csv").read_text() == self.per_field_text(mat, '{"k": 1}')
-        assert len(forks) == sum(min(count, jobs) - 1 for jobs in (6, 6, 6, 3))
+        assert len(forks) == (count if count > 1 else 0)
 
-    @pytest.mark.parametrize("n", [255, 256])
+    # from n=182 up a matrix is two _CSV_JOB jobs or more: this process
+    # formats the first and one forked worker the second
+    @pytest.mark.parametrize("n", [181, 182, 255, 256])
     def test_csv_rows_fork_from_the_gate_up(self, tmp_path, monkeypatch, forks, n):
         cpus(monkeypatch, 2)
         mat = self.random_matrix(n)
         write_matrix_csv(tmp_path / "d.csv", mat, meta={"k": 1})
         assert (tmp_path / "d.csv").read_text() == self.per_field_text(mat, '{"k": 1}')
-        assert len(forks) == (n * n >= procrustes._POOL_MIN_PAIRS)
+        assert len(forks) == (1 if n >= 182 else 0)
 
     def test_binary_round_trip_bit_exact(self, tmp_path):
         mat = distance_matrix(self.build())

@@ -1,5 +1,6 @@
-"""The fork map: order, errors, who runs which job, and the in-process paths;
-and `embed` on the map, the same bytes as the oracle at any CPU count."""
+"""The fork map: order, errors, dying workers, early exits and the
+in-process paths, at any CPU count; and `embed` on the map, the same bytes as
+the oracle at any CPU count."""
 
 import errno
 import multiprocessing
@@ -28,6 +29,11 @@ def pid_after(delay):
     return job
 
 
+def cpus(monkeypatch, count):
+    """Make `workers.cpu_count` report `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
@@ -36,84 +42,157 @@ def no_fork():
     raise AssertionError("forked where no worker was wanted")
 
 
+def no_child_is_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TwoArgumentError(Exception):
     def __init__(self, value, where):
         super().__init__(f"job {value} failed on the {where}")
 
 
+@pytest.fixture
+def worker_jobs(tmp_path):
+    """`record(value)` notes that a worker ran job `value`; `ran()` lists
+    them, in the order they ran."""
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def record(value):
+        os.write(log, b"%d %d\n" % (value, os.getpid()))  # one atomic append per run
+
+    def ran():
+        return [tuple(map(int, line.split())) for line in (tmp_path / "ran").read_text().splitlines()]
+
+    yield record, ran
+    os.close(log)
+
+
+# each count of CPUs a fork map may see, and None: a platform without fork
+PLATFORMS = [1, 2, 4, None]
+
+
+def on_platform(monkeypatch, platform):
+    if platform is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        cpus(monkeypatch, platform)
+
+
 class TestForkMap:
-    def test_results_in_input_order(self):
+    def test_results_in_input_order(self, monkeypatch):
         jobs = list(range(40))
-        results = workers.fork_map(pid_after(0.002), jobs, 3)
-        assert [value for value, _ in results] == jobs
-        assert len({pid for _, pid in results}) > 1
-        assert multiprocessing.active_children() == []
+        for platform in PLATFORMS:
+            with monkeypatch.context() as patch:
+                on_platform(patch, platform)
+                results = list(workers.fork_map(pid_after(0.002), jobs))
+            assert [value for value, _ in results] == jobs
+            pids = {pid for _, pid in results}
+            assert len(pids) > 1 if platform and platform > 1 else pids == {os.getpid()}
+            no_child_is_left()
 
-    def test_the_caller_takes_jobs_from_the_back(self):
-        results = workers.fork_map(pid_after(0.02), range(12), 2)
-        here = [pid == os.getpid() for _, pid in results]
-        # a prefix ran on the worker, a nonempty suffix here
-        assert here[-1] and not here[0]
-        assert here == sorted(here)
-
-    def test_first_error_in_input_order(self):
+    def test_first_error_in_input_order(self, monkeypatch):
         def job(value):
             time.sleep(0.01)
-            if value in (3, 11):  # 3 on the worker, 11 here
+            if value in (3, 11):
                 raise ValueError(f"job {value}")
             return value
 
-        with pytest.raises(ValueError, match="job 3"):
-            workers.fork_map(job, range(12), 2)
-        assert multiprocessing.active_children() == []
+        for platform in PLATFORMS:
+            with monkeypatch.context() as patch:
+                on_platform(patch, platform)
+                with pytest.raises(ValueError, match="job 3"):
+                    list(workers.fork_map(job, range(12)))
+            no_child_is_left()
 
-    def test_an_error_in_this_process_is_raised_in_order(self):
+    def test_an_error_in_this_process_is_raised_in_order(self, monkeypatch):
+        # workers slow to take a job leave the first jobs to this process
+        import fcntl
+
+        cpus(monkeypatch, 2)
+        parent, real_lockf = os.getpid(), fcntl.lockf
+
+        def lockf(fd, operation):
+            if os.getpid() != parent:
+                time.sleep(0.2)
+            real_lockf(fd, operation)
+
         def job(value):
-            time.sleep(0.01)
-            if value == 11:  # the last job: this process runs it
-                raise KeyError(value)
+            if value in (2, 30):
+                raise KeyError(value, os.getpid() == parent)
             return value
 
-        with pytest.raises(KeyError):
-            workers.fork_map(job, range(12), 2)
+        monkeypatch.setattr(fcntl, "lockf", lockf)
+        with pytest.raises(KeyError) as raised:
+            list(workers.fork_map(job, range(40)))
+        assert raised.value.args == (2, True)
+        no_child_is_left()
 
-    def test_interrupt_here_does_not_wait_for_a_worker(self):
+    def test_interrupt_here_does_not_wait_for_a_worker(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+
         def job(value):
-            if value == 0:
-                time.sleep(30)  # the worker's job, killed when this one stops
-            raise KeyboardInterrupt
+            # a job this process runs is quick, a worker's job outlasts the
+            # test: it is killed when this process stops
+            time.sleep(0.001 if os.getpid() == parent else 30)
+            return value
 
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt  # as Ctrl-C would, in this process only
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
         start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            workers.fork_map(job, range(2), 2)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                list(workers.fork_map(job, range(1000)))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 10
-        assert multiprocessing.active_children() == []
+        no_child_is_left()
 
     def test_in_process_without_fork(self, monkeypatch):
+        cpus(monkeypatch, 4)
         monkeypatch.delattr(os, "fork")
-        results = workers.fork_map(pid_after(0.0), range(5), 4)
+        results = list(workers.fork_map(pid_after(0.0), range(5)))
         assert results == [(value, os.getpid()) for value in range(5)]
 
-    def test_no_descriptor_leaks_and_no_child_is_left(self):
+    def test_no_descriptor_leaks_and_no_child_is_left(self, monkeypatch):
+        # every way a consumer can leave: to the end, by an error of a job,
+        # by closing the generator early, or by raising itself
+        cpus(monkeypatch, 3)
+
         def job(value):
             if value == 3:
                 raise ValueError(value)
+            time.sleep(0.001)
             return value
 
-        workers.fork_map(job, range(2), 2)  # any first-use allocation
+        list(workers.fork_map(job, range(2)))  # any first-use allocation
         before = open_fds()
         for call in range(100):
-            if call % 2:
+            if call % 4 == 0:
+                assert list(workers.fork_map(job, range(3))) == [0, 1, 2]
+            elif call % 4 == 1:
                 with pytest.raises(ValueError):
-                    workers.fork_map(job, range(6), 3)
+                    list(workers.fork_map(job, range(6)))
+            elif call % 4 == 2:
+                results = workers.fork_map(job, range(100, 200))
+                assert next(results) == 100
+                results.close()
             else:
-                assert workers.fork_map(job, range(3), 2) == [0, 1, 2]
-        assert open_fds() == before
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+                with pytest.raises(LookupError):
+                    for _ in workers.fork_map(job, range(100, 200)):
+                        raise LookupError("the consumer failed")
+            assert open_fds() == before
+            no_child_is_left()
 
-    def test_each_job_runs_once_with_more_workers_than_cpus(self, tmp_path):
-        # a lost update of the shared counters would run a job twice or never
+    def test_each_job_runs_once_with_more_workers_than_cpus(self, tmp_path, monkeypatch):
+        # a lost update of the shared counter would run a job twice or never
+        cpus(monkeypatch, 8)
         log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
         def job(value):
@@ -122,7 +201,7 @@ class TestForkMap:
 
         try:
             for _ in range(20):
-                assert workers.fork_map(job, range(300), 8) == list(range(300))
+                assert list(workers.fork_map(job, range(300))) == list(range(300))
         finally:
             os.close(log)
         ran = sorted(map(int, (tmp_path / "ran").read_text().split()))
@@ -131,6 +210,7 @@ class TestForkMap:
     def test_a_worker_killed_holding_the_lock_does_not_hang_this_process(self, monkeypatch):
         import fcntl
 
+        cpus(monkeypatch, 2)
         parent, real_lockf = os.getpid(), fcntl.lockf
 
         def lockf(fd, operation):
@@ -146,61 +226,78 @@ class TestForkMap:
         signal.alarm(10)
         try:
             with pytest.raises(workers.WorkerDied, match="killed by SIGKILL"):
-                workers.fork_map(pid_after(0.01), range(6), 2)
+                list(workers.fork_map(pid_after(0.01), range(6)))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        no_child_is_left()
 
     def test_jobs_stay_here_when_fork_fails(self, monkeypatch):
         def fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
+        cpus(monkeypatch, 4)
         monkeypatch.setattr(os, "fork", fork)
         before = open_fds()
-        results = workers.fork_map(pid_after(0.0), range(5), 4)
+        results = list(workers.fork_map(pid_after(0.0), range(5)))
         assert results == [(value, os.getpid()) for value in range(5)]
         assert open_fds() == before
 
-    def test_a_result_that_does_not_pickle_names_its_job(self):
+    def test_a_result_that_does_not_pickle_names_its_job(self, monkeypatch, worker_jobs):
+        record, ran = worker_jobs
+        cpus(monkeypatch, 2)
         parent = os.getpid()
 
         def job(value):
             time.sleep(0.02)
-            return (lambda: value) if os.getpid() != parent else value
+            if os.getpid() == parent:
+                return value
+            record(value)
+            return lambda: value
 
-        with pytest.raises(pickle.PicklingError, match=r"job 0: its result does not survive"):
-            workers.fork_map(job, range(6), 2)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(pickle.PicklingError) as raised:
+            list(workers.fork_map(job, range(6)))
+        # the first job in input order that a worker ran
+        first = min(value for value, _ in ran())
+        assert f"job {first}: its result does not survive pickling" in str(raised.value)
+        no_child_is_left()
 
-    def test_an_error_that_does_not_unpickle_names_its_job(self):
+    def test_an_error_that_does_not_unpickle_names_its_job(self, monkeypatch, worker_jobs):
+        record, ran = worker_jobs
+        cpus(monkeypatch, 2)
         parent = os.getpid()
 
         def job(value):
             time.sleep(0.02)
-            if os.getpid() != parent:
-                raise TwoArgumentError(value, "worker")  # pickles, but cannot be rebuilt
-            return value
+            if os.getpid() == parent:
+                return value
+            record(value)
+            raise TwoArgumentError(value, "worker")  # pickles, but cannot be rebuilt
 
-        with pytest.raises(pickle.PicklingError, match=r"job 0: its TwoArgumentError does not"):
-            workers.fork_map(job, range(6), 2)
+        with pytest.raises(pickle.PicklingError) as raised:
+            list(workers.fork_map(job, range(6)))
+        first = min(value for value, _ in ran())
+        assert f"job {first}: its TwoArgumentError does not" in str(raised.value)
+        no_child_is_left()
 
-    def test_a_fork_map_inside_a_worker_forks_no_grandchildren(self):
+    def test_a_fork_map_inside_a_worker_forks_no_grandchildren(self, monkeypatch):
+        cpus(monkeypatch, 2)
         parent = os.getpid()
 
         def job(value):
             time.sleep(0.01)
             if os.getpid() != parent:
                 os.fork = no_fork  # in this worker only, which exits after
-            return os.getpid(), workers.fork_map(pid_after(0.0), range(3), 4)
+            return os.getpid(), list(workers.fork_map(pid_after(0.0), range(3)))
 
-        results = workers.fork_map(job, range(8), 2)
+        results = list(workers.fork_map(job, range(8)))
         in_workers = [(pid, inner) for pid, inner in results if pid != os.getpid()]
         assert in_workers, "no job ran on a worker"
         for pid, inner in in_workers:
             assert inner == [(value, pid) for value in range(3)]
 
-    def test_a_killed_worker_raises_worker_died(self):
+    def test_a_killed_worker_raises_worker_died(self, monkeypatch):
+        cpus(monkeypatch, 3)
         parent = os.getpid()
 
         def job(value):
@@ -210,14 +307,39 @@ class TestForkMap:
             return value
 
         with pytest.raises(workers.WorkerDied, match="killed by SIGKILL"):
-            workers.fork_map(job, range(6), 3)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+            list(workers.fork_map(job, range(6)))
+        no_child_is_left()
+
+    def test_a_worker_killed_while_writing_a_result_raises_worker_died(
+        self, monkeypatch, worker_jobs
+    ):
+        # a result past the pipe buffer blocks its worker mid-pickle until it
+        # is read; killed there, the worker leaves a truncated pickle
+        record, ran = worker_jobs
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def job(value):
+            if os.getpid() != parent:
+                record(value)
+            return bytes(1 << 20)
+
+        results = workers.fork_map(job, range(6))
+        next(results)
+        deadline = time.monotonic() + 10
+        while 1 not in dict(ran()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # until its result fills the pipe
+        os.kill(dict(ran())[1], signal.SIGKILL)
+        with pytest.raises(workers.WorkerDied, match="killed by SIGKILL"):
+            next(results)
+        no_child_is_left()
 
     @pytest.mark.parametrize("processes, jobs", [(1, 5), (4, 1), (3, 0)])
     def test_in_process_on_one_cpu_or_one_job(self, monkeypatch, processes, jobs):
+        cpus(monkeypatch, processes)
         monkeypatch.setattr(os, "fork", no_fork)
-        results = workers.fork_map(pid_after(0.0), range(jobs), processes)
+        results = list(workers.fork_map(pid_after(0.0), range(jobs)))
         assert results == [(value, os.getpid()) for value in range(jobs)]
 
 
