@@ -25,8 +25,9 @@ that np.linalg.lstsq passes, so the bits are lstsq's without its per-call
 wrapper; where numpy lacks that private gufunc, np.linalg.lstsq itself runs.
 The split slack is scaled by the centred sum of squares, so change points do
 not depend on where the data sits.  Encounters share nothing, so `pairtraj
-segment` spreads them over up to one process per CPU, which also format
-their segments.csv lines; the output does not depend on that count.
+segment` maps them over `workers.fork_map`, which forks up to one worker per
+CPU once it has two jobs; the workers also format the segments.csv lines,
+and the output does not depend on the CPU count.
 """
 
 from __future__ import annotations
