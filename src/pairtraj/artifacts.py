@@ -5,10 +5,12 @@ the partial file of a writer that was killed.  The three layouts:
 
 - JSON: one object, keys sorted, indented by two, metadata under "meta".
 - Rows: an optional `# <json>` metadata line, a header line, then
-  comma-separated rows.  A field holding `,` or `"`, or starting with `#`
-  (which would start a comment line) or with whitespace (which a reader that
-  strips its lines would drop), is written in double quotes with its quotes
-  doubled, as in RFC 4180; `split_fields` reads a line back.
+  comma-separated rows; every number goes through `table_lines`, a whole
+  table per call.  A field holding `,` or `"`, or starting with `#` (which
+  would start a comment line) or with whitespace (which a reader that strips
+  its lines would drop), is written in double quotes with its quotes doubled,
+  as in RFC 4180; `split_fields` reads a line back.  A field holding a line
+  break is refused: readers split lines before fields.
 - Arrays: a 4-byte magic, one little-endian int64 element count per array,
   then each array's little-endian bytes, row-major.
 
@@ -29,18 +31,20 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InvalidInputError
 
 
-def fmt(value: float) -> str:
-    # 17 significant digits round-trip every double
-    return format(float(value), ".17g")
-
-
-def fmt_row(values: list[float]) -> str:
-    """`fmt` of each value, comma-joined, in one format call for the row;
-    `"%.17g" % v` writes the same text as `fmt(v)` for every float v."""
-    return ",".join(["%.17g"] * len(values)) % tuple(values)
+def table_lines(table, leads="") -> str:
+    """The rows of a 2-D float array as lines, in one `%` operation: each row's
+    lead, one text for all rows or one per row (`quoted` fields ending in a
+    comma, or empty), then its values as `%.17g` writes them, comma-joined;
+    17 significant digits round-trip every double."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    if isinstance(leads, str):
+        form = (leads.replace("%", "%%") + line) * len(table)
+    else:
+        form = "".join([lead.replace("%", "%%") + line for lead in leads])
+    return form % tuple(table.ravel().tolist())
 
 
 def split_fields(line: str) -> list[str]:
@@ -50,7 +54,9 @@ def split_fields(line: str) -> list[str]:
 
 
 def quoted(field: str) -> str:
-    """The field as the rows layout writes it, in double quotes where needed."""
+    """The field as the rows layout writes it, quoted where needed; a line break is refused."""
+    if "\n" in field or "\r" in field:
+        raise InvalidInputError(f"field {field!r} holds a line break")
     if "," in field or '"' in field or field.startswith("#") or field[:1].isspace():
         return '"' + field.replace('"', '""') + '"'
     return field
@@ -156,16 +162,14 @@ def read_json(path) -> dict:
 
 def write_rows(path, header, rows, meta: dict | None = None) -> None:
     """Write the rows layout; `header` is a sequence of text fields, and so is
-    each of `rows`, or else a `str` holding the whole line, already quoted
-    (`quoted`) and joined, such as a text field then `fmt_row` of numbers."""
+    each of `rows`, or else a `str` of whole lines, each ending in a newline,
+    already quoted and joined, such as `table_lines` writes."""
     with _replacing(path, "w", newline="") as handle:
         if meta is not None:
             handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         handle.write(",".join(header) + "\n")
-        for line in rows:
-            if not isinstance(line, str):
-                line = ",".join(map(quoted, line))
-            handle.write(line + "\n")
+        for lines in rows:
+            handle.write(lines if isinstance(lines, str) else ",".join(map(quoted, lines)) + "\n")
 
 
 def read_rows(path, header) -> tuple[dict | None, list[tuple[int, list[str]]]]:

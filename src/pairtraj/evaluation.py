@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import clustering, mds
-from .artifacts import fmt, write_json, write_rows
+from .artifacts import quoted, table_lines, write_json, write_rows
 from .clustering import ClusterModel
 from .errors import InvalidInputError, PairtrajError
 from .procrustes import DistanceMatrix, cross_distance_matrix
@@ -327,8 +327,8 @@ def write_silhouette_csv(
     if not (len(ids) == z.size == sil.size):
         raise InvalidInputError("ids, assignments, silhouettes must align")
     order = sorted(range(len(ids)), key=lambda i: (z[i], -sil[i], str(ids[i])))
-    rows = ([str(ids[i]), str(z[i]), fmt(sil[i])] for i in order)
-    write_rows(path, SILHOUETTE_HEADER, rows, meta)
+    leads = [f"{quoted(str(ids[i]))},{z[i]}," for i in order]
+    write_rows(path, SILHOUETTE_HEADER, [table_lines(sil[order, None], leads)], meta)
 
 
 STABILITY_HEADER = ("axis1", "axis2", "value", "delta1", "delta2")
@@ -337,13 +337,11 @@ STABILITY_HEADER = ("axis1", "axis2", "value", "delta1", "delta2")
 def write_stability_csv(path, grid: StabilityGrid, meta: dict | None = None) -> None:
     """Long form `axis1,axis2,value,delta1,delta2`; axis names ride in metadata."""
     meta = {**(meta or {}), "axis1_name": grid.axis1_name, "axis2_name": grid.axis2_name}
-    d1, d2 = grid.delta1, grid.delta2
-    rows = (
-        [str(v1), str(v2), fmt(grid.values[i, j]), fmt(d1[i, j]), fmt(d2[i, j])]
-        for i, v1 in enumerate(grid.axis1_values)
-        for j, v2 in enumerate(grid.axis2_values)
-    )
-    write_rows(path, STABILITY_HEADER, rows, meta)
+    leads = [
+        f"{quoted(str(a))},{quoted(str(b))}," for a in grid.axis1_values for b in grid.axis2_values
+    ]
+    table = np.stack([grid.values, grid.delta1, grid.delta2], axis=-1).reshape(-1, 3)
+    write_rows(path, STABILITY_HEADER, [table_lines(table, leads)], meta)
 
 
 TRANSFER_HEADER = ("id", "cluster")

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers as _workers
-from .artifacts import fmt_row, malformed, read_arrays, write_arrays, write_rows
+from .artifacts import malformed, read_arrays, table_lines, write_arrays, write_rows
 from .errors import InvalidInputError
 from .trajectory import _store, Interaction, Trajectory
 
@@ -75,9 +75,11 @@ _BLOCK = 64
 # `wasserstein`
 _POOL_MIN_PAIRS = 1 << 16
 # Entries formatted per fork map job, so from n=182 up a matrix is two jobs
-# or more and forked workers format all rows after the first job's: on 2
-# CPUs that lost 3 to 5 ms at n=182 and up to 8 ms at n=200, and won 8 to
-# 11 ms at n=240 (medians of 100 interleaved calls, in three runs)
+# or more and forked workers format all rows after the first job's.  Against
+# formatting in this process alone (2 CPUs, medians of 100 interleaved calls,
+# three runs) that lost 3-4 ms at n=182 and 1-9 ms at n=200, won 7-19 ms at
+# n=240 and 256 in two runs and lost 7-9 ms in the third, and won 35-75 ms at
+# n=480, where 2^16 (two jobs from n=257) was 3-8 ms slower
 _CSV_JOB = 1 << 15
 
 
@@ -327,17 +329,15 @@ def write_matrix_csv(path, matrix: DistanceMatrix, meta: dict | None = None) -> 
     """Text form: optional `#` metadata line, a header line holding n, then n rows.
 
     The rows are formatted on `workers.fork_map` in jobs of about _CSV_JOB
-    entries, whose lines stream to the file in input order as they come, so
-    the whole text is never held at once.
+    entries, one `table_lines` block each, which stream to the file in input
+    order as they come, so the whole text is never held at once.
     """
     entries, n = matrix.entries, matrix.n
     per_job = max(1, _CSV_JOB // n)
-
-    def lines(lo):
-        return [fmt_row(row) for row in entries[lo : lo + per_job].tolist()]
-
-    chunks = _workers.fork_map(lines, range(0, n, per_job))
-    write_rows(path, [str(n)], (line for chunk in chunks for line in chunk), meta)
+    blocks = _workers.fork_map(
+        lambda lo: table_lines(entries[lo : lo + per_job]), range(0, n, per_job)
+    )
+    write_rows(path, [str(n)], blocks, meta)
 
 
 def write_matrix_binary(path, matrix: DistanceMatrix) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import fmt_row, quoted, write_json
+from .artifacts import quoted, table_lines, write_json
 from .errors import InvalidInputError, NumericalError
 from .trajectory import _store, Interaction, from_table, resample, to_table
 
@@ -335,12 +335,12 @@ SEGMENT_HEADER = ("encounter_id", "segment_index", "t", "x1", "y1", "x2", "y2")
 
 
 def segment_rows(enc_id: str, segments: list[Interaction]) -> list[str]:
-    """The lines of one encounter's segments in segments.csv, header excluded."""
-    lines = []
-    for index, inter in enumerate(segments):
-        lead = f"{quoted(enc_id)},{index},"
-        lines.extend([lead + fmt_row(row) for row in to_table(inter).tolist()])
-    return lines
+    """The lines of one encounter's segments in segments.csv, header excluded:
+    one `table_lines` block per segment."""
+    return [
+        table_lines(to_table(inter), f"{quoted(enc_id)},{index},")
+        for index, inter in enumerate(segments)
+    ]
 
 
 def write_knots_json(path, entries, meta: dict | None = None) -> None:

@@ -12,7 +12,7 @@ from itertools import accumulate
 import numpy as np
 
 from .artifacts import (
-    fmt_row, malformed, opened, quoted, read_arrays, split_fields, write_arrays, write_rows,
+    malformed, opened, quoted, read_arrays, split_fields, table_lines, write_arrays, write_rows,
 )
 from .errors import DataError, InvalidInputError
 
@@ -134,7 +134,7 @@ def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
     DataError with the offending line number, and non-finite values one
     naming the encounter.
     """
-    rows: dict[str, list[tuple[float, ...]]] = {}
+    rows: dict[str, list | np.ndarray] = {}  # an array once the next id starts
     # iterating a newline="" handle ends lines at \n, \r and \r\n only; bytes
     # that are not UTF-8 fail as ValueError
     with opened(path, newline="") as handle, malformed(path):
@@ -167,6 +167,8 @@ def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
                     raise DataError(
                         f"{path}:{lineno}: rows for encounter {enc_id!r} are not contiguous"
                     )
+                if last_id is not None:
+                    rows[last_id] = np.array(current)
                 current = rows[enc_id] = []
                 last_id = enc_id
             elif row[0] <= current[-1][0]:
@@ -178,20 +180,16 @@ def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
         if len(table) < 2:
             raise DataError(f"{path}: encounter {enc_id!r} has fewer than 2 samples")
         with malformed(f"{path}: encounter {enc_id!r}"):
-            encounters.append((enc_id, from_table(np.array(table))))
+            encounters.append((enc_id, from_table(np.asarray(table))))
     return encounters
 
 
 def write_encounters_csv(path, encounters, meta: dict | None = None) -> None:
     """Write encounters in the ingest format, with an optional metadata line."""
-
-    def rows():
-        for enc_id, inter in encounters:
-            lead = quoted(str(enc_id)) + ","
-            for row in to_table(inter).tolist():
-                yield lead + fmt_row(row)
-
-    write_rows(path, CSV_HEADER, rows(), meta)
+    blocks = (
+        table_lines(to_table(inter), quoted(str(enc_id)) + ",") for enc_id, inter in encounters
+    )
+    write_rows(path, CSV_HEADER, blocks, meta)
 
 
 def write_encounters_binary(path, encounters) -> None:

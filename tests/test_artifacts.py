@@ -22,11 +22,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairtraj
 from pairtraj import artifacts
 from pairtraj.clustering import read_model_json
-from pairtraj.errors import DataError
+from pairtraj.errors import DataError, InvalidInputError
 from pairtraj.evaluation import (
     SILHOUETTE_HEADER,
     TRANSFER_HEADER,
@@ -247,16 +249,48 @@ def test_rows_quote_commas_and_quotes(tmp_path):
     assert [fields for _, fields in artifacts.read_rows(path, ("id", "v"))[1]] == rows
 
 
-def test_fmt_row_matches_fmt_per_field():
+def _per_value(table, leads):
+    return "".join(
+        lead + ",".join(format(v, ".17g") for v in row) + "\n" for lead, row in zip(leads, table)
+    )
+
+
+def test_table_lines_writes_format_per_value():
     rng = np.random.default_rng(3)
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-300, 1 / 3, 1e16]
     bits = rng.integers(0, 2**63, size=4000, dtype=np.uint64).view(np.float64)
-    for values in (special, bits.tolist(), rng.normal(size=500).tolist(), []):
-        assert artifacts.fmt_row(values) == ",".join(map(artifacts.fmt, values))
+    tables = [
+        np.reshape(special, (2, 5)), bits.reshape(1000, 4), rng.normal(size=(100, 5)),
+        np.zeros((0, 3)),
+    ]
+    for table in tables:
+        assert artifacts.table_lines(table) == _per_value(table, [""] * len(table))
+    assert artifacts.table_lines(np.zeros((0, 3)), "a,") == ""
 
 
-# ids the encounter reader accepts in quotes; every rows writer must quote them back
-AWKWARD_IDS = ["plain", "b,c", 'e"f', '"g"', 'h,"i"', "#j", "k#l", " m"]
+# ids the encounter reader accepts in quotes; every rows writer must quote them
+# back, and a `%` in one must not reach the format
+AWKWARD_IDS = [
+    "plain", "b,c", 'e"f', '"g"', 'h,"i"', "#j", "k#l", " m", "n%d", "100%", "%%", "%(o)s",
+]
+_AWKWARD_TEXT = st.text(st.sampled_from(' ,"#%dsgx\u00e9'), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    table=st.integers(0, 6).flatmap(
+        lambda rows: st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.floats(width=64), min_size=rows * cols, max_size=rows * cols
+            ).map(lambda values: np.reshape(np.array(values, dtype=float), (rows, cols)))
+        )
+    ),
+    texts=st.lists(st.lists(_AWKWARD_TEXT, min_size=0, max_size=2), min_size=6, max_size=6),
+)
+def test_table_lines_property(table, texts):
+    leads = ["".join(artifacts.quoted(text) + "," for text in fields) for fields in texts]
+    assert artifacts.table_lines(table, leads[: len(table)]) == _per_value(table, leads)
+    assert artifacts.table_lines(table, leads[0]) == _per_value(table, [leads[0]] * len(table))
 
 
 def _inter(T, offset):
@@ -276,19 +310,19 @@ def test_encounters_round_trip_awkward_ids(tmp_path):
 
 
 def test_numeric_writers_match_per_field_rows(tmp_path):
-    # a row of `quoted` ids and `fmt_row` numbers is what write_rows makes of
-    # the same row given field by field
+    # `quoted` ids and `table_lines` numbers are what write_rows makes of the
+    # same rows given field by field
     encounters = [(enc_id, _inter(3, -i / 3)) for i, enc_id in enumerate(AWKWARD_IDS)]
     write_encounters_csv(tmp_path / "a.csv", encounters, meta={"seed": 1})
     rows = [
-        [enc_id, *map(artifacts.fmt, row)]
+        [enc_id, *(format(v, ".17g") for v in row)]
         for enc_id, inter in encounters
         for row in np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
     ]
     artifacts.write_rows(tmp_path / "b.csv", CSV_HEADER, rows, meta={"seed": 1})
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    lines = [line for enc_id, inter in encounters for line in segment_rows(enc_id, [inter])]
-    artifacts.write_rows(tmp_path / "c.csv", SEGMENT_HEADER, lines)
+    blocks = [block for enc_id, inter in encounters for block in segment_rows(enc_id, [inter])]
+    artifacts.write_rows(tmp_path / "c.csv", SEGMENT_HEADER, blocks)
     rows = [[row[0], "0", *row[1:]] for row in rows]
     artifacts.write_rows(tmp_path / "d.csv", SEGMENT_HEADER, rows)
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
@@ -297,9 +331,11 @@ def test_numeric_writers_match_per_field_rows(tmp_path):
 def test_segments_round_trip_awkward_ids(tmp_path):
     path = tmp_path / "segments.csv"
     segmented = [(enc_id, [_inter(4, i), _inter(6, -i)]) for i, enc_id in enumerate(AWKWARD_IDS)]
-    lines = [line for enc_id, segs in segmented for line in segment_rows(enc_id, segs)]
-    artifacts.write_rows(path, SEGMENT_HEADER, lines, {"seed": 1})
-    assert path.read_text().split("\n")[2:-1] == lines
+    blocks = [block for enc_id, segs in segmented for block in segment_rows(enc_id, segs)]
+    artifacts.write_rows(path, SEGMENT_HEADER, blocks, {"seed": 1})
+    # one block of lines per segment
+    assert len(blocks) == 2 * len(AWKWARD_IDS)
+    assert path.read_text().split("\n", 2)[2] == "".join(blocks)
     _, rows = artifacts.read_rows(path, SEGMENT_HEADER)
     keys = [(enc_id, index) for enc_id, segs in segmented for index in ("0", "1")]
     assert list(dict.fromkeys(tuple(fields[:2]) for _, fields in rows)) == keys
@@ -310,12 +346,36 @@ def _ids_and_clusters(path, header):
 
 
 def test_silhouette_and_transfer_round_trip_awkward_ids(tmp_path):
-    labels = [0, 1, 0, 1, 1, 0, 1, 0]
+    labels = [0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1]
     expected = [(enc_id, str(label)) for enc_id, label in zip(AWKWARD_IDS, labels)]
-    write_silhouette_csv(tmp_path / "sil.csv", AWKWARD_IDS, labels, [0.5] * 8, {"seed": 1})
+    write_silhouette_csv(tmp_path / "sil.csv", AWKWARD_IDS, labels, [0.5] * 12, {"seed": 1})
     assert sorted(_ids_and_clusters(tmp_path / "sil.csv", SILHOUETTE_HEADER)) == sorted(expected)
     write_transfer_csv(tmp_path / "transfer.csv", AWKWARD_IDS, labels, {"seed": 1})
     assert _ids_and_clusters(tmp_path / "transfer.csv", TRANSFER_HEADER) == expected
+
+
+# each writer of ids, with the id it is given
+ID_WRITERS = {
+    "encounters": lambda path, enc_id: write_encounters_csv(path, [(enc_id, _inter(3, 0))]),
+    # cut lazily, as `pairtraj segment` streams its blocks into write_rows
+    "segments": lambda path, enc_id: artifacts.write_rows(
+        path, SEGMENT_HEADER, (b for segs in [[_inter(3, 0)]] for b in segment_rows(enc_id, segs))
+    ),
+    "silhouette": lambda path, enc_id: write_silhouette_csv(path, ["a", enc_id], [0, 1], [0.5, 1]),
+    "transfer": lambda path, enc_id: write_transfer_csv(path, ["a", enc_id], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("enc_id", ["a\nb", "a\rb"])
+@pytest.mark.parametrize("writer", sorted(ID_WRITERS))
+def test_a_field_with_a_line_break_is_refused(tmp_path, writer, enc_id):
+    # readers split lines before fields, so no line could hold the id
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"earlier bytes\n")
+    with pytest.raises(InvalidInputError, match=re.escape(repr(enc_id))):
+        ID_WRITERS[writer](path, enc_id)
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert os.listdir(tmp_path) == ["artifact.csv"]
 
 
 def _one_row_then_disk_full():

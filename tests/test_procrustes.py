@@ -8,7 +8,7 @@ import pytest
 
 import pairtraj
 from pairtraj import procrustes, workers
-from pairtraj.artifacts import fmt, read_rows
+from pairtraj.artifacts import read_rows
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import (
     Alignment,
@@ -349,19 +349,19 @@ class TestDistanceMatrix:
         assert csv_entries(path).tobytes() == mat.entries.tobytes()
 
     def test_csv_bytes_match_per_field_format(self, tmp_path):
-        # one format per row writes what `fmt` writes field by field
+        # one format per job writes what `format(v, ".17g")` writes field by field
         entries = np.zeros((4, 4))
         entries[np.triu_indices(4, 1)] = [5e-324, 1e-300, 1 / 3, 1e16, 2.5, 7.0]
         mat = DistanceMatrix(entries + entries.T)
         path = tmp_path / "d.csv"
         write_matrix_csv(path, mat, meta={"k": 1})
-        rows = (",".join(fmt(v) for v in row) for row in mat.entries)
+        rows = (",".join(format(v, ".17g") for v in row) for row in mat.entries)
         assert path.read_text() == '# {"k": 1}\n4\n' + "".join(r + "\n" for r in rows)
         assert csv_entries(path).tobytes() == mat.entries.tobytes()
 
     @staticmethod
     def per_field_text(mat, meta):
-        rows = (",".join(fmt(v) for v in row) for row in mat.entries)
+        rows = (",".join(format(v, ".17g") for v in row) for row in mat.entries)
         return f"# {meta}\n{mat.n}\n" + "".join(r + "\n" for r in rows)
 
     @staticmethod

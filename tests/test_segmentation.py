@@ -500,9 +500,11 @@ class TestArtifacts:
             ("enc-b", segment_with_knots(Encounter("enc-b", knotted_interaction(rng, (40, 80))))[0]),
         ]
         path = tmp_path / "segments.csv"
-        lines = [line for enc_id, segments in items for line in segment_rows(enc_id, segments)]
-        write_rows(path, SEGMENT_HEADER, lines, {"seed": 9})
-        assert path.read_text().split("\n")[2:-1] == lines
+        blocks = [block for enc_id, segs in items for block in segment_rows(enc_id, segs)]
+        write_rows(path, SEGMENT_HEADER, blocks, {"seed": 9})
+        # one block of lines per segment
+        assert len(blocks) == sum(len(segments) for _, segments in items)
+        assert path.read_text().split("\n", 2)[2] == "".join(blocks)
         meta, rows = read_rows(path, SEGMENT_HEADER)
         assert meta == {"seed": 9}
         keys = [(i, str(index)) for i, segments in items for index in range(len(segments))]
