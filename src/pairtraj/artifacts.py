@@ -5,18 +5,19 @@ the partial file of a writer that was killed.  The three layouts:
 
 - JSON: one object, keys sorted, indented by two, metadata under "meta".
 - Rows: an optional `# <json>` metadata line, a header line, then
-  comma-separated rows; every number goes through `table_lines`, a whole
-  table per call.  A field holding `,` or `"`, or starting with `#` (which
-  would start a comment line) or with whitespace (which a reader that strips
-  its lines would drop), is written in double quotes with its quotes doubled,
-  as in RFC 4180; `split_fields` reads a line back.  A field holding a line
-  break is refused: readers split lines before fields.
+  comma-separated rows, which `write_rows` takes as whole lines; every
+  number goes through `table_lines`, a whole table per call.  A field
+  holding `,` or `"`, or starting with `#` (which would start a comment
+  line) or with whitespace (which `rows` strips), is written in double
+  quotes with its quotes doubled, as in RFC 4180.  A field holding a line
+  break is refused: `rows`, the one reader of the layout, splits lines
+  before fields.
 - Arrays: a 4-byte magic, one little-endian int64 element count per array,
   then each array's little-endian bytes, row-major.
 
 The readers elsewhere, of what the program consumes, are thin layers over
-these pairs; `malformed` turns their parse and validation errors into a
-DataError naming the path and, for a row, the line.
+`read_json`, `rows` and `read_arrays`; `malformed` turns their parse and
+validation errors into a DataError naming the path and, for a row, the line.
 """
 
 from __future__ import annotations
@@ -160,47 +161,48 @@ def read_json(path) -> dict:
     return payload
 
 
-def write_rows(path, header, rows, meta: dict | None = None) -> None:
-    """Write the rows layout; `header` is a sequence of text fields, and so is
-    each of `rows`, or else a `str` of whole lines, each ending in a newline,
-    already quoted and joined, such as `table_lines` writes."""
+def write_rows(path, header, lines, meta: dict | None = None) -> None:
+    """Write the rows layout; `header` is a sequence of text fields, and each
+    of `lines` a `str` of whole lines, each ending in a newline, already
+    quoted and joined, such as `table_lines` writes."""
     with _replacing(path, "w", newline="") as handle:
         if meta is not None:
             handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         handle.write(",".join(header) + "\n")
-        for lines in rows:
-            handle.write(lines if isinstance(lines, str) else ",".join(map(quoted, lines)) + "\n")
+        handle.writelines(lines)
 
 
-def read_rows(path, header) -> tuple[dict | None, list[tuple[int, list[str]]]]:
-    """The metadata (None without a `#` line) and the rows after the header.
+def rows(path, header):
+    """The line number and fields of each row after the header, lazily.
 
-    Each row is its line number in the file and its fields, as `split_fields`
-    reads them; blank lines are skipped.  With `header` a tuple of names, the
-    header line must hold exactly those and every row as many fields; with
-    None the header line is returned as the first row.
+    Every line starting with `#` and every blank line is skipped.  The first
+    other line must hold `header`, each field stripped, and every later one
+    as many fields, as `split_fields` reads the stripped line; DataError
+    names the line that does not, and the path where a byte is not UTF-8.
     """
-    with malformed(path):
-        numbered = enumerate(_read(path).split("\n"), start=1)
-    lines = [(no, line) for no, line in numbered if line.strip()]
-    meta = None
-    if lines and lines[0][1].startswith("#"):
-        no, line = lines.pop(0)
-        with malformed(f"{path}:{no}"):
-            meta = json.loads(line[1:])
-        if not isinstance(meta, dict):
-            raise DataError(f"{path}:{no}: metadata is not a JSON object")
-    rows = [(no, split_fields(line)) for no, line in lines]
-    if not rows:
-        raise DataError(f"{path}: no header line")
-    if header is None:
-        return meta, rows
-    if tuple(rows[0][1]) != tuple(header):
-        raise DataError(f"{path}:{rows[0][0]}: expected header {','.join(header)}")
-    for no, fields in rows[1:]:
-        if len(fields) != len(header):
-            raise DataError(f"{path}:{no}: expected {len(header)} fields, got {len(fields)}")
-    return meta, rows[1:]
+    # a newline="" handle ends lines at \n, \r and \r\n only; bytes that
+    # are not UTF-8 fail as ValueError
+    with opened(path, newline="") as handle, malformed(path):
+        lines = enumerate(handle, start=1)
+        for no, raw in lines:
+            line = raw.strip()
+            if line and not raw.startswith("#"):
+                break
+        else:
+            raise DataError(f"{path}: empty file, expected header row")
+        if tuple(f.strip() for f in split_fields(line)) != tuple(header):
+            raise DataError(f"{path}:{no}: expected header {','.join(header)}")
+        width = len(header)
+        for no, raw in lines:
+            if raw.startswith("#"):
+                continue
+            line = raw.strip()
+            if not line:
+                continue
+            fields = split_fields(line)
+            if len(fields) != width:
+                raise DataError(f"{path}:{no}: expected {width} fields, got {len(fields)}")
+            yield no, fields
 
 
 def write_arrays(path, magic: bytes, *arrays) -> None:

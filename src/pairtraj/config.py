@@ -105,8 +105,8 @@ class RunConfig:
             raise ConfigError(f"kind must be one of {', '.join(_KINDS)}")
         if self.num_samples < 2:
             raise ConfigError("num_samples must be at least 2")
-        if self.r < 1.0:
-            raise ConfigError("r must be at least 1")
+        if not 1.0 <= self.r < float("inf"):
+            raise ConfigError(f"r must be finite and at least 1, got {self.r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 

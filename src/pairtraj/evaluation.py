@@ -349,5 +349,5 @@ TRANSFER_HEADER = ("id", "cluster")
 
 def write_transfer_csv(path, ids, assignments, meta: dict | None = None) -> None:
     """Rows `id,cluster`, one per encounter in input order."""
-    rows = ([str(enc_id), str(int(label))] for enc_id, label in zip(ids, assignments))
-    write_rows(path, TRANSFER_HEADER, rows, meta)
+    lines = (f"{quoted(str(enc_id))},{int(label)}\n" for enc_id, label in zip(ids, assignments))
+    write_rows(path, TRANSFER_HEADER, lines, meta)

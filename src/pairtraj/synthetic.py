@@ -60,6 +60,8 @@ def make_family_dataset(
     noise: float = 0.01,
 ) -> tuple[list[Interaction], np.ndarray]:
     """Noisy rigid-motion copies of each family; returns (data, integer labels)."""
+    if not families:
+        raise InvalidInputError("families must not be empty")
     if per_family < 1:
         raise InvalidInputError("per_family must be positive")
     if noise < 0:
@@ -87,6 +89,8 @@ def within_between_ratio(data, labels) -> float:
     if between.size == 0:
         raise InvalidInputError("need at least two families")
     within = entries[off & same]
+    if within.size == 0:
+        raise InvalidInputError("need a family of at least two interactions")
     return float(within.mean() / between.mean())
 
 
@@ -104,6 +108,8 @@ def knotted_interaction(
     drift widens the range so the 1%-of-range noise does not make the
     reversals look like discontinuities worth extra change points.
     """
+    if not 0.0 <= box < np.inf:
+        raise InvalidInputError(f"box must be finite and nonnegative, got {box}")
     knots = tuple(int(k) for k in knots)
     if any(b <= a for a, b in zip(knots, knots[1:])):
         raise InvalidInputError("knots must be strictly increasing")

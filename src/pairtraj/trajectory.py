@@ -6,14 +6,13 @@ per sample; every module converts through `to_table` and `from_table`.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .artifacts import (
-    malformed, opened, quoted, read_arrays, split_fields, table_lines, write_arrays, write_rows,
-)
+from .artifacts import malformed, quoted, read_arrays, rows, table_lines, write_arrays, write_rows
 from .errors import DataError, InvalidInputError
 
 CSV_HEADER = ("encounter_id", "t", "x1", "y1", "x2", "y2")
@@ -130,53 +129,35 @@ def interaction_from_dict(payload: dict) -> Interaction:
 def read_encounters_csv(path) -> list[tuple[str, Interaction]]:
     """Read UTF-8 `encounter_id,t,x1,y1,x2,y2` rows grouped by encounter, sorted by t.
 
-    `#` lines (metadata) and blank lines are skipped.  Malformed rows raise
-    DataError with the offending line number, and non-finite values one
-    naming the encounter.
+    The rows are read by `artifacts.rows`, so `#` lines (metadata) and blank
+    lines are skipped.  Malformed rows raise DataError with the offending
+    line number, and non-finite values one naming the encounter.
     """
-    rows: dict[str, list | np.ndarray] = {}  # an array once the next id starts
-    # iterating a newline="" handle ends lines at \n, \r and \r\n only; bytes
-    # that are not UTF-8 fail as ValueError
-    with opened(path, newline="") as handle, malformed(path):
-        lines = enumerate(handle, start=1)
-        for lineno, raw in lines:
-            line = raw.strip()
-            if line and not raw.startswith("#"):
-                break
-        else:
-            raise DataError(f"{path}: empty file, expected header row")
-        if tuple(f.strip() for f in split_fields(line)) != CSV_HEADER:
-            raise DataError(f"{path}:{lineno}: expected header {','.join(CSV_HEADER)}")
-        last_id = None
-        for lineno, raw in lines:
-            if raw.startswith("#"):
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            fields = split_fields(line)
-            if len(fields) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+    tables: dict[str, list | np.ndarray] = {}  # an array once the next id starts
+    last_id = None
+    # closed here, not when an error's traceback lets go of the generator
+    with closing(rows(path, CSV_HEADER)) as numbered:
+        for lineno, fields in numbered:
             enc_id = fields[0]
             try:
                 row = tuple(map(float, fields[1:]))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric value") from None
             if enc_id != last_id:
-                if enc_id in rows:
+                if enc_id in tables:
                     raise DataError(
                         f"{path}:{lineno}: rows for encounter {enc_id!r} are not contiguous"
                     )
                 if last_id is not None:
-                    rows[last_id] = np.array(current)
-                current = rows[enc_id] = []
+                    tables[last_id] = np.array(current)
+                current = tables[enc_id] = []
                 last_id = enc_id
             elif row[0] <= current[-1][0]:
                 raise DataError(f"{path}:{lineno}: t is not strictly increasing")
             current.append(row)
 
     encounters = []
-    for enc_id, table in rows.items():
+    for enc_id, table in tables.items():
         if len(table) < 2:
             raise DataError(f"{path}: encounter {enc_id!r} has fewer than 2 samples")
         with malformed(f"{path}: encounter {enc_id!r}"):

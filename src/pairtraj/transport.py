@@ -74,12 +74,15 @@ def model_measure(model: ClusterModel) -> DiscreteMeasure:
 
 def ground_cost(F: DiscreteMeasure, G: DiscreteMeasure, r: float) -> np.ndarray:
     """The distance between every atom of F and every atom of G to the power
-    r; NumericalError if one overflows, so that neither solver sees it."""
+    r; NumericalError if one overflows, or a positive one underflows to 0,
+    so that neither solver sees it."""
     distances = cross_distance_matrix(list(F.atoms), list(G.atoms))
     with np.errstate(over="ignore"):
         cost = distances**r
     if not np.all(np.isfinite(cost)):
         raise NumericalError(f"ground cost: a distance to the power r={r} is not finite")
+    if np.any(cost[distances > 0] == 0):
+        raise NumericalError(f"ground cost: a positive distance to the power r={r} is 0")
     return cost
 
 
@@ -165,8 +168,8 @@ def wasserstein(F: DiscreteMeasure, G: DiscreteMeasure, r: float = 2.0) -> float
     rule, so the value has the same bits either way whenever the optimal
     permutation is unique.
     """
-    if not r >= 1.0:
-        raise InvalidInputError(f"order r must be >= 1, got {r}")
+    if not 1.0 <= r < np.inf:
+        raise InvalidInputError(f"order r must be finite and >= 1, got {r}")
     cost = ground_cost(F, G, r)
     m, n = cost.shape
     if m == n and _uniform(F.weights) and _uniform(G.weights):

@@ -7,13 +7,14 @@ rejects; a fault in one row is reported with that row's line number in the
 file.  Apart from distances.csv, the library reads back only what the
 program consumes, so the files written for people (segments, silhouettes,
 transfer, quality, stability, knots) have no reader of their own: tests read
-them back through `artifacts.read_rows` or `artifacts.read_json`.  Each
+them back through `artifacts.rows` or `artifacts.read_json`.  Each
 writer replaces its file whole, and the next write removes a killed writer's
 partial file.
 """
 
-import functools
+import gc
 import hashlib
+import json
 import os
 import re
 import signal
@@ -50,7 +51,7 @@ from pairtraj.trajectory import (
 
 READERS = {
     "read_json": artifacts.read_json,
-    "read_rows": functools.partial(artifacts.read_rows, header=("a", "b")),
+    "rows": lambda path: list(artifacts.rows(path, ("a", "b"))),
     "read_arrays": lambda path: artifacts.read_arrays(path, b"PTXX", "f8"),
     "read_model_json": read_model_json,
     "read_matrix_binary": read_matrix_binary,
@@ -101,9 +102,8 @@ def _nan_embedding(tmp_path) -> bytes:
 # a case number that names the test and stays with the case
 REJECTED = {
     0: ("read_json", "[1]\n", ""),
-    1: ("read_rows", "a,b\n1,2\n1,2,3\n", ":3:"),
-    2: ("read_rows", "# [1]\na,b\n1,2\n", ":1:"),
-    3: ("read_rows", "a,c\n1,2\n", ":1:"),
+    1: ("rows", "a,b\n1,2\n1,2,3\n", ":3:"),
+    3: ("rows", "a,c\n1,2\n", ":1:"),
     4: (
         "read_model_json",
         '{"method": "nope", "k": 1, "seed": 0, "objective": 0.0,'
@@ -176,14 +176,53 @@ def test_rejected_content(tmp_path, reader, content, line):
         assert not re.match(re.escape(str(path)) + r":\d", message), message
 
 
+def _lines(rows) -> list[str]:
+    """Rows given field by field, as the whole lines `write_rows` takes."""
+    return [",".join(map(artifacts.quoted, fields)) + "\n" for fields in rows]
+
+
 def test_rows_report_real_line_numbers(tmp_path):
     path = tmp_path / "rows.csv"
-    artifacts.write_rows(path, ("a", "b"), [["1", "2"], ["3", "4"]], meta={"seed": 1})
+    artifacts.write_rows(path, ("a", "b"), ["1,2\n3,4\n"], meta={"seed": 1})
     with open(path, "a") as handle:
         handle.write("\n5,6\n")
-    meta, rows = artifacts.read_rows(path, ("a", "b"))
-    assert meta == {"seed": 1}
+    with open(path) as handle:
+        assert json.loads(handle.readline()[1:]) == {"seed": 1}
+    rows = list(artifacts.rows(path, ("a", "b")))
     assert rows == [(3, ["1", "2"]), (4, ["3", "4"]), (6, ["5", "6"])]
+
+
+def test_rows_skip_a_comment_line_after_the_header(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("# {}\n\n a , b \n#1,2,3\n1,2\n# x\n\n3,4\n")
+    assert list(artifacts.rows(path, ("a", "b"))) == [(5, ["1", "2"]), (8, ["3", "4"])]
+
+
+def test_a_consumer_that_raises_leaves_no_open_handle(tmp_path, monkeypatch):
+    path = tmp_path / "enc.csv"
+    path.write_text(",".join(CSV_HEADER) + "\na,0,1,2,3,4\na,1,x,2,3,4\na,2,1,2,3,4\n")
+    handles, opened = [], artifacts.opened
+    monkeypatch.setattr(
+        artifacts, "opened", lambda *a, **kw: handles.append(opened(*a, **kw)) or handles[-1]
+    )
+    # the encounter reader stops at line 3 and closes the file at once, while
+    # the error and its traceback are still held
+    with pytest.raises(DataError, match=":3: non-numeric") as info:
+        read_encounters_csv(path)
+    assert handles[0].closed and info.tb is not None
+
+    def stop_at_line_3():
+        for no, _ in artifacts.rows(path, CSV_HEADER):
+            if no == 3:
+                raise KeyError(no)
+
+    # a consumer that leaves the generator open has it closed once dropped,
+    # with no ResourceWarning, which this suite makes an error
+    with pytest.raises(KeyError) as info:
+        stop_at_line_3()
+    del info
+    gc.collect()
+    assert handles[1].closed
 
 
 def test_json_meta_round_trip(tmp_path):
@@ -241,12 +280,12 @@ def test_rows_quote_commas_and_quotes(tmp_path):
     rows = [
         ["b,c", "1"], ['e"f', "2"], ['"g"', "3"], ["plain", 'x,"y"'], ["#a", "4"], ["b#c", "#5"]
     ]
-    artifacts.write_rows(path, ("id", "v"), rows)
-    # a line starting with `#` is a comment to the encounter reader
+    artifacts.write_rows(path, ("id", "v"), _lines(rows))
+    # a line starting with `#` is a comment to the rows reader
     assert path.read_text() == (
         'id,v\n"b,c",1\n"e""f",2\n"""g""",3\nplain,"x,""y"""\n"#a",4\nb#c,"#5"\n'
     )
-    assert [fields for _, fields in artifacts.read_rows(path, ("id", "v"))[1]] == rows
+    assert [fields for _, fields in artifacts.rows(path, ("id", "v"))] == rows
 
 
 def _per_value(table, leads):
@@ -310,8 +349,8 @@ def test_encounters_round_trip_awkward_ids(tmp_path):
 
 
 def test_numeric_writers_match_per_field_rows(tmp_path):
-    # `quoted` ids and `table_lines` numbers are what write_rows makes of the
-    # same rows given field by field
+    # `quoted` ids and `table_lines` numbers are the same rows quoted field by
+    # field
     encounters = [(enc_id, _inter(3, -i / 3)) for i, enc_id in enumerate(AWKWARD_IDS)]
     write_encounters_csv(tmp_path / "a.csv", encounters, meta={"seed": 1})
     rows = [
@@ -319,12 +358,12 @@ def test_numeric_writers_match_per_field_rows(tmp_path):
         for enc_id, inter in encounters
         for row in np.column_stack([inter.grid, inter.first.samples, inter.second.samples])
     ]
-    artifacts.write_rows(tmp_path / "b.csv", CSV_HEADER, rows, meta={"seed": 1})
+    artifacts.write_rows(tmp_path / "b.csv", CSV_HEADER, _lines(rows), meta={"seed": 1})
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     blocks = [block for enc_id, inter in encounters for block in segment_rows(enc_id, [inter])]
     artifacts.write_rows(tmp_path / "c.csv", SEGMENT_HEADER, blocks)
     rows = [[row[0], "0", *row[1:]] for row in rows]
-    artifacts.write_rows(tmp_path / "d.csv", SEGMENT_HEADER, rows)
+    artifacts.write_rows(tmp_path / "d.csv", SEGMENT_HEADER, _lines(rows))
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
 
@@ -336,13 +375,13 @@ def test_segments_round_trip_awkward_ids(tmp_path):
     # one block of lines per segment
     assert len(blocks) == 2 * len(AWKWARD_IDS)
     assert path.read_text().split("\n", 2)[2] == "".join(blocks)
-    _, rows = artifacts.read_rows(path, SEGMENT_HEADER)
+    rows = artifacts.rows(path, SEGMENT_HEADER)
     keys = [(enc_id, index) for enc_id, segs in segmented for index in ("0", "1")]
     assert list(dict.fromkeys(tuple(fields[:2]) for _, fields in rows)) == keys
 
 
 def _ids_and_clusters(path, header):
-    return [tuple(fields[:2]) for _, fields in artifacts.read_rows(path, header)[1]]
+    return [tuple(fields[:2]) for _, fields in artifacts.rows(path, header)]
 
 
 def test_silhouette_and_transfer_round_trip_awkward_ids(tmp_path):
@@ -379,7 +418,7 @@ def test_a_field_with_a_line_break_is_refused(tmp_path, writer, enc_id):
 
 
 def _one_row_then_disk_full():
-    yield ["1", "2"]
+    yield "1,2\n"
     raise OSError("disk full")
 
 
@@ -414,7 +453,7 @@ import pairtraj
 from pairtraj import artifacts
 
 def rows():
-    yield ["1", "2"]
+    yield "1,2\\n"
     os.kill(os.getpid(), signal.SIGKILL)
 
 artifacts.write_rows(sys.argv[1], ("a", "b"), rows())
@@ -435,7 +474,7 @@ def test_next_write_sweeps_a_killed_writers_partial_file(tmp_path):
     kept = [f"x.{os.getppid()}.tmp", f"w.{10**30}.tmp", "notes.tmp", "y.12a.tmp", "z.1.tmp.csv"]
     for name in kept:
         (tmp_path / name).write_bytes(b"")
-    artifacts.write_rows(tmp_path / "next.csv", ("a", "b"), [["3", "4"]])
+    artifacts.write_rows(tmp_path / "next.csv", ("a", "b"), ["3,4\n"])
     assert sorted(os.listdir(tmp_path)) == sorted(["next.csv", *kept])
 
 
@@ -449,7 +488,7 @@ def test_next_write_sweeps_a_zombie_writers_partial_file(tmp_path):
     try:
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
         (tmp_path / f"killed.csv.{pid}.tmp").write_bytes(b"a,b\n1,2\n")
-        artifacts.write_rows(tmp_path / "next.csv", ("a", "b"), [["3", "4"]])
+        artifacts.write_rows(tmp_path / "next.csv", ("a", "b"), ["3,4\n"])
         assert os.listdir(tmp_path) == ["next.csv"]
     finally:
         os.waitpid(pid, 0)

@@ -75,11 +75,12 @@ def body_lines(path):
 
 
 def csv_entries(path):
-    """The entries of a distances.csv, read back through the rows layout: its
+    """The entries of a distances.csv, split by hand: after its `#` line, its
     header line holds n, then come n rows of n numbers."""
-    _, ((_, (n,)), *rows) = artifacts.read_rows(path, None)
+    with open(path) as handle:
+        n, *rows = [line for line in handle.read().splitlines() if not line.startswith("#")]
     assert len(rows) == int(n)
-    return np.array([[float(v) for v in fields] for _, fields in rows])
+    return np.array([[float(v) for v in line.split(",")] for line in rows])
 
 
 def sans_created(path):
@@ -116,6 +117,34 @@ class TestGenerate:
     def test_misspelt_kind_is_config_error(self, tmp_path):
         assert run("generate", "--set", "kind=familes", "--output-dir", str(tmp_path)) == 2
         assert not os.path.exists(tmp_path / "dataset.csv")
+
+    @pytest.mark.parametrize(
+        "settings, line",
+        [
+            (("kind=encounters", "box=nan"), "box must be finite and nonnegative, got nan"),
+            (("kind=encounters", "box=inf"), "box must be finite and nonnegative, got inf"),
+            (("kind=encounters", "box=-1"), "box must be finite and nonnegative, got -1.0"),
+            (("per_family=1",), "need a family of at least two interactions"),
+            (("families=",), "families must not be empty"),
+        ],
+        ids=["box-nan", "box-inf", "box-negative", "one-per-family", "no-families"],
+    )
+    def test_unusable_parameters_exit_2(self, tmp_path, capsys, settings, line):
+        argv = [arg for setting in settings for arg in ("--set", setting)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("generate", *argv, "--output-dir", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == f"pairtraj: {line}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "settings", [("kind=encounters", "box=0", "count=2"), ("families=parallel", "per_family=1")]
+    )
+    def test_degenerate_parameters_are_accepted(self, tmp_path, settings):
+        argv = [arg for setting in settings for arg in ("--set", setting)]
+        assert run("generate", *argv, "--output-dir", str(tmp_path)) == 0
+        assert sorted(os.listdir(tmp_path)) == ["dataset.csv", "manifest.json"]
 
     def test_inseparable_families_exit_4(self, tmp_path):
         code = run(
@@ -559,7 +588,7 @@ def half_then_fail(path, *args, **kwargs):
     """A schema writer that fails inside the rows layout after one row."""
 
     def rows():
-        yield ["half"]
+        yield "half\n"
         raise OSError("disk full")
 
     artifacts.write_rows(path, ("a",), rows())
@@ -685,6 +714,37 @@ class TestWassersteinTransfer:
             assert "ground cost" in line and "not finite" in line
         assert not os.path.exists(tmp_path / "out" / "wasserstein.json")
 
+    @pytest.mark.parametrize("r", ["inf", "nan", "0.5"])
+    def test_order_outside_one_to_inf_is_config_error(self, workdir, tmp_path, capsys, r):
+        # r=inf made every cost x ** (1/inf) = 1, so a sample against itself read 1.0
+        dataset = os.path.join(workdir, "dataset.csv")
+        out = tmp_path / "out"
+        code = run(
+            "wasserstein", "--a", dataset, "--b", dataset, "--set", f"r={r}",
+            "--set", "num_samples=31", "--output-dir", str(out),
+        )
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"pairtraj: r must be finite and at least 1, got {float(r)}"
+        assert not os.path.exists(out / "wasserstein.json")
+
+    def test_underflowing_ground_cost_exits_4(self, tmp_path, capsys):
+        # every distance below 1 to the power 400 is 0, which read 0.0 for two
+        # different samples where r=2 reads 0.0274
+        paths = []
+        for seed in (1, 2):
+            out = str(tmp_path / str(seed))
+            assert run("generate", "--set", "per_family=4", "--seed", str(seed),
+                       "--output-dir", out) == 0
+            paths.append(os.path.join(out, "dataset.csv"))
+        capsys.readouterr()
+        code = run("wasserstein", "--a", paths[0], "--b", paths[1], "--set", "r=400",
+                   "--output-dir", str(tmp_path / "out"))
+        assert code == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "pairtraj: ground cost: a positive distance to the power r=400.0 is 0"
+        assert not os.path.exists(tmp_path / "out" / "wasserstein.json")
+
     def test_transfer_recovers_training_labels(self, workdir, tmp_path):
         dataset = os.path.join(workdir, "dataset.csv")
         out = str(tmp_path / "t")
@@ -693,7 +753,7 @@ class TestWassersteinTransfer:
             "--input", dataset, "--output-dir", out,
             "--set", "num_samples=31", "--seed", "3",
         ) == 0
-        _, rows = artifacts.read_rows(os.path.join(out, "transfer.csv"), TRANSFER_HEADER)
+        rows = list(artifacts.rows(os.path.join(out, "transfer.csv"), TRANSFER_HEADER))
         model = read_model_json(os.path.join(workdir, "model.json"))
         # training points sit nearest their own cluster's representative here
         assert [int(label) for _, (_, label) in rows] == model.assignments.tolist()
@@ -703,8 +763,7 @@ class TestWassersteinTransfer:
 
 def _segment_ids(path):
     """The encounter ids of segments.csv, in file order."""
-    _, rows = artifacts.read_rows(path, SEGMENT_HEADER)
-    return list(dict.fromkeys(fields[0] for _, fields in rows))
+    return list(dict.fromkeys(fields[0] for _, fields in artifacts.rows(path, SEGMENT_HEADER)))
 
 
 class TestSegmentCommand:

@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 from dataclasses import fields
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pairtraj import mds
-from pairtraj.artifacts import read_json, read_rows
+from pairtraj.artifacts import read_json, rows
 from pairtraj.clustering import ClusterModel, cluster_geo2, cluster_mds
 from pairtraj.errors import InvalidInputError
 from pairtraj.evaluation import (
@@ -434,9 +435,8 @@ class TestSerialization:
             [0.5, 0.25, 0.75, -0.5],
             meta={"k": 2},
         )
-        meta, rows = read_rows(path, SILHOUETTE_HEADER)
-        assert meta == {"k": 2}
-        assert [fields for _, fields in rows] == [
+        assert json.loads(path.read_text().split("\n", 1)[0][1:]) == {"k": 2}
+        assert [fields for _, fields in rows(path, SILHOUETTE_HEADER)] == [
             ["e2", "0", "0.75"], ["e1", "0", "0.25"], ["e3", "1", "0.5"], ["e4", "1", "-0.5"],
         ]
         assert path.read_text().startswith('# {"k": 2}')
@@ -447,12 +447,13 @@ class TestSerialization:
         grid = stability_sweep(data, D, "mds", "beta", [2, 3], "k", [3, 50], seed=0)
         path = tmp_path / "stability.csv"
         write_stability_csv(path, grid, meta={"seed": 0})
-        meta, rows = read_rows(path, STABILITY_HEADER)
+        meta = json.loads(path.read_text().split("\n", 1)[0][1:])
         assert meta == {"seed": 0, "axis1_name": "beta", "axis2_name": "k"}
-        assert [fields[:2] for _, fields in rows] == [
+        table = [fields for _, fields in rows(path, STABILITY_HEADER)]
+        assert [fields[:2] for fields in table] == [
             ["2", "3"], ["2", "50"], ["3", "3"], ["3", "50"],
         ]
-        values = np.array([float(fields[2]) for _, fields in rows]).reshape(2, 2)
+        values = np.array([float(fields[2]) for fields in table]).reshape(2, 2)
         assert np.array_equal(values, grid.values, equal_nan=True)
         # a missing cell is written as NaN
         assert grid.missing.any() and np.array_equal(np.isnan(values), grid.missing)

@@ -8,7 +8,6 @@ import pytest
 
 import pairtraj
 from pairtraj import procrustes, workers
-from pairtraj.artifacts import read_rows
 from pairtraj.errors import InvalidInputError
 from pairtraj.procrustes import (
     Alignment,
@@ -40,11 +39,12 @@ from oracles import (
 
 
 def csv_entries(path):
-    """The entries of a matrix CSV, read back through the rows layout: its
-    header line holds n, then come n rows of n numbers."""
-    _, ((_, (n,)), *rows) = read_rows(path, None)
+    """The entries of a matrix CSV, split by hand: after an optional `#` line,
+    its header line holds n, then come n rows of n numbers."""
+    with open(path) as handle:
+        n, *rows = [line for line in handle.read().splitlines() if not line.startswith("#")]
     assert len(rows) == int(n)
-    return np.array([[float(v) for v in fields] for _, fields in rows])
+    return np.array([[float(v) for v in line.split(",")] for line in rows])
 
 
 def rot(theta):

@@ -1,10 +1,12 @@
 """Change-point detection: cubic fits, candidate/prune passes, tolerance selection."""
 
+import json
+
 import numpy as np
 import pytest
 
 from pairtraj import segmentation, synthetic
-from pairtraj.artifacts import read_json, read_rows, write_rows
+from pairtraj.artifacts import read_json, rows, write_rows
 from pairtraj.errors import InvalidInputError
 from pairtraj.segmentation import (
     SEGMENT_HEADER,
@@ -505,13 +507,13 @@ class TestArtifacts:
         # one block of lines per segment
         assert len(blocks) == sum(len(segments) for _, segments in items)
         assert path.read_text().split("\n", 2)[2] == "".join(blocks)
-        meta, rows = read_rows(path, SEGMENT_HEADER)
-        assert meta == {"seed": 9}
+        assert json.loads(path.read_text().split("\n", 1)[0][1:]) == {"seed": 9}
+        lines = [fields for _, fields in rows(path, SEGMENT_HEADER)]
         keys = [(i, str(index)) for i, segments in items for index in range(len(segments))]
-        assert list(dict.fromkeys(tuple(fields[:2]) for _, fields in rows)) == keys
+        assert list(dict.fromkeys(tuple(fields[:2]) for fields in lines)) == keys
         # 17 significant digits give back every sample's bits
         table = np.vstack([to_table(seg) for _, segments in items for seg in segments])
-        back = np.array([[float(v) for v in fields[2:]] for _, fields in rows])
+        back = np.array([[float(v) for v in fields[2:]] for fields in lines])
         assert back.tobytes() == table.tobytes()
 
     def test_knots_json_round_trip(self, tmp_path):

@@ -154,6 +154,12 @@ class TestWasserstein:
         with pytest.raises(InvalidInputError, match="order"):
             wasserstein(F, F, r=0.5)
 
+    @pytest.mark.parametrize("r", [np.inf, np.nan])
+    def test_order_not_finite_rejected(self, r):
+        F = random_measure(18, 2)
+        with pytest.raises(InvalidInputError, match="finite"):
+            wasserstein(F, F, r=r)
+
     def test_ground_cost_powers_distances(self):
         F, G = random_measure(19, 2), random_measure(20, 2)
         cost = ground_cost(F, G, 2.0)
