@@ -49,9 +49,10 @@ from pairtraj.trajectory import (
     write_encounters_csv,
 )
 
+# the key names each reader in the test ids; "read_rows" is `artifacts.rows`
 READERS = {
     "read_json": artifacts.read_json,
-    "rows": lambda path: list(artifacts.rows(path, ("a", "b"))),
+    "read_rows": lambda path: list(artifacts.rows(path, ("a", "b"))),
     "read_arrays": lambda path: artifacts.read_arrays(path, b"PTXX", "f8"),
     "read_model_json": read_model_json,
     "read_matrix_binary": read_matrix_binary,
@@ -102,8 +103,8 @@ def _nan_embedding(tmp_path) -> bytes:
 # a case number that names the test and stays with the case
 REJECTED = {
     0: ("read_json", "[1]\n", ""),
-    1: ("rows", "a,b\n1,2\n1,2,3\n", ":3:"),
-    3: ("rows", "a,c\n1,2\n", ":1:"),
+    1: ("read_rows", "a,b\n1,2\n1,2,3\n", ":3:"),
+    3: ("read_rows", "a,c\n1,2\n", ":1:"),
     4: (
         "read_model_json",
         '{"method": "nope", "k": 1, "seed": 0, "objective": 0.0,'
