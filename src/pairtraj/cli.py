@@ -33,11 +33,19 @@ Exit codes: 0 success, 2 configuration or parameter error, 3 data error,
 4 numerical failure, out of memory or a killed worker process, 130
 interrupted (Ctrl-C).  Each failure prints one line on stderr and no
 traceback.
+
+`run()` is the process entry of both `python -m pairtraj.cli` and the
+`pairtraj` script.  It calls `gc.freeze()` once the imports are done, so
+this run's collections skip the import-time heap, and again on the way
+out, argparse's exits included, so the interpreter's shutdown collection
+skips every object left.  `main(argv)` is the in-process API, with no
+process-wide side effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import os
 import sys
@@ -163,7 +171,7 @@ def _embedder(config: RunConfig):
     share one embedding per (matrix, beta, seed)."""
 
     def embed(matrix, beta, seed):
-        digest = hashlib.sha256(matrix.entries.astype("<f8").tobytes())
+        digest = hashlib.sha256(matrix.entries.astype("<f8", order="C", copy=False))
         digest.update(f";beta={beta};seed={seed}{mds.cache_tag()}".encode())
         return _cached(
             config, "embedding", digest, read_embedding_binary,
@@ -422,5 +430,14 @@ def main(argv=None) -> int:
         return 130
 
 
+def run() -> int:
+    """The process entry: `main()` between two `gc.freeze()` calls."""
+    gc.freeze()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

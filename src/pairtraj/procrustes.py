@@ -113,14 +113,30 @@ class Alignment:
         return _rows_to_interaction(moved, interaction.grid)
 
 
+def _unwritable(array) -> bool:
+    """Whether `array` is a float64 array that is not writeable, and neither
+    is any array it views, down to an owner of its own memory or a `bytes`
+    object.  An owner marked read-only is trusted to stay so."""
+    if not isinstance(array, np.ndarray) or array.dtype != np.float64:
+        return False
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None or isinstance(array, bytes)
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric nonnegative pairwise distances with a (near-)zero diagonal."""
+    """Symmetric nonnegative pairwise distances with a (near-)zero diagonal.
+
+    Entries that no one can write (`_unwritable`) are kept; others are copied.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        ent = np.array(self.entries, dtype=float)
+        ent = self.entries if _unwritable(self.entries) else np.array(self.entries, dtype=float)
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1] or ent.shape[0] < 1:
             raise InvalidInputError("entries must be a nonempty square matrix")
         if not np.all(np.isfinite(ent)):
@@ -307,6 +323,7 @@ def distance_matrix(
         top = out.max()
         if top > 0:
             out /= top
+    out.setflags(write=False)  # so DistanceMatrix keeps it without a copy
     return DistanceMatrix(out)
 
 

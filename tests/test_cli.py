@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import json
 import logging
@@ -18,11 +19,12 @@ import numpy as np
 import pytest
 
 import pairtraj
-from pairtraj import __version__, artifacts, cli, mds, segmentation, workers
+from pairtraj import __version__, artifacts, cli, mds, procrustes, segmentation, workers
 from pairtraj.cli import _build_parser, _resolve_config, main
 from pairtraj.clustering import read_model_json
+from pairtraj.config import RunConfig
 from pairtraj.evaluation import TRANSFER_HEADER
-from pairtraj.procrustes import read_matrix_binary
+from pairtraj.procrustes import DistanceMatrix, read_matrix_binary
 from pairtraj.segmentation import SEGMENT_HEADER
 from pairtraj.synthetic import make_encounter_dataset
 from pairtraj.trajectory import (
@@ -523,6 +525,16 @@ class TestEmbeddingCache:
         assert len(counted) == 2
         assert len(self.embeddings(out)) == 2
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_key_of_a_fixed_matrix(self, tmp_path, order):
+        # the name the key had when it hashed a copy of the entries in C
+        # order; it moves only with the tool version or `mds.cache_tag()`
+        points = np.array([(0, 0), (1, 0), (0, 2), (3, 1), (2, 3), (4, 4)], float)
+        entries = np.sqrt(((points[:, None] - points[None]) ** 2).sum(-1))
+        config = RunConfig(output_dir=str(tmp_path))
+        cli._embedder(config)(DistanceMatrix(np.asarray(entries, order=order)), 2, 0)
+        assert self.embeddings(str(tmp_path)) == ["embedding-2f9646f853857fe6.bin"]
+
     def test_failed_beta_is_not_cached(self, workdir, tmp_path):
         out = str(tmp_path / "f")
         assert self.cluster(workdir, out, "--set", "beta=12") == 2  # n = 12
@@ -533,6 +545,26 @@ class TestEmbeddingCache:
             *self.common(workdir, out),
         ) == 0
         assert self.embeddings(out) == []
+
+
+def test_kept_matrices_give_the_copied_bytes(workdir, tmp_path, monkeypatch):
+    """`distances` builds the matrix, `evaluate` and `stability` read it from
+    the cache; each artifact is the same bytes as when every matrix is copied."""
+    def chain(out):
+        common = (
+            "--input", os.path.join(workdir, "dataset.csv"), "--output-dir", out,
+            "--set", "num_samples=31", "--seed", "3",
+        )
+        assert run("distances", *common) == 0
+        assert run("evaluate", "--model", os.path.join(workdir, "model.json"), *common) == 0
+        assert run("stability", "--method", "geo2", "--grid", "k=2,3;n_init=2", *common) == 0
+        names = ["distances.csv", "quality.json", "silhouette.csv", "stability.csv"]
+        names += [os.path.join("cache", name) for name in cache_files(out, "distances")]
+        return {name: sans_created(os.path.join(out, name)) for name in names}
+
+    kept = chain(str(tmp_path / "kept"))
+    monkeypatch.setattr(procrustes, "_unwritable", lambda array: False)
+    assert chain(str(tmp_path / "copied")) == kept
 
 
 def earlier_layout(kind, path) -> bytes:
@@ -1310,6 +1342,84 @@ class TestExitCodes:
             "--input", dataset, "--output-dir", str(tmp_path),
         )
         assert code == 3
+
+
+def launch(*args, cwd=None):
+    """`python *args` on this package's source, its output captured."""
+    src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": src}, cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestProcessEntry:
+    """`python -m pairtraj.cli` goes through `cli.run`, as the script does."""
+
+    def test_version(self, tmp_path):
+        done = launch("-m", "pairtraj.cli", "--version", cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"pairtraj {__version__}\n", "")
+
+    def test_module_runs_the_entry(self):
+        # what `-m pairtraj.cli` runs, with a hook that reports after it
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['pairtraj', '--version']\n"
+            "runpy.run_module('pairtraj.cli', run_name='__main__')\n"
+        )
+        done = launch("-c", script)
+        assert (done.returncode, done.stdout.split()) == (0, ["pairtraj", __version__, "True"])
+
+    @pytest.mark.parametrize("argv, code, err", [
+        pytest.param((), 2, "pairtraj: error: the following arguments are required: command\n",
+                     id="no-subcommand"),
+        pytest.param(("cluster", "--method", "geo2"), 2,
+                     "pairtraj: no input file; set input= in the config or pass --input\n",
+                     id="no-input"),
+        pytest.param(("cluster", "--method", "geo2", "--input", "missing.csv"), 3,
+                     "pairtraj: cannot read missing.csv: [Errno 2] No such file or directory: "
+                     "'missing.csv'\n",
+                     id="missing-input"),
+    ])
+    def test_failures(self, tmp_path, argv, code, err):
+        done = launch("-m", "pairtraj.cli", *argv, cwd=tmp_path)
+        assert done.returncode == code
+        # argparse prints its usage lines before the error line
+        if argv:
+            assert done.stderr == err
+        else:
+            assert done.stderr.startswith("usage: pairtraj") and done.stderr.endswith(err)
+        assert "Traceback" not in done.stderr
+        assert os.listdir(tmp_path) == []
+
+    def test_run_freezes_after_import_and_on_exit(self):
+        # main drops the first freeze and exits as argparse does; the atexit
+        # hook runs after run's `finally`
+        script = (
+            "import atexit, gc, sys\n"
+            "from pairtraj import cli\n"
+            "print(gc.get_freeze_count())\n"
+            "def main():\n"
+            "    print(gc.get_freeze_count() > 0)\n"
+            "    gc.unfreeze()\n"
+            "    sys.exit(2)\n"
+            "cli.main = main\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "sys.exit(cli.run())\n"
+        )
+        done = launch("-c", script)
+        assert (done.returncode, done.stdout.split(), done.stderr) == (2, ["0", "True", "True"], "")
+
+    def test_main_leaves_the_collector_alone(self, workdir, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run(
+            "distances", "--input", os.path.join(workdir, "dataset.csv"),
+            "--output-dir", str(tmp_path), "--set", "num_samples=31",
+        ) == 0
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert gc.get_freeze_count() == frozen and gc.isenabled()
 
 
 # one layer per subcommand that every run of it reaches, cache hits included

@@ -327,6 +327,29 @@ class TestDistanceMatrix:
         with pytest.raises(InvalidInputError):
             DistanceMatrix(bad)
 
+    @pytest.mark.parametrize("given", ["writable", "read-only view"])
+    def test_caller_arrays_are_copied(self, given):
+        entries = np.ones((3, 3)) - np.eye(3)
+        passed = entries.view()
+        passed.setflags(write=given == "writable")
+        mat = DistanceMatrix(passed)
+        entries[0, 1] = entries[1, 0] = 5.0
+        assert mat.entries[0, 1] == 1.0
+        assert not np.shares_memory(mat.entries, entries)
+
+    def test_unwritable_matrices_are_kept(self, tmp_path, monkeypatch):
+        kept = []
+        check = procrustes._unwritable
+        monkeypatch.setattr(procrustes, "_unwritable", lambda a: kept.append(check(a)) or kept[-1])
+        built = distance_matrix(self.build())
+        path = tmp_path / "d.bin"
+        write_matrix_binary(path, built)
+        read = read_matrix_binary(path)
+        assert kept == [True, True]
+        # a view of the bytes read, not a copy of them
+        assert not read.entries.flags.owndata and not read.entries.flags.writeable
+        assert read.entries.tobytes() == built.entries.tobytes()
+
     # entries in the fifth row block and in the fifth column block
     @pytest.mark.parametrize(
         "i, j", [(0, 4 * _BLOCK + 2), (4 * _BLOCK, 4 * _BLOCK + 2), (4 * _BLOCK + 2, 1)]
