@@ -32,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DataError, InvalidInputError
+from .errors import DataError, InvalidInputError, NumericalError
 
 
 def table_lines(table, leads="") -> str:
@@ -145,10 +145,15 @@ def file_sha256(path):
 
 
 def write_json(path, payload: dict, meta: dict | None = None) -> None:
+    """NumericalError for a NaN or infinity, which JSON cannot hold; an
+    earlier file is then left intact."""
     if meta is not None:
         payload = {**payload, "meta": meta}
     with _replacing(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
+        try:
+            json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NumericalError(f"{path}: {exc}") from exc
         handle.write("\n")
 
 

@@ -247,11 +247,11 @@ def cluster_mds(
     _check_restarts(n, k, n_init, max_iter)
     embedding = (embed or mds.embed)(matrix, beta, seed)
     labels, _, history = _kmeans(embedding.points, k, seed, n_init, max_iter, "cluster_mds")
-    d2 = matrix.entries**2
     medoids = []
     for j in range(k):
         members = np.flatnonzero(labels == j)
-        within = d2[np.ix_(members, members)].sum(axis=1)
+        block = matrix.entries[np.ix_(members, members)]
+        within = np.square(block, out=block).sum(axis=1)
         medoids.append(int(members[within.argmin()]))
     to_reps = matrix.entries[:, medoids]
     assignments = to_reps.argmin(axis=1)

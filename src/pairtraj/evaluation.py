@@ -144,7 +144,7 @@ def stability_statistic(matrix: DistanceMatrix, assignments) -> float:
     for label in np.unique(z):
         idx = np.flatnonzero(z == label)
         block = matrix.entries[np.ix_(idx, idx)]
-        blocks.append(float((block**2).sum()))
+        blocks.append(float(np.square(block, out=block).sum()))
     # summing the per-cluster totals in sorted order makes the result exactly
     # invariant under relabeling
     return float(np.sum(np.sort(blocks))) / (2.0 * matrix.n)

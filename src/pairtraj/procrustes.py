@@ -45,8 +45,9 @@ jobs, and streams them to the file in order.
 
 This module owns the stacked layout of a pair, the (2T, 2) rows of the first
 curve then the second (`_stack_rows`), and the alignment set-up: every entry
-point packs with `_pack`, which checks one shared T, and the kernel takes
-the weight w = 1/T of every sample from the packed width 2T.
+point packs with `_pack`, which checks one shared T and norms that can be
+squared (`_NORM_MAX`), and the kernel takes the weight w = 1/T of every
+sample from the packed width 2T.
 """
 
 from __future__ import annotations
@@ -59,10 +60,15 @@ import numpy as np
 
 from . import workers as _workers
 from .artifacts import malformed, read_arrays, table_lines, write_arrays, write_rows
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .trajectory import _store, Interaction, Trajectory
 
 _MAGIC = b"PTD2"
+# An interaction's norm N must be 0 from coincident points, or a normal double
+# (a smaller one has lost bits) at most w * _NORM_MAX: then every |z_k|^2 <=
+# N / w <= _NORM_MAX, so N_s + N_t, 2|G| <= 2 sqrt(N_s N_t) and each recomputed
+# |z_t - e^{i phi} z_s|^2 stay finite
+_TINY, _NORM_MAX = np.finfo(float).tiny, np.finfo(float).max / 8
 # Residuals at most this fraction of N_s + N_t are summed directly instead
 _RECOMPUTE_REL = 1e-3
 # Near pairs are recomputed this many at a time, bounding the temporaries
@@ -169,19 +175,35 @@ def _rows_to_interaction(rows: np.ndarray, grid: np.ndarray) -> Interaction:
 
 def _pack(*groups: list[Interaction]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per group: jointly centred complex curves (n, 2T), their means (n,) and
-    norms (n,).  Every interaction of every group must share one T."""
+    norms (n,).  Every interaction of every group must share one T; a norm
+    out of range (`_NORM_MAX`) is a NumericalError naming the interaction by
+    its index over all groups."""
     _shared_length([inter for group in groups for inter in group])
-    packed = []
-    for group in groups:
-        rows = np.stack([_stack_rows(i) for i in group])
-        raw = rows[..., 0] + 1j * rows[..., 1]
-        w = 1.0 / (raw.shape[1] // 2)
-        # Row-wise sums rather than a BLAS matrix-vector product, so an interaction
-        # packs to the same bits in any batch and a coincident-point blob centres
-        # to 0.  The weights sum to 2 over both curves: the joint mean carries 1/2.
-        mean = 0.5 * (raw * w).sum(axis=1)
-        z = raw - mean[:, None]
-        packed.append((z, mean, ((z.real**2 + z.imag**2) * w).sum(axis=1)))
+    packed, first = [], 0
+    # a norm out of range is refused below, not warned about
+    with np.errstate(all="ignore"):
+        for group in groups:
+            rows = np.stack([_stack_rows(i) for i in group])
+            raw = rows[..., 0] + 1j * rows[..., 1]
+            w = 1.0 / (raw.shape[1] // 2)
+            # Row-wise sums rather than a BLAS matrix-vector product, so an interaction
+            # packs to the same bits in any batch and a coincident-point blob centres
+            # to 0.  The weights sum to 2 over both curves: the joint mean carries 1/2.
+            mean = 0.5 * (raw * w).sum(axis=1)
+            z = raw - mean[:, None]
+            norm = ((z.real**2 + z.imag**2) * w).sum(axis=1)
+            bad = ~((norm >= _TINY) & (norm <= w * _NORM_MAX))
+            if bad.any():
+                bad &= (norm != 0) | (z != 0).any(axis=1)  # a 0 from coincident points is kept
+                if bad.any():
+                    idx = int(bad.argmax())
+                    raise NumericalError(
+                        f"interaction {first + idx}: coordinates too"
+                        f" {'small' if norm[idx] < _TINY else 'large'} to square"
+                        f" (squared norm {norm[idx]:.3g})"
+                    )
+            first += len(group)
+            packed.append((z, mean, norm))
     return packed
 
 

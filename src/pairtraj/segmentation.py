@@ -282,8 +282,8 @@ def select_tolerance(
     grid = sorted(float(e) for e in candidate_epsilons)
     if not grid:
         raise InvalidInputError("need at least one candidate tolerance")
-    if any(np.isnan(e) or e <= 0 for e in grid):
-        raise InvalidInputError("candidate tolerances must be positive")
+    if not all(0 < e < np.inf for e in grid):
+        raise InvalidInputError("candidate tolerances must be finite and positive")
     if candidates is None:
         candidates = combined_candidates(encounter)
     best_eps, best_crit = None, None

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import pairtraj
 from pairtraj import artifacts
 from pairtraj.clustering import read_model_json
-from pairtraj.errors import DataError, InvalidInputError
+from pairtraj.errors import DataError, InvalidInputError, NumericalError
 from pairtraj.evaluation import (
     SILHOUETTE_HEADER,
     TRANSFER_HEADER,
@@ -233,6 +233,18 @@ def test_json_meta_round_trip(tmp_path):
         '{\n  "a": [\n    1.5\n  ],\n  "b": 1,\n  "meta": {\n    "seed": 2\n  }\n}\n'
     )
     assert artifacts.read_json(path) == {"a": [1.5], "b": 1, "meta": {"seed": 2}}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_json_refuses_nan_and_infinity_and_keeps_the_earlier_file(tmp_path, bad):
+    # JSON (RFC 8259) has no NaN or Infinity: jq and JavaScript reject them
+    path = tmp_path / "a.json"
+    artifacts.write_json(path, {"epsilon": 0.5})
+    before = path.read_bytes()
+    with pytest.raises(NumericalError, match="not JSON compliant"):
+        artifacts.write_json(path, {"epsilon": bad})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["a.json"]
 
 
 def test_encounters_blob_matches_the_writer(tmp_path):

@@ -38,7 +38,7 @@ from pairtraj.trajectory import (
 )
 from pairtraj.transport import DiscreteMeasure, empirical_measure, model_measure, wasserstein
 
-from oracles import planted
+from oracles import planted, random_interaction
 
 
 def run(*argv):
@@ -724,6 +724,28 @@ class TestWassersteinTransfer:
             "False", "True",
         ]
 
+    def test_data_vs_data_above_600_atoms_leaves_scipy_optimize_out(self, tmp_path):
+        # 601 atoms a side: from 601 up, scipy.optimize was imported to match them
+        rng = np.random.default_rng(5)
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        for path in (a, b):
+            write_encounters_csv(path, [(f"e{i}", random_interaction(rng, 9)) for i in range(601)])
+        script = (
+            "import sys\n"
+            "from pairtraj.cli import main\n"
+            f"assert main(['wasserstein', '--a', {a!r}, '--b', {b!r},"
+            f" '--output-dir', {str(tmp_path / 'w')!r}, '--set', 'num_samples=9']) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert done.stdout.split()[-1] == "False"
+        with open(tmp_path / "w" / "wasserstein.json") as handle:
+            assert json.load(handle)["value"] > 0
+
     def test_overflowing_ground_cost_exits_4(self, workdir, tmp_path, capsys):
         # distances near 1e150 to the power 3.5 overflow a double
         dataset = os.path.join(workdir, "dataset.csv")
@@ -818,6 +840,19 @@ class TestSegmentCommand:
             for got, planted in zip(entry["knots"], (40, 80)):
                 assert abs(got - planted) <= 2
         assert os.path.exists(os.path.join(out, "segments.csv"))
+
+    @pytest.mark.parametrize("epsilons", ["inf", "1,nan", "0"])
+    def test_tolerances_must_be_finite_and_positive(self, tmp_path, capsys, epsilons):
+        # inf pruned every cut and wrote "epsilon": Infinity, which is not JSON
+        encounters, _ = make_encounter_dataset(4, count=2)
+        dataset = str(tmp_path / "dataset.csv")
+        write_encounters_csv(dataset, encounters)
+        out = tmp_path / "seg"
+        capsys.readouterr()
+        code = run("segment", "--input", dataset, "--output-dir", str(out), "--set", f"epsilons={epsilons}")
+        assert code == 2
+        assert capsys.readouterr().err == "pairtraj: candidate tolerances must be finite and positive\n"
+        assert not os.path.exists(out / "knots.json")
 
     def test_quoted_ids_round_trip(self, tmp_path):
         encounters, _ = make_encounter_dataset(4, count=2)
@@ -1269,6 +1304,33 @@ class TestExitCodes:
         path.write_text("encounter_id,t,x1,y1,x2,y2\na,0,1,2,3,4\na,1,inf,2,3,4\n")
         assert run("distances", "--input", str(path), "--output-dir", str(tmp_path)) == 3
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e155])
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [(("distances",), "distances.csv"), (("cluster", "--method", "geo2", "--set", "k=3"), "model.json")],
+        ids=["distances", "cluster-geo2"],
+    )
+    def test_coordinates_that_cannot_be_squared_exit_4(
+        self, workdir, tmp_path, capsys, scale, argv, artifact
+    ):
+        # at 1e-170 every distance read 0.0 and the run exited 0; at 1e155
+        # numpy warned four times before the run exited 2
+        scaled = [
+            (enc_id, Interaction(*(Trajectory(c.samples * scale, c.grid) for c in (x.first, x.second))))
+            for enc_id, x in read_encounters_csv(os.path.join(workdir, "dataset.csv"))
+        ]
+        path, out = str(tmp_path / "scaled.csv"), tmp_path / "out"
+        write_encounters_csv(path, scaled)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv, "--input", path, "--output-dir", str(out), "--set", "num_samples=31")
+        assert code == 4
+        [line] = capsys.readouterr().err.splitlines()
+        size = "small" if scale < 1 else "large"
+        assert line.startswith(f"pairtraj: interaction 0: coordinates too {size} to square")
+        assert not os.path.exists(out / artifact)
 
     def test_short_encounter_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import pairtraj
 from pairtraj import procrustes, workers
-from pairtraj.errors import InvalidInputError
+from pairtraj.errors import InvalidInputError, NumericalError
 from pairtraj.procrustes import (
     Alignment,
     DistanceMatrix,
@@ -238,6 +239,45 @@ class TestDistance:
             d, fit = distance_with_alignment(a, b)
             moved = fit.apply(b.swapped() if fit.swapped else b)
             assert np.sqrt(rho_sq(a, moved, w)) == pytest.approx(d, abs=1e-9)
+
+
+def scaled(inter: Interaction, scale: float) -> Interaction:
+    return Interaction(*(Trajectory(c.samples * scale, c.grid) for c in (inter.first, inter.second)))
+
+
+class TestScale:
+    # the three family shapes; at 1e-170 every square underflowed to a distance
+    # of 0, at 1e-158 to subnormals 8e-7 off, and at 1e155 it overflowed to NaN
+    FAMILIES = [family_interaction(name, 21) for name in ("parallel", "opposing", "crossing")]
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-158, 1e155])
+    def test_coordinates_that_cannot_be_squared_raise(self, scale):
+        data = [scaled(inter, scale) for inter in self.FAMILIES]
+        size = "small" if scale < 1 else "large"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (
+                lambda: distance(data[0], data[1]),
+                lambda: distance_matrix(data),
+                lambda: cross_distance_matrix(data[:1], data[1:]),
+                lambda: align(data[0], data[1]),
+            ):
+                with pytest.raises(NumericalError, match=f"interaction 0: coordinates too {size}"):
+                    run()
+
+    def test_the_offending_interaction_is_named(self):
+        data = [*self.FAMILIES[:2], scaled(self.FAMILIES[2], 1e155)]
+        with pytest.raises(NumericalError, match="interaction 2: "):
+            distance_matrix(data)
+        with pytest.raises(NumericalError, match="interaction 3: "):
+            cross_distance_matrix(data[:1], data)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_distances_scale_with_the_coordinates(self, scale):
+        data = [scaled(inter, scale) for inter in self.FAMILIES]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            expected = scale * distance(self.FAMILIES[i], self.FAMILIES[j])
+            assert distance(data[i], data[j]) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 class TestAlignmentType:

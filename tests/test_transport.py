@@ -13,8 +13,7 @@ from pairtraj.errors import InvalidInputError, NumericalError
 from pairtraj.procrustes import distance, distance_matrix
 from pairtraj.trajectory import Interaction, Trajectory
 from pairtraj.transport import (
-    _OWN_ASSIGNMENT_MAX,
-    _assignment,
+    _linear_sum_assignment,
     DiscreteMeasure,
     empirical_measure,
     ground_cost,
@@ -112,19 +111,14 @@ class TestWasserstein:
 
     def test_uniform_equal_size_assignment_matches_enumeration(self):
         # uniform measures of equal size are solved as an assignment problem:
-        # enumeration bounds the small sizes, and at every size, on both
-        # sides of the size gate, scipy's solver gives the same permutation,
-        # so the value has the same bits
-        for m in (1, 2, 3, 6, 17, 150, _OWN_ASSIGNMENT_MAX, _OWN_ASSIGNMENT_MAX + 1):
+        # enumeration bounds the small sizes, and at every size, 600 and 601
+        # included, the value has the bits of scipy's optimal permutation
+        for m in (1, 2, 3, 6, 17, 150, 600, 601):
             F = empirical_measure(list(atoms(m, m)))
             G = empirical_measure(list(atoms(m + 50, m)))
-            random_cost = np.random.default_rng(m).random((m, m))
-            assert np.array_equal(_assignment(random_cost), linear_sum_assignment(random_cost)[1])
-            # a solve at the largest sizes takes 0.2-0.3 s
             for r in (1.0, 2.0, 3.0) if m <= 150 else (2.0,):
                 cost = ground_cost(F, G, r)
                 rows, cols = linear_sum_assignment(cost)
-                assert np.array_equal(_assignment(cost), cols)
                 assert wasserstein(F, G, r) == float((cost[rows, cols].sum() / m) ** (1 / r))
                 if m <= 6:
                     dists = np.array([[distance(a, b) for b in G.atoms] for a in F.atoms])
@@ -186,6 +180,25 @@ class TestWasserstein:
                     solve()
             assert np.isfinite(ground_cost(F, G, 2.0)).all()
 
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_overflowing_optimal_total_raises(self, uniform):
+        # every cost is d^r, about 1.5e308, and finite; two of them add to more
+        # than a double holds, and HiGHS gives up on such costs
+        a, b = atoms(35, 2)
+        r = float(np.log(1.5e308) / np.log(distance(a, b) * 1e10))
+
+        def far(inter):
+            return Interaction(*(Trajectory(c.samples * 1e10, c.grid) for c in (inter.first, inter.second)))
+
+        weights = np.full(2, 0.5) if uniform else np.array([0.3, 0.7])
+        F = DiscreteMeasure((far(a), far(a)), weights)
+        G = DiscreteMeasure((far(b), far(b)), np.full(2, 0.5))
+        assert np.isfinite(ground_cost(F, G, r)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite" if uniform else "LP failed"):
+                wasserstein(F, G, r)
+
     @pytest.mark.parametrize("m", [150, 3])
     def test_lp_matches_dense_reference(self, m):
         F = random_measure(31, m)
@@ -220,49 +233,51 @@ class TestWasserstein:
         assert int(peak_kib) < 1024 * 1024  # ru_maxrss is in KiB on Linux
 
 
-class _RowReads(np.ndarray):
-    """A cost matrix that counts its reads: `_assignment` reads one row of
-    it per scan."""
+_TIES = {
+    "all-equal": np.ones((150, 150)),
+    "integers-0-2": np.random.default_rng(40).integers(0, 3, (150, 150)).astype(float),
+    "duplicated-integer-rows": np.repeat(np.random.default_rng(41).integers(0, 3, (30, 150)), 5, axis=0) * 1.0,
+    "duplicated-rows": np.repeat(np.random.default_rng(42).random((30, 150)), 5, axis=0),
+}
 
-    reads = 0
 
-    def __getitem__(self, key):
-        _RowReads.reads += 1
-        return np.asarray(super().__getitem__(key))
+@pytest.fixture(scope="module")
+def fallback_columns(tmp_path_factory):
+    """The column of each row that `_linear_sum_assignment` gives every tie
+    matrix in a fresh process where the compiled solver's file is not found,
+    so it takes the public import from scipy.optimize."""
+    folder = tmp_path_factory.mktemp("ties")
+    ties, columns = str(folder / "ties.npz"), str(folder / "columns.npz")
+    np.savez(ties, **_TIES)
+    script = (
+        "import importlib.machinery, sys\n"
+        "import numpy as np\n"
+        "from pairtraj.transport import _linear_sum_assignment\n"
+        # the suffixes the loader looks for; the import system keeps its own list
+        "importlib.machinery.EXTENSION_SUFFIXES.clear()\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "solve = _linear_sum_assignment()\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        f"ties = np.load({ties!r})\n"
+        f"np.savez({columns!r}, **{{name: solve(ties[name])[1] for name in ties.files}})\n"
+    )
+    src = os.path.dirname(os.path.dirname(pairtraj.__file__))
+    subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    with np.load(columns) as loaded:
+        return {name: loaded[name] for name in loaded.files}
 
 
 class TestAssignment:
-    @pytest.mark.parametrize(
-        "cost",
-        [
-            np.ones((150, 150)),
-            np.random.default_rng(40).integers(0, 3, (150, 150)).astype(float),
-            np.repeat(np.random.default_rng(41).integers(0, 3, (30, 150)), 5, axis=0) * 1.0,
-            np.repeat(np.random.default_rng(42).random((30, 150)), 5, axis=0),
-        ],
-        ids=["all-equal", "integers-0-2", "duplicated-integer-rows", "duplicated-rows"],
-    )
-    def test_ties_give_a_permutation_of_least_cost(self, cost):
-        cols = _assignment(cost)
-        assert sorted(cols.tolist()) == list(range(len(cost)))
-        rows = np.arange(len(cost))
-        best = cost[linear_sum_assignment(cost)].sum()
-        if np.array_equal(cost, np.round(cost)):
-            assert cost[rows, cols].sum() == best
-        else:
-            assert cost[rows, cols].sum() == pytest.approx(best, rel=1e-12)
-
-    def test_all_equal_costs_take_one_scan_per_row(self):
-        # the tie rule ends each path at its first scan; without it an
-        # all-equal matrix takes O(n^3) scans
-        cost = np.ones((150, 150)).view(_RowReads)
-        _RowReads.reads = 0
-        _assignment(cost)
-        assert _RowReads.reads == 150
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_cost_raises(self, bad):
-        cost = np.ones((3, 3))
-        cost[1, 2] = bad
-        with pytest.raises(NumericalError, match="NaN or infinite"):
-            _assignment(cost)
+    @pytest.mark.parametrize("name", list(_TIES), ids=list(_TIES))
+    def test_ties_give_a_permutation_of_least_cost(self, name, fallback_columns):
+        # the compiled solver loaded by its path and the public import are one
+        # function: both give scipy's permutation
+        cost = _TIES[name]
+        rows, expected = linear_sum_assignment(cost)
+        assert np.array_equal(rows, np.arange(len(cost)))
+        for cols in (_linear_sum_assignment()(cost)[1], fallback_columns[name]):
+            assert np.array_equal(cols, expected)
+        assert sorted(expected.tolist()) == list(range(len(cost)))
